@@ -18,9 +18,9 @@ tuples.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
-from .gf import FiniteField, make_field
+from .counting import run_tasks
+from .gf import FiniteField, cached_field, field_key
 from .flags import Flag, adapt_to_flag, image_flag
 from .linalg import (
     Vector,
@@ -172,7 +172,7 @@ def _roundtrip_codes(task: tuple) -> tuple[dict[tuple[int, int], int], list[int]
     failed either direction.
     """
     p, d, modulus, g, tau, codes = task
-    ctx = make_field(p, d, list(modulus))
+    ctx = cached_field(p, d, modulus)
     tallies: dict[tuple[int, int], int] = {}
     failures: list[int] = []
     for code in codes:
@@ -217,12 +217,8 @@ def roundtrip_check(
             drawn[lo: lo + _CHUNK_CODES]
             for lo in range(0, len(drawn), _CHUNK_CODES)
         ]
-    tasks = [(ctx.p, ctx.d, ctx.modulus, g, tau, batch) for batch in code_batches]
-    if threads <= 1 or len(tasks) == 1:
-        parts = [_roundtrip_codes(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_roundtrip_codes, tasks))
+    tasks = [(*field_key(ctx), g, tau, batch) for batch in code_batches]
+    parts = run_tasks(_roundtrip_codes, tasks, threads)
     tallies: dict[tuple[int, int], int] = {
         (r, s): 0 for r in range(g + 1) for s in range(r + 1)
     }

@@ -7,7 +7,9 @@ Three independent routes to the same numbers:
 * `staged_count` multiplies the sizes of the stages that build a tuple
   with the given profile (choices for the trailing block, lifts, choices
   for the leading block); integers only.
-* `bruteforce_table` enumerates every matrix and tallies profiles.
+* `bruteforce_table` enumerates every matrix code and tallies profiles
+  with the row-code kernel `semilinear.RowKernel`; tests hold that kernel
+  to `semilinear.profile`, code by code.
 
 Keeping all three and demanding agreement is the design: a bug in any one
 route shows up as a mismatch instead of a silently wrong table.  All
@@ -16,18 +18,13 @@ counts are arbitrary-precision; reports serialize them as decimal strings.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import FiniteField, make_field
-from .semilinear import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    SemilinearMap,
-    matrix_from_code,
-    profile,
-)
+from .gf import FiniteField, cached_field, field_key
+from .semilinear import DEFAULT_BUDGET, BudgetExceeded, row_kernel
 
 # Fixed chunk granularity for the parallel enumerator.  Constant by design:
 # the work split, and therefore the merged result, never depends on how
@@ -167,22 +164,23 @@ def formula_table(g: int, q: int) -> CountTable:
     return table
 
 
-# persists across chunks within one worker process
-_FIELD_CACHE: dict[tuple, FiniteField] = {}
+def run_tasks(fn, tasks: list, threads: int) -> list:
+    """[fn(t) for t in tasks], on a process pool when threads > 1.
+
+    The pool gets at most one worker per task and per core: the default
+    `fork` start method launches every worker up front, so surplus workers
+    cost a fork each and do nothing.  Results come back in task order.
+    """
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _tally_chunk(task: tuple) -> dict[tuple[int, int], int]:
     p, d, modulus, g, tau, start, stop = task
-    key = (p, d, modulus)
-    ctx = _FIELD_CACHE.get(key)
-    if ctx is None:
-        ctx = make_field(p, d, list(modulus))
-        _FIELD_CACHE[key] = ctx
-    counts: dict[tuple[int, int], int] = {}
-    for code in range(start, stop):
-        r, s = profile(SemilinearMap(matrix_from_code(ctx, g, code), tau))
-        counts[(r, s)] = counts.get((r, s), 0) + 1
-    return counts
+    return row_kernel(cached_field(p, d, modulus), g, tau).tally(start, stop)
 
 
 def bruteforce_table(
@@ -204,14 +202,10 @@ def bruteforce_table(
         raise BudgetExceeded(f"q^(g^2) = {total} exceeds budget {budget}")
     tau %= ctx.d
     tasks = [
-        (ctx.p, ctx.d, ctx.modulus, g, tau, lo, min(lo + CHUNK_CODES, total))
+        (*field_key(ctx), g, tau, lo, min(lo + CHUNK_CODES, total))
         for lo in range(0, total, CHUNK_CODES)
     ]
-    if threads <= 1 or len(tasks) == 1:
-        parts = [_tally_chunk(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_tally_chunk, tasks))
+    parts = run_tasks(_tally_chunk, tasks, threads)
     entries = {prof: 0 for prof in profiles(g)}
     for part in parts:
         for prof, n in part.items():

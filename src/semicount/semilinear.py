@@ -21,7 +21,9 @@ that bijective summand plus the kernel of F^g, where F is eventually zero.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, NamedTuple
 
 from .gf import FiniteField
@@ -122,17 +124,14 @@ def sl_rank(F: SemilinearMap) -> int:
 
 def sl_inf_rank(F: SemilinearMap) -> int:
     """dim of the terminal image; equals rank(F^g) in dimension g."""
-    r = rank(F.mat)
-    if r == F.g or r == 0:
-        return r  # bijective maps stay bijective; rank-0 maps are zero
-    return rank(_terminal_matrix(F))
+    return profile(F).s
 
 
 def profile(F: SemilinearMap) -> RankProfile:
     """(rank, infinity rank) of F."""
     r = rank(F.mat)
     if r == F.g or r == 0:
-        return RankProfile(r, r)
+        return RankProfile(r, r)  # bijective maps stay bijective; rank-0 maps are zero
     return RankProfile(r, rank(_terminal_matrix(F)))
 
 
@@ -195,3 +194,143 @@ def enumerate_maps(
     tau %= ctx.d
     for code in range(start, stop):
         yield SemilinearMap(matrix_from_code(ctx, g, code), tau)
+
+
+# ---------------------------------------------------------------------------
+# enumeration kernel
+
+
+class RowKernel:
+    """Profiles of all maps in a range of matrix codes, read off row codes.
+
+    A row code is an integer in [0, Q), Q = q^g, whose base-q digits are
+    the entries of one row; the base-Q digits of a matrix code are its row
+    codes, so row i of code c is (c // Q**i) % Q.  No `Matrix` is built.
+
+    r is the rank of the rows.  Codes are walked in runs of Q that share
+    rows 1..g-1; per run those rows are eliminated once, with tables for
+    lead position, row normalised to lead 1 (and its negative) and row
+    sums, and the vectors y·(rows 1..g-1) are listed once.  Row 0 adds
+    one to the rank exactly when it is not in that list.
+
+    s comes from the dual image chain U_1 = row space of A and
+    U_(k+1) = tau^-1(U_k)·A.  F^k has matrix A·tau(A)···tau^(k-1)(A), so
+    U_k = tau^-(k-1)(row space of F^k) and dim U_k = rank(F^k); the chain
+    stops when the dimension repeats or reaches 0.  Only maps with
+    0 < r < g take it.  Each x·A in it is one entry of the run's list
+    plus a scaled row 0.
+
+    Tables are built for g >= 2 only, and none has more than q^(g+1)
+    entries: the q scalings of every row code, and for odd p the sums of
+    the lower and the upper halves of two rows (in characteristic 2 a row
+    sum is XOR).  At g <= 1 the rank of a row is "row != 0" and the chain
+    never runs, so no table is built.
+    """
+
+    def __init__(self, ctx: FiniteField, g: int, tau: int):
+        self.g, self.q, self.Q = g, ctx.q, ctx.q**g
+        self.tables: dict[str, list[int]] = {}
+        self.add = None  # row code + row code
+        if g >= 2:
+            self._build(ctx, tau)
+
+    def _build(self, ctx: FiniteField, tau: int) -> None:
+        q, Q, g = self.q, self.Q, self.g
+
+        def digitwise(f, size: int) -> list[int]:
+            # row code v = v0 + q·(v // q), so f (with f(0) = 0) acts digit by digit
+            out = [0] * size
+            for v in range(1, size):
+                out[v] = f(v % q) + q * out[v // q]
+            return out
+
+        scale = []
+        for c in range(q):
+            scale += digitwise(lambda x, c=c: ctx.mul(c, x), Q)
+        lead, norm, negnorm = [0] * Q, [0] * Q, [0] * Q
+        for v in range(1, Q):
+            j, w = 0, v
+            while w % q == 0:
+                j, w = j + 1, w // q
+            inv = ctx.inv(w % q)
+            lead[v] = j
+            norm[v] = scale[inv * Q + v]
+            negnorm[v] = scale[ctx.neg(inv) * Q + v]
+        untwist = digitwise(ctx.frobenius_table(-tau).__getitem__, Q)
+        self.tables = {"scale": scale, "lead": lead, "norm": norm,
+                       "negnorm": negnorm, "untwist": untwist}
+        if ctx.p == 2:
+            self.add = operator.xor
+            return
+        H = q ** ((g + 1) // 2)
+        K = Q // H
+
+        def sums(size: int, factor: int) -> list[int]:
+            out = [0] * (size * size)
+            for a in range(size):
+                for b in range(size):
+                    total, x, y, place = 0, a, b, factor
+                    while x or y:
+                        total += ctx.add(x % q, y % q) * place
+                        x, y, place = x // q, y // q, place * q
+                    out[a * size + b] = total
+            return out
+
+        low, high = sums(H, 1), sums(K, H)
+        self.tables.update(add_low=low, add_high=high)
+        self.add = lambda a, b: low[a % H * H + b % H] + high[a // H * K + b // H]
+
+    def _echelon(self, vectors) -> list[int]:
+        """Normalised pivot rows spanning the given row codes, one per lead."""
+        lead, norm, negnorm = self.tables["lead"], self.tables["norm"], self.tables["negnorm"]
+        add = self.add
+        piv = [0] * self.g
+        for w in vectors:
+            while w:
+                j = lead[w]
+                P = piv[j]
+                if not P:
+                    piv[j] = norm[w]
+                    break
+                w = add(negnorm[w], P)
+        return [P for P in piv if P]
+
+    def tally(self, start: int, stop: int) -> dict[tuple[int, int], int]:
+        """{(r, s): number of maps} over the codes in [start, stop)."""
+        g, q, Q = self.g, self.q, self.Q
+        scale, untwist = self.tables.get("scale"), self.tables.get("untwist")
+        add, echelon = self.add, self._echelon
+        counts = [0] * (g + 1) ** 2
+        for prefix in range(start // Q, -(-stop // Q)):
+            rows, rest = [], prefix  # rows 1..g-1
+            for _ in range(g - 1):
+                rest, v = divmod(rest, Q)
+                rows.append(v)
+            # images[y] = y·(rows 1..g-1) for y in [0, Q/q); digit 0 weighs row 1
+            images = [0]
+            for v in reversed(rows):
+                images = [add(scale[c * Q + v], w) for w in images for c in range(q)]
+            upper = set(images)
+            base = echelon(rows) if rows else []
+            first = prefix * Q
+            for row0 in range(max(start - first, 0), min(stop - first, Q)):
+                basis = base if row0 in upper else base + [row0]
+                r = n = len(basis)
+                while 0 < n < g:
+                    step = []
+                    for u in basis:
+                        x = untwist[u]
+                        step.append(add(images[x // q], scale[x % q * Q + row0]))
+                    basis = echelon(step)
+                    if len(basis) == n:
+                        break
+                    n = len(basis)
+                counts[r * (g + 1) + n] += 1
+        return {(r, s): counts[r * (g + 1) + s]
+                for r in range(g + 1) for s in range(r + 1) if counts[r * (g + 1) + s]}
+
+
+@cache
+def row_kernel(ctx: FiniteField, g: int, tau: int) -> RowKernel:
+    """The kernel for (field, g, tau), built once per process."""
+    return RowKernel(ctx, g, tau)

@@ -190,6 +190,21 @@ def test_roundtrip_check_sampled_mode_is_seeded():
     assert other != report
 
 
+def test_chunks_reuse_the_callers_field(monkeypatch):
+    # chunk tasks carry (p, d, modulus); the field the caller passed in is
+    # found again instead of rebuilt, once per chunk or otherwise
+    import semicount.bijection as bij
+    import semicount.gf as gf
+    from semicount.counting import bruteforce_table
+    ctx = make_field(5, 1)
+    monkeypatch.setattr(bij, "_CHUNK_CODES", 100)
+    monkeypatch.setattr(gf, "make_field", lambda *args: pytest.fail("field rebuilt"))
+    report, ok = roundtrip_check(ctx, 2, 0)
+    assert ok and report["maps_checked"] == 625
+    assert bruteforce_table(ctx, 2, 0).total == 625
+    assert gf.cached_field(*gf.field_key(ctx)) == ctx
+
+
 def test_roundtrip_check_worker_split_is_invisible(monkeypatch):
     import semicount.bijection as bij
     monkeypatch.setattr(bij, "_CHUNK_CODES", 16)

@@ -20,7 +20,7 @@ from semicount.counting import (
     verify_counts,
 )
 from semicount.gf import make_field
-from semicount.semilinear import BudgetExceeded
+from semicount.semilinear import BudgetExceeded, enumerate_maps, profile
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -163,6 +163,52 @@ def test_bruteforce_chunking_is_invisible(monkeypatch):
     assert serial == pooled
 
 
+@pytest.mark.parametrize("chunk", [64, 1000])
+@pytest.mark.parametrize("ctx, g, tau", [(GF9, 2, 1), (GF3, 3, 0)])
+def test_bruteforce_unaligned_chunks_match_profile(monkeypatch, chunk, ctx, g, tau):
+    # neither chunk size is a multiple of q^g, so chunks cut runs of codes
+    # that share their upper rows
+    import semicount.counting as counting
+    monkeypatch.setattr(counting, "CHUNK_CODES", chunk)
+    reference = {prof: 0 for prof in profiles(g)}
+    for F in enumerate_maps(ctx, g, tau):
+        reference[tuple(profile(F))] += 1
+    assert bruteforce_table(ctx, g, tau).entries == reference
+
+
+def test_run_tasks_caps_workers(monkeypatch):
+    import semicount.counting as counting
+    made = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    assert counting.run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
+    assert counting.run_tasks(abs, [-1, -2, -3], 1) == [1, 2, 3]
+    assert counting.run_tasks(abs, [-4], 64) == [4]
+    assert made == [2]  # one worker per core; serial with one thread or one task
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
+    assert counting.run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
+    assert made == [2, 3]  # never more workers than tasks
+    # 9^4 maps make two chunks of CHUNK_CODES
+    assert bruteforce_table(GF9, 2, 1, threads=1000).entries == formula_table(2, 9).entries
+    assert made == [2, 3, 2]
+
+
 # --- verification report ----------------------------------------------------------
 
 def test_verify_counts_report_shape():
@@ -184,6 +230,15 @@ def test_verify_counts_formula_only():
     assert ok
     assert report["totals"]["enumerated"] is None
     assert all(c["enumerated"] is None and c["match"] for c in report["cells"])
+
+
+def test_verify_counts_field_without_tables():
+    # q > TABLE_LIMIT: the field has no arithmetic tables, and at g = 1 the
+    # enumeration kernel needs none either
+    big = make_field(8191, 1)
+    report, ok = verify_counts(big, 1, 0)
+    assert ok
+    assert report["totals"] == {"theorem": "8191", "enumerated": "8191", "expected": "8191"}
 
 
 def test_verify_counts_larger_field():

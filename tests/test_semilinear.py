@@ -1,5 +1,7 @@
 """Twisted endomorphisms: action, composition, rank invariants."""
 
+import random
+
 import pytest
 
 import helpers
@@ -16,6 +18,7 @@ from semicount.linalg import (
 )
 from semicount.semilinear import (
     BudgetExceeded,
+    RowKernel,
     SemilinearMap,
     apply,
     compose,
@@ -35,6 +38,7 @@ GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
 GF4 = make_field(2, 2)
 GF8 = make_field(2, 3)
+GF9 = make_field(3, 2)
 
 NILP = SemilinearMap(matrix_from_rows(GF2, [(0, 1), (0, 0)]), 0)
 
@@ -236,3 +240,38 @@ def test_tau_normalized_mod_d():
     F = SemilinearMap(identity_matrix(GF4, 1), 3)
     assert F.tau == 1
     assert SemilinearMap(identity_matrix(GF2, 2), 5).tau == 0
+
+
+# --- row-code enumeration kernel ---------------------------------------------------
+
+def _kernel_agrees_with_profile(ctx, g, tau, codes):
+    kernel = RowKernel(ctx, g, tau)
+    for code in codes:
+        F = SemilinearMap(matrix_from_code(ctx, g, code), tau)
+        assert kernel.tally(code, code + 1) == {tuple(profile(F)): 1}, (ctx, g, tau, code)
+
+
+@pytest.mark.parametrize("ctx, g, tau", [
+    (GF2, 0, 0), (GF2, 1, 0), (GF2, 2, 0), (GF2, 3, 0), (GF3, 2, 0),
+    (GF4, 2, 0), (GF4, 2, 1), (GF8, 2, 0), (GF8, 2, 1), (GF8, 2, 2), (GF9, 2, 1),
+])
+def test_row_kernel_matches_profile_exhaustive(ctx, g, tau):
+    _kernel_agrees_with_profile(ctx, g, tau, range(ctx.q ** (g * g)))
+
+
+@pytest.mark.parametrize("ctx, g, tau", [(GF2, 4, 0), (GF4, 3, 1)])
+def test_row_kernel_matches_profile_sampled(ctx, g, tau):
+    rng = random.Random(f"kernel/{ctx.q}/{g}/{tau}")
+    _kernel_agrees_with_profile(ctx, g, tau, [rng.randrange(ctx.q ** (g * g)) for _ in range(400)])
+
+
+@pytest.mark.parametrize("p, d, g", [
+    (2, 1, 0), (2, 1, 1), (2, 1, 4), (3, 1, 3), (3, 1, 4), (2, 2, 3), (3, 2, 2),
+    (7, 1, 3), (89, 1, 2), (8191, 1, 1),
+])
+def test_row_kernel_table_sizes(p, d, g):
+    ctx = make_field(p, d)
+    bound = ctx.q ** (g + 1) if g >= 2 else ctx.q
+    kernel = RowKernel(ctx, g, 0)
+    assert all(len(table) <= bound for table in kernel.tables.values())
+    assert bool(kernel.tables) == (g >= 2)
