@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import random
 
-from .counting import run_tasks
+from . import counting
 from .gf import FiniteField, cached_field, field_key
-from .flags import Flag, adapt_to_flag, image_flag
+from .flags import Flag, _adapt, image_flag
 from .linalg import (
+    Matrix,
     Vector,
+    _row_basis,
     in_span,
     map_entries,
     mat_inverse,
     mat_mul,
-    matrix_from_cols,
-    rref_basis,
     span_dim,
     standard_basis,
 )
@@ -76,34 +76,45 @@ def tuple_has_profile(ctx: FiniteField, xs, r: int, s: int) -> bool:
     return True
 
 
+def _induced_members(ctx: FiniteField, xs: VectorTuple) -> tuple:
+    g = len(xs)
+    members = [standard_basis(g)]
+    while True:
+        d = len(members[-1])
+        nxt = _row_basis(ctx, xs[g - d:])
+        if len(nxt) == d:
+            return tuple(members)
+        members.append(nxt)
+
+
 def induced_flag(ctx: FiniteField, xs) -> Flag:
     """Flag read off a tuple: each member is spanned by as many trailing
     entries as the previous member's dimension, iterated to stabilization.
     """
     xs = _check_tuple(ctx, xs)
-    g = len(xs)
-    members = [tuple(standard_basis(g))]
-    d = g
-    while True:
-        nxt = rref_basis(ctx, list(xs[g - d:]))
-        if len(nxt) == d:
-            break
-        members.append(nxt)
-        d = len(nxt)
-    return Flag(ctx, g, tuple(members))
+    return Flag(ctx, len(xs), _induced_members(ctx, xs))
 
 
 def tuple_profile(ctx: FiniteField, xs) -> RankProfile:
-    """The unique (r, s) whose membership conditions this tuple satisfies."""
+    """The unique (r, s) whose membership conditions this tuple satisfies.
+
+    The first proper member of the induced flag is the span of the whole
+    tuple, so its dimension is r; there is none when r = g.
+    """
     xs = _check_tuple(ctx, xs)
-    r = span_dim(ctx, list(xs))
-    s = induced_flag(ctx, xs).dims[-1]
-    return RankProfile(r, s)
+    dims = [len(m) for m in _induced_members(ctx, xs)]
+    return RankProfile(dims[1] if len(dims) > 1 else dims[0], dims[-1])
+
+
+def _cols(ctx: FiniteField, vectors) -> Matrix:
+    """Square matrix with the given vectors as columns, unchecked."""
+    return Matrix(ctx, len(vectors), len(vectors),
+                  tuple(x for row in zip(*vectors) for x in row))
 
 
 def map_to_tuple(F: SemilinearMap) -> VectorTuple:
     """Encode a map as the images of the basis adapted to its image flag."""
-    adapted = adapt_to_flag(F.ctx, standard_basis(F.g), image_flag(F))
+    adapted = _adapt(F.ctx, F.g, image_flag(F).subspaces[1:])
     return tuple(apply(F, v) for v in adapted.vectors)
 
 
@@ -116,11 +127,9 @@ def tuple_to_map(ctx: FiniteField, xs, tau: int) -> SemilinearMap:
     form a basis.
     """
     xs = _check_tuple(ctx, xs)
-    g = len(xs)
-    adapted = adapt_to_flag(ctx, standard_basis(g), induced_flag(ctx, xs))
-    P = matrix_from_cols(ctx, list(adapted.vectors), g)
-    X = matrix_from_cols(ctx, list(xs), g)
-    A = mat_mul(X, mat_inverse(map_entries(P, tau)))
+    adapted = _adapt(ctx, len(xs), _induced_members(ctx, xs)[1:])
+    P = _cols(ctx, adapted.vectors)
+    A = mat_mul(_cols(ctx, xs), mat_inverse(map_entries(P, tau)))
     return SemilinearMap(A, tau)
 
 
@@ -154,10 +163,6 @@ def enumerate_vector_tuples(ctx: FiniteField, g: int):
 
 # ---------------------------------------------------------------------------
 # round-trip harness
-
-# matches the chunk size of the counting enumerator so parallel runs split
-# work identically no matter how many workers there are
-_CHUNK_CODES = 4096
 
 # sample size used when the space is too large to sweep
 SPOT_CHECK_SAMPLES = 1000
@@ -201,32 +206,22 @@ def roundtrip_check(
     of it when q^(g*g) exceeds the budget.  Returns (report, ok); the
     report is JSON-ready and independent of the thread count.
     """
-    q = ctx.q
     tau %= ctx.d
-    total = q ** (g * g)
+    total = ctx.q ** (g * g)
     exhaustive = budget is None or total <= budget
     if exhaustive:
-        code_batches = [
-            list(range(lo, min(lo + _CHUNK_CODES, total)))
-            for lo in range(0, total, _CHUNK_CODES)
-        ]
+        codes = range(total)
     else:
         rng = random.Random(seed)
-        drawn = [rng.randrange(total) for _ in range(samples)]
-        code_batches = [
-            drawn[lo: lo + _CHUNK_CODES]
-            for lo in range(0, len(drawn), _CHUNK_CODES)
-        ]
-    tasks = [(*field_key(ctx), g, tau, batch) for batch in code_batches]
-    parts = run_tasks(_roundtrip_codes, tasks, threads)
-    tallies: dict[tuple[int, int], int] = {
-        (r, s): 0 for r in range(g + 1) for s in range(r + 1)
-    }
-    failures: list[int] = []
-    for part_tally, part_failures in parts:
-        for prof, n in part_tally.items():
-            tallies[prof] += n
-        failures.extend(part_failures)
+        codes = [rng.randrange(total) for _ in range(samples)]
+    # the same chunks as the counting enumerator, so the work split never
+    # depends on how many workers run
+    step = counting.CHUNK_CODES
+    tasks = [(*field_key(ctx), g, tau, codes[lo: lo + step])
+             for lo in range(0, len(codes), step)]
+    parts = counting.run_tasks(_roundtrip_codes, tasks, threads)
+    tallies = counting.merge_tallies(g, [tally for tally, _ in parts])
+    failures = [code for _, part in parts for code in part]
     checked = sum(tallies.values())
     report = {
         "field": ctx.spec,

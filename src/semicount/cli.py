@@ -12,11 +12,10 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .gf import FiniteField, parse_field_spec
+from .gf import FiniteField, parse_field_spec, parse_spec, poly_str, spec_str
 from .linalg import Matrix, matrix_from_rows
 from .semilinear import BudgetExceeded, DEFAULT_BUDGET, SemilinearMap
 from .flags import make_flag, adapt_to_flag
-from .linalg import standard_basis
 from .bijection import (
     map_to_tuple,
     roundtrip_check,
@@ -132,39 +131,30 @@ def _require(cond: bool, message: str) -> None:
 
 
 def cmd_field_info(cfg: RunConfig):
-    ctx = parse_field_spec(cfg.field_spec)
-    terms = []
-    for k, c in enumerate(ctx.modulus):
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(str(c))
-        else:
-            coeff = "" if c == 1 else str(c)
-            terms.append(coeff + ("x" if k == 1 else f"x^{k}"))
+    p, d, modulus = parse_spec(cfg.field_spec)
     payload = {
-        "spec": ctx.spec,
-        "p": ctx.p,
-        "d": ctx.d,
-        "q": ctx.q,
-        "modulus": list(ctx.modulus),
-        "modulus_str": "+".join(terms),
-        "frobenius_exponents": list(range(ctx.d)),
+        "spec": spec_str(p, d, modulus),
+        "p": p,
+        "d": d,
+        "q": p**d,
+        "modulus": list(modulus),
+        "modulus_str": poly_str(modulus),
+        "frobenius_exponents": list(range(d)),
     }
     return payload, EXIT_OK, None
 
 
 def cmd_count(cfg: RunConfig):
-    ctx = parse_field_spec(cfg.field_spec)
+    p, d, modulus = parse_spec(cfg.field_spec)  # the formulas need q only: no tables
     _require(cfg.g is not None and cfg.g >= 0, "--g is required and must be >= 0")
-    g, q = cfg.g, ctx.q
+    g, q = cfg.g, p**d
     if (cfg.r is None) != (cfg.s is None):
         raise ValueError("--r and --s must be given together")
     if cfg.r is not None:
         via_formula = closed_form_count(g, cfg.r, cfg.s, q)
         via_stages = staged_count(g, cfg.r, cfg.s, q)
         payload = {
-            "field": ctx.spec,
+            "field": spec_str(p, d, modulus),
             "q": q,
             "g": g,
             "r": cfg.r,
@@ -186,7 +176,7 @@ def cmd_count(cfg: RunConfig):
         for (r, s) in profiles(g)
     ]
     payload = {
-        "field": ctx.spec,
+        "field": spec_str(p, d, modulus),
         "q": q,
         "g": g,
         "cells": cells,
@@ -196,6 +186,7 @@ def cmd_count(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig):
+    _require(cfg.threads >= 1, "--threads must be >= 1")
     ctx = parse_field_spec(cfg.field_spec)
     _require(cfg.g is not None and cfg.g >= 0, "--g is required and must be >= 0")
     report, ok = verify_counts(
@@ -265,6 +256,7 @@ def cmd_nu(cfg: RunConfig):
 
 
 def cmd_roundtrip(cfg: RunConfig):
+    _require(cfg.threads >= 1, "--threads must be >= 1")
     ctx = parse_field_spec(cfg.field_spec)
     _require(cfg.g is not None and cfg.g >= 1, "--g is required and must be >= 1")
     report, ok = roundtrip_check(

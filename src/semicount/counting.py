@@ -178,6 +178,15 @@ def run_tasks(fn, tasks: list, threads: int) -> list:
         return list(pool.map(fn, tasks))
 
 
+def merge_tallies(g: int, parts) -> dict[tuple[int, int], int]:
+    """Sum per-chunk {(r, s): count} tallies over every profile of g."""
+    entries = {prof: 0 for prof in profiles(g)}
+    for part in parts:
+        for prof, n in part.items():
+            entries[prof] += n
+    return entries
+
+
 def _tally_chunk(task: tuple) -> dict[tuple[int, int], int]:
     p, d, modulus, g, tau, start, stop = task
     return row_kernel(cached_field(p, d, modulus), g, tau).tally(start, stop)
@@ -205,11 +214,7 @@ def bruteforce_table(
         (*field_key(ctx), g, tau, lo, min(lo + CHUNK_CODES, total))
         for lo in range(0, total, CHUNK_CODES)
     ]
-    parts = run_tasks(_tally_chunk, tasks, threads)
-    entries = {prof: 0 for prof in profiles(g)}
-    for part in parts:
-        for prof, n in part.items():
-            entries[prof] += n
+    entries = merge_tallies(g, run_tasks(_tally_chunk, tasks, threads))
     table = CountTable(ctx.q, g, "enumeration", tau, entries)
     assert table.total == total
     return table

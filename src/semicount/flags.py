@@ -6,15 +6,24 @@ unique vector u_j of U whose e-coordinates have a 1 at j, zeros before j,
 and zeros at the other drop positions.  Those drop positions J are exactly
 the pivot columns of the reduced row echelon form of U written in
 e-coordinates, and the u_j are its rows: the echelon normal form IS the
-adapted set, which is why `linalg.rref` (leftmost-pivot convention) is the
-engine here.  The adapted ordered basis lists the untouched e_j first
+adapted set.  The adapted ordered basis lists the untouched e_j first
 (increasing j) and then the u_j (increasing j), so its final dim(U)
 vectors are a basis of U; and if the last n input vectors already lie in
 U they are returned unchanged.
 
-Adapting to a whole flag iterates this from the smallest member upward;
-because each step freezes the tail that lies in the smaller member, the
-result is simultaneously adapted to every member, and it is unique.
+Adapting to a whole flag does this for every member, smallest first, in
+one coordinate system, that of e.  Each member's generators are reduced
+by the vectors already chosen, at their pivot columns; what is left is a
+combination of the still-unused e_j, and its echelon form (leftmost
+pivot, `linalg._eliminate`) gives the member's new vectors and pivots.
+The result is adapted to every member at once, and it is unique.
+
+The chosen vectors span the previous member W, so the reduced generators
+of a member U span U modulo W, and U gains dim U - dim(U ∩ W) new pivots.
+That is dim U - dim W exactly when W lies in U, and more otherwise; so
+one integer comparison per member catches a chain that is not nested.
+Only the public wrappers change coordinates and check their input;
+`bijection` calls the core directly, in standard coordinates.
 """
 
 from __future__ import annotations
@@ -23,19 +32,19 @@ from dataclasses import dataclass
 
 from .gf import FiniteField
 from .linalg import (
-    Matrix,
     Vector,
+    _eliminate,
+    _row_basis,
     in_span,
     mat_apply,
     mat_inverse,
     matrix_from_cols,
     matrix_from_rows,
-    rref,
+    rank,
     rref_basis,
-    span_dim,
     standard_basis,
 )
-from .semilinear import SemilinearMap, apply, compose, identity_map
+from .semilinear import SemilinearMap, apply
 
 
 @dataclass(frozen=True)
@@ -90,12 +99,66 @@ class AdaptedBasis:
 
     `pivot_sets[i]` is the 0-based pivot index set J produced while
     adapting to `flag.subspaces[i + 1]` (one entry per proper member, in
-    flag order, largest first).  For each member of dimension d, the last
-    d basis vectors span it.
+    flag order, largest first), relative to the basis adapted to the
+    smaller members.  For each member of dimension d, the last d basis
+    vectors span it.
     """
 
     vectors: tuple[Vector, ...]
     pivot_sets: tuple[tuple[int, ...], ...]
+
+
+def _adapt(ctx: FiniteField, g: int, members) -> AdaptedBasis:
+    """Unchecked core, in the coordinates of the basis being adapted:
+    `members` are bases of nested subspaces, largest first, written in
+    those coordinates, and so are the returned vectors.  The only check
+    is the pivot count per member, which catches a chain that is not
+    nested.
+    """
+    sub, mul = ctx.sub, ctx.mul
+    # (pivot column, vector), smallest member first: reducing in this order
+    # leaves every earlier pivot column zero
+    chosen: list[tuple[int, list[int]]] = []
+    unused = list(range(g))
+    new_vectors: list[list[int]] = []  # largest member first
+    pivot_sets = []
+    prev_dim = 0
+    for member in reversed(members):
+        rows = [list(w) for w in member]
+        for w in rows:
+            for col, u in chosen:
+                c = w[col]
+                if c:
+                    w[:] = [sub(x, mul(c, y)) if y else x for x, y in zip(w, u)]
+        pivots = _eliminate(ctx, rows, reduce_up=True)
+        if len(pivots) != len(member) - prev_dim:
+            raise ValueError("subspaces are not nested")
+        pivot_sets.append(tuple(unused.index(j) for j in pivots)
+                          + tuple(range(g - prev_dim, g)))
+        chosen += zip(pivots, rows)
+        new_vectors[:0] = rows[:len(pivots)]
+        unused = [j for j in unused if j not in pivots]
+        prev_dim = len(member)
+    units = standard_basis(g)
+    vectors = [units[j] for j in unused] + [tuple(w) for w in new_vectors]
+    return AdaptedBasis(tuple(vectors), tuple(reversed(pivot_sets)))
+
+
+def _in_basis(ctx: FiniteField, e_basis, members):
+    """(E, coordinate bases of the members in e); checks that e is a basis
+    and that every member basis is valid and independent."""
+    E = matrix_from_cols(ctx, e_basis)
+    try:
+        E_inv = mat_inverse(E)
+    except ValueError:
+        raise ValueError("e_basis is not a basis") from None
+    coords = []
+    for member in members:
+        U = matrix_from_rows(ctx, member, E.rows)  # checks lengths and entry range
+        if rank(U) != U.rows:
+            raise ValueError("subspace basis is linearly dependent")
+        coords.append([mat_apply(E_inv, u) for u in U.row_list()])
+    return E, coords
 
 
 def adapt_to_subspace(
@@ -110,67 +173,27 @@ def adapt_to_subspace(
     relative to positions in `e_basis`).  With `frozen_tail = n`, the last
     n vectors of `e_basis` must already lie in U and come back unchanged.
     """
-    e_basis = [tuple(v) for v in e_basis]
-    u_basis = [tuple(v) for v in u_basis]
-    g = len(e_basis)
-    if span_dim(ctx, e_basis) != g:
-        raise ValueError("e_basis is not a basis")
-    E = matrix_from_cols(ctx, e_basis)
-    E_inv = mat_inverse(E)
-    if not u_basis:
-        return tuple(e_basis), ()
-    # coordinates of U relative to the current ordered basis
-    coords = [mat_apply(E_inv, u) for u in u_basis]
-    m = len(u_basis)
-    if span_dim(ctx, coords) != m:
-        raise ValueError("u_basis is linearly dependent")
-    if frozen_tail:
-        if frozen_tail > m:
-            raise ValueError("frozen tail longer than dim U")
-        tail_units = [tuple(1 if i == j else 0 for i in range(g))
-                      for j in range(g - frozen_tail, g)]
-        if any(not in_span(ctx, coords, unit) for unit in tail_units):
-            raise ValueError("frozen-tail precondition violated: "
-                             "last vectors of e_basis do not lie in U")
-    R, pivots = rref(matrix_from_rows(ctx, coords))
-    pivot_set = set(pivots)
-    adapted = [e_basis[j] for j in range(g) if j not in pivot_set]
-    for i in range(m):
-        # row i of the rref, mapped back to ambient coordinates
-        adapted.append(mat_apply(E, R.row(i)))
-    return tuple(adapted), tuple(pivots)
+    E, (coords,) = _in_basis(ctx, e_basis, [u_basis])
+    g = E.rows
+    if frozen_tail > len(coords):
+        raise ValueError("frozen tail longer than dim U")
+    tail = standard_basis(g)[g - frozen_tail:] if frozen_tail > 0 else ()
+    adapted = _adapt(ctx, g, [coords, tail])
+    return tuple(mat_apply(E, v) for v in adapted.vectors), adapted.pivot_sets[0]
 
 
 def adapt_to_flag(ctx: FiniteField, e_basis, flag: Flag) -> AdaptedBasis:
-    """Canonical basis simultaneously adapted to every member of the flag.
-
-    Proper members are processed smallest first; each round freezes the
-    tail spanning the previously adapted member, so earlier adaptations
-    survive later ones.
-    """
-    e_basis = [tuple(v) for v in e_basis]
-    basis = tuple(e_basis)
-    pivot_sets: list[tuple[int, ...]] = []
-    prev_dim = 0
-    for member in reversed(flag.subspaces[1:]):
-        basis, pivots = adapt_to_subspace(ctx, basis, member, frozen_tail=prev_dim)
-        pivot_sets.append(pivots)
-        prev_dim = len(member)
-    return AdaptedBasis(basis, tuple(reversed(pivot_sets)))
+    """Canonical basis simultaneously adapted to every member of the flag."""
+    E, coords = _in_basis(ctx, e_basis, flag.subspaces[1:])
+    adapted = _adapt(ctx, E.rows, coords)
+    return AdaptedBasis(tuple(mat_apply(E, v) for v in adapted.vectors), adapted.pivot_sets)
 
 
 def image_flag(F: SemilinearMap) -> Flag:
     """The chain V ⊋ F(V) ⊋ F²(V) ⊋ ... down to the terminal image."""
-    ctx = F.ctx
-    g = F.g
-    members = [tuple(standard_basis(g))]
-    current = identity_map(ctx, g)
-    prev_dim = g
-    for _ in range(g):
-        current = compose(F, current)
-        basis = rref_basis(ctx, [current.mat.col(j) for j in range(g)])
-        if len(basis) == prev_dim:
-            break
+    members = [standard_basis(F.g)]
+    while True:
+        basis = _row_basis(F.ctx, [apply(F, v) for v in members[-1]])
+        if len(basis) == len(members[-1]):
+            return Flag(F.ctx, F.g, tuple(members))
         members.append(basis)
-        prev_dim = len(basis)
-    return Flag(ctx, g, tuple(members))

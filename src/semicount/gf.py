@@ -128,6 +128,26 @@ def _least_irreducible(p: int, d: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible degree-{d} polynomial over GF({p})")
 
 
+def poly_str(coeffs) -> str:
+    """Polynomial form of a little-endian coefficient list, e.g. "1+x+x^2"."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            terms.append(str(c))
+        else:
+            coeff = "" if c == 1 else str(c)
+            power = "x" if k == 1 else f"x^{k}"
+            terms.append(coeff + power)
+    return "+".join(terms) or "0"
+
+
+def spec_str(p: int, d: int, modulus: tuple[int, ...]) -> str:
+    """Canonical field spec string "p^d/c_0,c_1,...,c_d" (little-endian)."""
+    return f"{p}^{d}/{','.join(str(c) for c in modulus)}"
+
+
 class FiniteField:
     """GF(p^d) with a fixed monic irreducible modulus; owns element arithmetic.
 
@@ -250,24 +270,11 @@ class FiniteField:
     @property
     def spec(self) -> str:
         """Canonical field spec string "p^d/c_0,c_1,...,c_d" (little-endian)."""
-        return f"{self.p}^{self.d}/{','.join(str(c) for c in self.modulus)}"
+        return spec_str(self.p, self.d, self.modulus)
 
     def element_str(self, a: int) -> str:
         """Human-readable polynomial form of an element code."""
-        if a == 0:
-            return "0"
-        digits = _code_to_digits(a, self.p, self.d)
-        terms = []
-        for k, c in enumerate(digits):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                coeff = "" if c == 1 else str(c)
-                power = "x" if k == 1 else f"x^{k}"
-                terms.append(coeff + power)
-        return "+".join(terms)
+        return poly_str(_code_to_digits(a, self.p, self.d))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteField):
@@ -281,8 +288,8 @@ class FiniteField:
         return f"FiniteField({self.spec})"
 
 
-def make_field(p: int, d: int, modulus=None) -> FiniteField:
-    """Construct GF(p^d), validating (or choosing) the modulus polynomial.
+def validate_field(p: int, d: int, modulus=None) -> tuple[int, int, tuple[int, ...]]:
+    """Validate (or choose) the modulus polynomial of GF(p^d); no tables.
 
     When `modulus` is omitted the lexicographically least monic irreducible
     of degree d is used, so the same (p, d) always yields the same field
@@ -305,7 +312,12 @@ def make_field(p: int, d: int, modulus=None) -> FiniteField:
             raise ValueError("modulus must be monic")
         if not is_irreducible(modulus, p):
             raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
-    return FiniteField(p, d, modulus)
+    return p, d, modulus
+
+
+def make_field(p: int, d: int, modulus=None) -> FiniteField:
+    """Construct GF(p^d) on the modulus `validate_field` validates or chooses."""
+    return FiniteField(*validate_field(p, d, modulus))
 
 
 # fields by (p, d, modulus), shared by every chunk a process runs
@@ -331,8 +343,9 @@ def cached_field(p: int, d: int, modulus: tuple[int, ...]) -> FiniteField:
     return ctx
 
 
-def parse_field_spec(spec: str) -> FiniteField:
-    """Parse "p^d" or "p^d/c_0,c_1,...,c_d" (little-endian coefficients)."""
+def parse_spec(spec: str) -> tuple[int, int, tuple[int, ...]]:
+    """Parse "p^d" or "p^d/c_0,c_1,...,c_d" (little-endian coefficients)
+    and validate it, without building the field's tables."""
     spec = spec.strip()
     body, _, mod_part = spec.partition("/")
     try:
@@ -347,4 +360,9 @@ def parse_field_spec(spec: str) -> FiniteField:
             modulus = tuple(int(c) for c in mod_part.split(","))
         except ValueError:
             raise ValueError(f"malformed modulus in field spec {spec!r}")
-    return make_field(p, d, modulus)
+    return validate_field(p, d, modulus)
+
+
+def parse_field_spec(spec: str) -> FiniteField:
+    """The field a spec string names; see `parse_spec`."""
+    return FiniteField(*parse_spec(spec))

@@ -14,6 +14,7 @@ basis-adaptation machinery in `flags` relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .gf import FiniteField
 
@@ -79,8 +80,10 @@ def zero_matrix(ctx: FiniteField, rows: int, cols: int) -> Matrix:
     return Matrix(ctx, rows, cols, (0,) * (rows * cols))
 
 
+@cache
 def standard_basis(g: int) -> tuple[Vector, ...]:
-    """Unit coordinate vectors; codes 0/1 are valid in every field."""
+    """Unit coordinate vectors; codes 0/1 are valid in every field.
+    Immutable, so one copy per g is shared."""
     return tuple(tuple(1 if i == j else 0 for j in range(g)) for i in range(g))
 
 
@@ -222,8 +225,14 @@ def rref_basis(ctx: FiniteField, vectors) -> tuple[Vector, ...]:
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         return ()
-    R, pivots = rref(matrix_from_rows(ctx, vectors))
-    return tuple(R.row(i) for i in range(len(pivots)))
+    return _row_basis(ctx, matrix_from_rows(ctx, vectors).row_list())
+
+
+def _row_basis(ctx: FiniteField, rows) -> tuple[Vector, ...]:
+    """`rref_basis` without input checks, for rows of equal length g."""
+    rows = [list(r) for r in rows]
+    pivots = _eliminate(ctx, rows, reduce_up=True)
+    return tuple(tuple(r) for r in rows[:len(pivots)])
 
 
 def span_dim(ctx: FiniteField, vectors) -> int:

@@ -193,11 +193,11 @@ def test_roundtrip_check_sampled_mode_is_seeded():
 def test_chunks_reuse_the_callers_field(monkeypatch):
     # chunk tasks carry (p, d, modulus); the field the caller passed in is
     # found again instead of rebuilt, once per chunk or otherwise
-    import semicount.bijection as bij
+    import semicount.counting as counting
     import semicount.gf as gf
     from semicount.counting import bruteforce_table
     ctx = make_field(5, 1)
-    monkeypatch.setattr(bij, "_CHUNK_CODES", 100)
+    monkeypatch.setattr(counting, "CHUNK_CODES", 100)
     monkeypatch.setattr(gf, "make_field", lambda *args: pytest.fail("field rebuilt"))
     report, ok = roundtrip_check(ctx, 2, 0)
     assert ok and report["maps_checked"] == 625
@@ -206,8 +206,8 @@ def test_chunks_reuse_the_callers_field(monkeypatch):
 
 
 def test_roundtrip_check_worker_split_is_invisible(monkeypatch):
-    import semicount.bijection as bij
-    monkeypatch.setattr(bij, "_CHUNK_CODES", 16)
+    import semicount.counting as counting
+    monkeypatch.setattr(counting, "CHUNK_CODES", 16)
     single, ok1 = roundtrip_check(GF3, 2, 0, threads=1)
     pooled, ok2 = roundtrip_check(GF3, 2, 0, threads=2)
     assert ok1 and ok2 and single == pooled

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import hashlib
 import io
 import json
 import sys
@@ -217,3 +218,53 @@ def test_json_output_is_stable(capsys):
     _, first, _ = run(capsys, "verify", "--field", "2^1", "--g", "2")
     _, second, _ = run(capsys, "verify", "--field", "2^1", "--g", "2")
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["verify", "roundtrip"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_worker_count_below_one_is_rejected(capsys, command, threads):
+    code, out, err = run(capsys, command, "--field", "2^1", "--g", "2", "--threads", threads)
+    assert code == 2 and out == "" and "--threads" in err
+
+
+def test_count_builds_no_field_tables(capsys, monkeypatch):
+    import semicount.gf as gf
+    monkeypatch.setattr(gf.FiniteField, "_build_tables",
+                        lambda self: pytest.fail("field tables built"))
+    code, out, _ = run(capsys, "count", "--field", "2^8", "--g", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "611b6488148ca06044532bb41674cd5a0292ff270c27c134affee4d3dd028f52")
+    for spec in ["9^1", "2^2/1,0,1"]:                    # not prime; x^2+1 = (x+1)^2
+        code, _, err = run(capsys, "count", "--field", spec, "--g", "2")
+        assert code == 2 and "error" in err
+
+
+ADAPT_BASIS = "3 3 3^1\n1 1 0\n0 1 2\n{}\n\n2 3 3^1\n1 2 0\n0 1 1\n\n1 3 3^1\n1 0 1\n"
+
+
+def test_adapt_rejects_a_singular_basis(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ADAPT_BASIS.format("1 2 2")))
+    code, _, err = run(capsys, "adapt")
+    assert code == 2 and "e_basis is not a basis" in err
+
+
+def test_golden_outputs(capsys, monkeypatch):
+    # stdout pinned byte for byte; a refactor of the bijection path must
+    # leave every one of these unchanged
+    pinned = {
+        ("roundtrip", "--field", "2^1", "--g", "3"):
+            "377e62d51e7a6cffc4c68c2e5ddeb70fe89c3ea15a47a37a4d8e523ba0ed5f22",
+        ("roundtrip", "--field", "3^2", "--g", "2", "--tau", "1"):
+            "cf774607865f4dff8b1ac9db188d1d645522ac00999b93c9d1408cc7b03f7c6d",
+        ("roundtrip", "--field", "2^4", "--g", "3", "--tau", "1", "--seed", "3"):
+            "02657d1d369ab83c94f65324cce169d0782745705e0016543b371a7b46b2d787",
+    }
+    for argv, digest in pinned.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ADAPT_BASIS.format("2 0 1")))
+    code, out, _ = run(capsys, "adapt")
+    assert code == 0 and out == (
+        '{"field": "3^1/0,1", "g": 3, "dims": [3, 2, 1], '
+        '"basis": [[2, 0, 1], [2, 1, 0], [1, 0, 1]], "pivot_sets": [[0, 2], [0]]}\n')

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from semicount.gf import make_field
-from semicount.flags import adapt_to_flag, adapt_to_subspace, image_flag, make_flag
+from semicount.flags import Flag, adapt_to_flag, adapt_to_subspace, image_flag, make_flag
 from semicount.linalg import (
     in_span,
     matrix_from_rows,
@@ -58,6 +58,10 @@ def test_adapt_errors():
         adapt_to_subspace(GF2, [(1, 0), (1, 0)], [(1, 1)])     # e not a basis
     with pytest.raises(ValueError):
         adapt_to_subspace(GF2, e, [(1, 1)], frozen_tail=1)     # e2 not in U
+    with pytest.raises(ValueError):
+        adapt_to_subspace(GF2, e, [], frozen_tail=1)           # e2 not in U = 0
+    with pytest.raises(ValueError):
+        adapt_to_subspace(GF2, e, [(5, 0)])                    # code out of range
 
 
 def test_frozen_tail_keeps_tail():
@@ -224,3 +228,43 @@ def test_property_adapted_tail_is_idempotent(case):
     assert again == basis
     if m:
         assert J2 == tuple(range(g - m, g))
+
+
+@st.composite
+def flag_case(draw):
+    """A random basis e and a random chain of two or three proper members."""
+    p = draw(st.sampled_from([2, 3]))
+    ctx = make_field(p, 1)
+    g = draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(0, p - 1)] * g)
+    e = draw(st.lists(vec, min_size=g, max_size=g).filter(
+        lambda vs: span_dim(ctx, vs) == g))
+    # members are spans of leading runs of another random basis
+    b = draw(st.lists(vec, min_size=g, max_size=g).filter(
+        lambda vs: span_dim(ctx, vs) == g))
+    dims = draw(st.lists(st.integers(0, g - 1), min_size=2, max_size=3, unique=True))
+    members = [b[:k] for k in sorted(dims, reverse=True)]
+    return ctx, g, e, members
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag_case())
+def test_property_adapt_to_flag_matches_oracle_member_by_member(case):
+    ctx, g, e, members = case
+    flag = make_flag(ctx, g, members)
+    out = adapt_to_flag(ctx, e, flag)
+    basis, pivot_sets = list(e), []
+    for member in reversed(flag.subspaces[1:]):
+        U = helpers.span_set(ctx.p, ctx.modulus, member, g)
+        basis, J, counts = helpers.direct_adapt(ctx.p, ctx.modulus, basis, U, g)
+        assert set(counts.values()) <= {1}
+        pivot_sets.insert(0, tuple(J))
+    assert list(out.vectors) == basis
+    assert out.pivot_sets == tuple(pivot_sets)
+
+
+def test_adapt_rejects_a_chain_that_is_not_nested():
+    e = standard_basis(3)
+    unnested = Flag(GF2, 3, (e, ((1, 0, 0), (0, 1, 0)), ((0, 0, 1),)))
+    with pytest.raises(ValueError):
+        adapt_to_flag(GF2, e, unnested)

@@ -184,6 +184,12 @@ def test_elements_enumeration(fields):
         assert list(ctx.elements()) == list(range(ctx.q))
 
 
+def test_element_str_is_the_polynomial_form(fields):
+    assert [fields[(3, 2)].element_str(a) for a in range(9)] == [
+        "0", "1", "2", "x", "1+x", "2+x", "2x", "1+2x", "2+2x"]
+    assert fields[(2, 3)].element_str(6) == "x+x^2"
+
+
 # --- hypothesis properties -----------------------------------------------------
 
 field_params = st.sampled_from(SMALL_FIELDS)
