@@ -10,9 +10,18 @@ iff their codes are equal.
 Every field automorphism of GF(p^d) is a power of the Frobenius map
 a -> a^p; `FiniteField.frobenius(a, i)` applies a -> a^(p^i).
 
-Fields here are tiny by design (the enumeration workloads cap q at single
-digits), so arithmetic is table-driven: add/mul/inv tables are built once at
-construction for q <= TABLE_LIMIT and everything is a flat-list lookup.
+Arithmetic runs on log/antilog tables (Lidl & Niederreiter, *Finite
+Fields*, ch. 9).  The least primitive element c is found once; `exp` lists
+c^k for k in [0, 2(q-1)) and `log` inverts it, so a product is
+exp[log a + log b], an inverse exp[q-1 - log a], and powers and Frobenius
+images are index arithmetic on logs.  A sum is the XOR of codes when
+p = 2; for odd p it goes through the Zech logarithm
+zech[k] = log(1 + c^k), since a + b = c^(log a) * (1 + c^(log b - log a)).
+Every table holds O(q) entries and is built in about O(q) steps, and the
+codes are the polynomial-basis codes above, whatever c is.  Fields with
+more than FIELD_LIMIT elements are refused at construction, so a field is
+always small enough to tabulate.
+
 Irreducibility is checked by exhaustive trial division, and the default
 modulus is the lexicographically least irreducible (coefficients read as a
 little-endian base-p integer), so results are reproducible bit-for-bit
@@ -21,11 +30,9 @@ across runs and machines.
 
 from __future__ import annotations
 
-from functools import reduce
-
-# Largest field order for which lookup tables are precomputed.  Larger
-# fields fall back to direct polynomial arithmetic per operation.
-TABLE_LIMIT = 1 << 12
+# Largest field order a FiniteField is built for; parse_spec and
+# validate_field, which build no tables, accept larger ones.
+FIELD_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -46,10 +53,6 @@ def _code_to_digits(code: int, p: int, d: int) -> list[int]:
         code, r = divmod(code, p)
         digits.append(r)
     return digits
-
-
-def _digits_to_code(digits: list[int], p: int) -> int:
-    return reduce(lambda acc, c: acc * p + c, reversed(digits), 0)
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -128,6 +131,41 @@ def _least_irreducible(p: int, d: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible degree-{d} polynomial over GF({p})")
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _poly_powmod(a: list[int], n: int, modulus: tuple[int, ...], p: int) -> list[int]:
+    result = [1]
+    while n:
+        if n & 1:
+            result = _poly_mulmod(result, a, modulus, p)
+        a = _poly_mulmod(a, a, modulus, p)
+        n >>= 1
+    return result
+
+
+def _least_primitive(p: int, d: int, modulus: tuple[int, ...]) -> int:
+    """Least code of multiplicative order q - 1: c^((q-1)/l) != 1 for
+    every prime l dividing q - 1."""
+    n = p**d - 1
+    primes = _prime_factors(n)
+    for c in range(1, n + 1):
+        a = _poly_trim(_code_to_digits(c, p, d))
+        if all(_poly_powmod(a, n // l, modulus, p) != [1] for l in primes):
+            return c
+    raise AssertionError(f"modulus {modulus} over GF({p}) has no primitive element")
+
+
 def poly_str(coeffs) -> str:
     """Polynomial form of a little-endian coefficient list, e.g. "1+x+x^2"."""
     terms = []
@@ -155,94 +193,144 @@ class FiniteField:
     operations take and return element codes (plain ints in [0, q)).
     """
 
-    __slots__ = (
-        "p", "d", "q", "modulus",
-        "_add", "_sub", "_mul", "_inv", "_frob",
-    )
+    __slots__ = ("p", "d", "q", "modulus", "_exp", "_log", "_zech", "_frob")
 
     def __init__(self, p: int, d: int, modulus: tuple[int, ...]):
         self.p = p
         self.d = d
         self.q = p**d
         self.modulus = modulus
+        if self.q > FIELD_LIMIT:
+            raise ValueError(f"GF({p}^{d}) has {self.q} elements, "
+                             f"above the field-size bound FIELD_LIMIT = {FIELD_LIMIT}")
         self._frob: dict[int, list[int]] = {}
-        if self.q <= TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self._add = self._sub = self._mul = self._inv = None
+        self._build_tables()
 
     def _build_tables(self) -> None:
-        p, d, q = self.p, self.d, self.q
-        digits = [_code_to_digits(a, p, d) for a in range(q)]
-        add = [0] * (q * q)
-        sub = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            da = digits[a]
-            for b in range(q):
-                db = digits[b]
-                add[a * q + b] = _digits_to_code([(x + y) % p for x, y in zip(da, db)], p)
-                sub[a * q + b] = _digits_to_code([(x - y) % p for x, y in zip(da, db)], p)
-                mul[a * q + b] = _digits_to_code(
-                    _poly_mulmod(_poly_trim(list(da)), _poly_trim(list(db)), self.modulus, p)
-                    + [0] * d, p)
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
-        self._add, self._sub, self._mul, self._inv = add, sub, mul, inv
+        p, d, q, modulus = self.p, self.d, self.q, self.modulus
+        n = q - 1
+        c = _poly_trim(_code_to_digits(_least_primitive(p, d, modulus), p, d))
+        # a -> c·a is GF(p)-linear in the digits of a.  Split a = lo + H·hi:
+        # the images of lo and of H·hi are listed with their digits in base
+        # W = 2p - 1, so the integer sum of two keeps each digit sum in its
+        # own place, and two more lists reduce the low and the high places
+        # mod p back to a code.  One step of the walk c^k -> c^(k+1) is then
+        # four lookups and a few integer operations, and no list exceeds 2q
+        # entries.
+        h = (d + 1) // 2
+        H, W = p**h, 2 * p - 1
+        Wh = W**h
+
+        def image(u: int) -> int:
+            digits = _poly_mulmod(_poly_trim(_code_to_digits(u, p, d)), c, modulus, p)
+            return sum(x * W**j for j, x in enumerate(digits))
+
+        def reduce_places(size: int) -> list[int]:
+            out = [0] * size
+            for s in range(1, size):
+                out[s] = s % W % p + p * out[s // W]
+            return out
+
+        lo = [image(u) for u in range(H)]
+        hi = [image(H * v) for v in range(q // H)]
+        low, high = reduce_places(Wh), reduce_places(W ** (d - h))
+        exp, log = [0] * (2 * n), [0] * q  # log[0] is never read
+        a = 1
+        for k in range(n):
+            exp[k] = exp[k + n] = a
+            log[a] = k
+            s = lo[a % H] + hi[a // H]
+            a = low[s % Wh] + H * high[s // Wh]
+        self._exp, self._log, self._zech = exp, log, None
+        if p == 2:
+            return
+        # zech[k] = log(1 + c^k); adding 1 changes digit 0 only, and
+        # 1 + c^k = 0 (c^k = -1) has no log.  Listed twice, so that every
+        # index in (-2(q-1), 2(q-1)) reads zech[k mod (q-1)].
+        zech = [None] * n
+        for k in range(n):
+            e = exp[k]
+            one = e + 1 if e % p != p - 1 else e + 1 - p
+            if one:
+                zech[k] = log[one]
+        self._zech = zech + zech
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a * self.q + b]
-        da = _code_to_digits(a, self.p, self.d)
-        db = _code_to_digits(b, self.p, self.d)
-        return _digits_to_code([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        zech = self._zech
+        if zech is None:  # characteristic 2
+            return a ^ b
+        if a and b:  # a + b = a·(1 + b/a)
+            log = self._log
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else self._exp[la + z]
+        return a or b
 
     def sub(self, a: int, b: int) -> int:
-        if self._sub is not None:
-            return self._sub[a * self.q + b]
-        da = _code_to_digits(a, self.p, self.d)
-        db = _code_to_digits(b, self.p, self.d)
-        return _digits_to_code([(x - y) % self.p for x, y in zip(da, db)], self.p)
+        zech = self._zech
+        if zech is None:
+            return a ^ b
+        if a and b:  # a - b = a·(1 + (-1)·b/a), -1 = c^((q-1)/2)
+            log = self._log
+            la = log[a]
+            z = zech[log[b] + (self.q - 1) // 2 - la]
+            return 0 if z is None else self._exp[la + z]
+        return a or self.neg(b)
 
     def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        if self._zech is None or not a:
+            return a
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a * self.q + b]
-        da = _poly_trim(_code_to_digits(a, self.p, self.d))
-        db = _poly_trim(_code_to_digits(b, self.p, self.d))
-        res = _poly_mulmod(da, db, self.modulus, self.p)
-        return _digits_to_code(res + [0] * self.d, self.p)
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
+
+    def inner_products(self, a, n: int, m: int, b, k: int) -> list[int]:
+        """Entries of the product of the n×m matrix `a` and the m×k matrix
+        `b`, all flat and row-major; the tables are bound once per call."""
+        exp, log, zech = self._exp, self._log, self._zech
+        out = []
+        for i in range(n):
+            base = i * m
+            for j in range(k):
+                s = 0
+                for t in range(m):
+                    x = a[base + t]
+                    if x:
+                        y = b[t * k + j]
+                        if not y:
+                            continue
+                        if zech is None:
+                            s ^= exp[log[x] + log[y]]
+                        elif s:  # s + x·y = s·(1 + x·y/s)
+                            ls = log[s]
+                            z = zech[log[x] + log[y] - ls]
+                            s = 0 if z is None else exp[ls + z]
+                        else:
+                            s = exp[log[x] + log[y]]
+                out.append(s)
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._inv is not None:
-            return self._inv[a]
-        return self.pow(a, self.q - 2)
+        return self._exp[-self._log[a]]  # c^(q-1 - log a): exp repeats with period q-1
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
-        """a**n by square-and-multiply; negative n inverts first."""
-        if n < 0:
-            a, n = self.inv(a), -n
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        """a**n for any integer n; 0 has no negative powers."""
+        if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("0 has no multiplicative inverse")
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     def frobenius(self, a: int, exponent: int) -> int:
         """Apply the automorphism a -> a^(p^exponent); exponent taken mod d."""
@@ -253,12 +341,8 @@ class FiniteField:
         i = exponent % self.d
         table = self._frob.get(i)
         if table is None:
-            if i == 0:
-                table = list(range(self.q))
-            else:
-                prev = self.frobenius_table(i - 1)
-                table = [self.pow(prev[a], self.p) for a in range(self.q)]
-            self._frob[i] = table
+            exp, n, k = self._exp, self.q - 1, self.p**i
+            table = self._frob[i] = [0] + [exp[la * k % n] for la in self._log[1:]]
         return table
 
     def elements(self) -> range:

@@ -102,50 +102,15 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     _require_same_field(A.ctx, B.ctx)
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
-    ctx = A.ctx
-    q = ctx.q
-    madd, mmul = ctx._add, ctx._mul
-    a, b = A.entries, B.entries
-    n, m, k = A.rows, A.cols, B.cols
-    out = []
-    if madd is not None:
-        for i in range(n):
-            base = i * m
-            for j in range(k):
-                s = 0
-                for t in range(m):
-                    x = a[base + t]
-                    if x:
-                        s = madd[s * q + mmul[x * q + b[t * k + j]]]
-                out.append(s)
-    else:
-        for i in range(n):
-            base = i * m
-            for j in range(k):
-                s = 0
-                for t in range(m):
-                    s = ctx.add(s, ctx.mul(a[base + t], b[t * k + j]))
-                out.append(s)
-    return Matrix(ctx, n, k, tuple(out))
+    entries = A.ctx.inner_products(A.entries, A.rows, A.cols, B.entries, B.cols)
+    return Matrix(A.ctx, A.rows, B.cols, tuple(entries))
 
 
 def mat_apply(A: Matrix, v: Vector) -> Vector:
     """A·v for a coordinate column vector v."""
     if len(v) != A.cols:
         raise ValueError(f"vector length {len(v)} vs {A.rows}x{A.cols} matrix")
-    ctx = A.ctx
-    a = A.entries
-    m = A.cols
-    out = []
-    for i in range(A.rows):
-        s = 0
-        base = i * m
-        for t in range(m):
-            x = a[base + t]
-            if x:
-                s = ctx.add(s, ctx.mul(x, v[t]))
-        out.append(s)
-    return tuple(out)
+    return tuple(A.ctx.inner_products(A.entries, A.rows, A.cols, v, 1))
 
 
 def map_entries(A: Matrix, exponent: int) -> Matrix:
@@ -168,6 +133,7 @@ def _eliminate(ctx: FiniteField, rows: list[list[int]], reduce_up: bool):
     if not rows:
         return []
     n, m = len(rows), len(rows[0])
+    sub, mul = ctx.sub, ctx.mul
     pivots = []
     r = 0
     for col in range(m):
@@ -182,16 +148,16 @@ def _eliminate(ctx: FiniteField, rows: list[list[int]], reduce_up: bool):
         lead = rows[r][col]
         if lead != 1:
             inv_lead = ctx.inv(lead)
-            rows[r] = [ctx.mul(inv_lead, x) for x in rows[r]]
+            rows[r] = [mul(inv_lead, x) for x in rows[r]]
+        src = rows[r]
         span = range(n) if reduce_up else range(r + 1, n)
         for i in span:
             if i != r and rows[i][col]:
                 factor = rows[i][col]
-                src = rows[r]
                 dst = rows[i]
                 for j in range(col, m):
                     if src[j]:
-                        dst[j] = ctx.sub(dst[j], ctx.mul(factor, src[j]))
+                        dst[j] = sub(dst[j], mul(factor, src[j]))
         pivots.append(col)
         r += 1
         if r == n:

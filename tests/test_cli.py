@@ -240,6 +240,26 @@ def test_count_builds_no_field_tables(capsys, monkeypatch):
         assert code == 2 and "error" in err
 
 
+def test_field_size_bound_exits_2_without_building_a_field(capsys, monkeypatch):
+    import semicount.gf as gf
+    monkeypatch.setattr(gf.FiniteField, "_build_tables",
+                        lambda self: pytest.fail("field tables built"))
+    for argv in [("verify", "--field", "2^17", "--g", "1"),
+                 ("roundtrip", "--field", "65537^1", "--g", "1")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "FIELD_LIMIT = 65536" in err, argv
+    # the formulas need q only, so count and field-info take any size
+    code, out, _ = run(capsys, "count", "--field", "2^17", "--g", "2")
+    assert code == 0 and json.loads(out)["q"] == 1 << 17
+    code, out, _ = run(capsys, "field-info", "--field", "2^17")
+    assert code == 0 and json.loads(out)["q"] == 1 << 17
+
+
+def test_largest_prime_field_under_the_bound_is_built(capsys):
+    payload = run_json(capsys, "verify", "--field", "65521^1", "--g", "1")
+    assert payload["totals"]["enumerated"] == "65521"
+
+
 ADAPT_BASIS = "3 3 3^1\n1 1 0\n0 1 2\n{}\n\n2 3 3^1\n1 2 0\n0 1 1\n\n1 3 3^1\n1 0 1\n"
 
 

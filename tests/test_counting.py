@@ -233,12 +233,20 @@ def test_verify_counts_formula_only():
 
 
 def test_verify_counts_field_without_tables():
-    # q > TABLE_LIMIT: the field has no arithmetic tables, and at g = 1 the
-    # enumeration kernel needs none either
+    # a large prime field: its own tables are O(q), and at g = 1 the
+    # enumeration kernel builds none
     big = make_field(8191, 1)
     report, ok = verify_counts(big, 1, 0)
     assert ok
     assert report["totals"] == {"theorem": "8191", "enumerated": "8191", "expected": "8191"}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ctx, g", [(GF2, 5), (GF3, 4)])  # 2^25 and 3^16 maps
+def test_verify_counts_largest_cells(ctx, g):
+    report, ok = verify_counts(ctx, g, 0, threads=2)
+    assert ok
+    assert report["totals"]["enumerated"] == str(ctx.q ** (g * g))
 
 
 def test_verify_counts_larger_field():

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from semicount.gf import FiniteField, is_irreducible, make_field, parse_field_spec
+from semicount.gf import (
+    FIELD_LIMIT,
+    FiniteField,
+    _least_primitive,
+    is_irreducible,
+    is_prime,
+    make_field,
+    parse_field_spec,
+)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -91,6 +99,89 @@ def test_exhaustive_agreement_with_oracle(p, d):
             assert ctx.inv(a) == helpers.f_inv(p, mod, a)
         for i in range(d):
             assert ctx.frobenius(a, i) == helpers.f_frob(p, mod, a, i)
+
+
+# every field with q <= 256 under its default modulus, and two irreducible
+# moduli under which x is not a generator (x has order 5 and 4)
+ORACLE_FIELDS = [
+    (p, d, None) for p in range(2, 257) if is_prime(p)
+    for d in range(1, 9) if p**d <= 256
+] + [(2, 4, (1, 1, 1, 1, 1)), (3, 2, (1, 0, 1))]
+
+
+@pytest.mark.parametrize("p,d,modulus", ORACLE_FIELDS)
+def test_every_operation_matches_the_oracle(p, d, modulus):
+    ctx = make_field(p, d, modulus)
+    q, mod = ctx.q, ctx.modulus
+    elems = range(q)
+    # oracle tables, from digit tuples and long division only; the other
+    # operations are checked against these
+    add = [[helpers.f_add(p, d, a, b) for b in elems] for a in elems]
+    mul = [[helpers.f_mul(p, mod, a, b) for b in elems] for a in elems]
+    neg = [helpers.f_neg(p, d, a) for a in elems]
+    inverse = [None] + [row.index(1) for row in mul[1:]]
+    assert [[ctx.add(a, b) for b in elems] for a in elems] == add
+    assert [[ctx.mul(a, b) for b in elems] for a in elems] == mul
+    assert [ctx.neg(a) for a in elems] == neg
+    assert [[ctx.sub(a, b) for b in elems] for a in elems] == [
+        [add[a][nb] for nb in neg] for a in elems]
+    assert [ctx.inv(a) for a in range(1, q)] == inverse[1:]
+    assert [[ctx.div(a, b) for b in range(1, q)] for a in elems] == [
+        [mul[a][ib] for ib in inverse[1:]] for a in elems]
+    exponents = sorted({0, 1, 2, p, q - 2, q - 1, q, 2 * q + 1})
+    for a in elems:
+        powers = [1]  # a^n for n = 0, 1, ..., 2q + 1
+        for _ in range(2 * q + 1):
+            powers.append(mul[powers[-1]][a])
+        assert [ctx.pow(a, n) for n in exponents] == [powers[n] for n in exponents]
+        if a:
+            assert ctx.pow(a, -1) == inverse[a] and ctx.pow(a, -q) == inverse[a]
+    for a in elems:  # inner products, including terms that cancel
+        b = (7 * a + 3) % q
+        ab, aa = mul[a][b], mul[a][a]
+        assert ctx.inner_products((a, b, a, 0), 1, 4, (b, 1, a, b), 1) == [add[add[ab][b]][aa]]
+        assert ctx.inner_products((a, neg[a], b), 1, 3, (b, b, 1), 1) == [b]
+    frob = list(elems)  # a -> a^(p^i), i = 0, 1, ..., d-1
+    for i in range(d):
+        assert ctx.frobenius_table(i) == frob
+        frob = [_table_pow(mul, x, p) for x in frob]
+
+
+def _table_pow(mul, a: int, n: int) -> int:
+    out = 1
+    for _ in range(n):
+        out = mul[out][a]
+    return out
+
+
+def test_primitive_element_is_the_least_of_full_order():
+    # x^2+1 over GF(3): x has order 4, so the least generator of GF(9)* is x+1
+    assert _least_primitive(3, 2, (1, 0, 1)) == 4
+    # x^4+x^3+x^2+x+1 over GF(2): x has order 5; x+1 has order 15
+    assert _least_primitive(2, 4, (1, 1, 1, 1, 1)) == 3
+    assert _least_primitive(2, 4, (1, 1, 0, 0, 1)) == 2   # x itself
+    assert _least_primitive(2, 1, (0, 1)) == 1            # GF(2)* = {1}
+    assert _least_primitive(7, 1, (0, 1)) == 3
+
+
+@pytest.mark.parametrize("p,d", [(2, 8), (8191, 1), (2, 16)])
+def test_no_field_table_exceeds_2q_entries(p, d):
+    ctx = make_field(p, d)
+    for i in range(d):
+        ctx.frobenius_table(i)
+    held = [getattr(ctx, name) for name in FiniteField.__slots__]
+    lists = [x for x in held if isinstance(x, list)]
+    lists += [t for x in held if isinstance(x, dict) for t in x.values()]
+    assert lists and max(len(t) for t in lists) <= 2 * ctx.q
+
+
+def test_field_size_bound_is_checked_before_any_table(monkeypatch):
+    monkeypatch.setattr(FiniteField, "_build_tables",
+                        lambda self: pytest.fail("field tables built"))
+    for p, d, modulus in [(2, 17, None), (65537, 1, None), (3, 11, None)]:
+        with pytest.raises(ValueError, match=f"FIELD_LIMIT = {FIELD_LIMIT}"):
+            make_field(p, d, modulus)
+    assert FIELD_LIMIT == 1 << 16
 
 
 def test_field_axioms_exhaustive_small(fields):

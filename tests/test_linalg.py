@@ -71,6 +71,26 @@ def test_mat_mul_agrees_with_oracle_gf4():
                 assert C.at(i, j) == acc
 
 
+@pytest.mark.parametrize("n,m,k", [(2, 3, 2), (3, 1, 3), (1, 4, 1), (2, 0, 2), (0, 2, 3)])
+def test_products_agree_with_oracle_gf9(n, m, k):
+    # odd characteristic: every sum in the inner product goes through Zech
+    ctx = make_field(3, 2)
+    mod = ctx.modulus
+    entries = [(5 * i + 7) % 9 for i in range(n * m + m * k)]
+    A = Matrix(ctx, n, m, tuple(entries[:n * m]))
+    B = Matrix(ctx, m, k, tuple(entries[n * m:]))
+    expect = []
+    for i in range(n):
+        for j in range(k):
+            acc = 0
+            for t in range(m):
+                acc = helpers.f_add(3, 2, acc, helpers.f_mul(3, mod, A.at(i, t), B.at(t, j)))
+            expect.append(acc)
+    assert mat_mul(A, B).entries == tuple(expect)
+    for j in range(k):
+        assert mat_apply(A, B.col(j)) == tuple(expect[j::k])
+
+
 def test_mat_apply_matches_column_combination():
     A = matrix_from_rows(GF3, [(1, 2, 0), (0, 1, 1), (2, 0, 1)])
     v = (1, 2, 1)
