@@ -5,9 +5,9 @@ of the basis adapted to its image flag.  The tuples that arise this way
 are exactly those with three properties: the whole tuple spans an
 r-dimensional subspace, the last s entries span an s-dimensional
 subspace, and the entry just before those lies in their span.  Decoding
-inverts one matrix, so both directions are exact and cheap, and profiles
-are preserved.  The twist exponent is not recoverable from the tuple; it
-rides along as a parameter of the decoder.
+solves one linear system, so both directions are exact and cheap, and
+profiles are preserved.  The twist exponent is not recoverable from the
+tuple; it rides along as a parameter of the decoder.
 
 Every well-shaped tuple decodes: the induced flag of any tuple stabilizes
 at some dimension s, and at that point the membership conditions hold
@@ -25,6 +25,7 @@ from .flags import Flag, _adapt, image_flag
 from .linalg import (
     Matrix,
     Vector,
+    _eliminate,
     _row_basis,
     in_span,
     map_entries,
@@ -37,9 +38,9 @@ from .semilinear import (
     DEFAULT_BUDGET,
     RankProfile,
     SemilinearMap,
+    _digits,
+    _from_digits,
     apply,
-    matrix_from_code,
-    profile,
 )
 
 VectorTuple = tuple[Vector, ...]
@@ -136,23 +137,89 @@ def tuple_to_map(ctx: FiniteField, xs, tau: int) -> SemilinearMap:
 def tuple_from_code(ctx: FiniteField, g: int, code: int) -> VectorTuple:
     """Tuple numbered by little-endian base-q digits; entry j owns digits
     j*g through j*g+g-1 as its coordinates."""
-    q = ctx.q
-    if not 0 <= code < q ** (g * g):
+    if not 0 <= code < ctx.q ** (g * g):
         raise ValueError("tuple code out of range")
-    digits = []
-    for _ in range(g * g):
-        code, rem = divmod(code, q)
-        digits.append(rem)
+    digits = _digits(code, ctx.q, g * g)
     return tuple(tuple(digits[j * g: (j + 1) * g]) for j in range(g))
 
 
 def tuple_code(ctx: FiniteField, xs) -> int:
     xs = _check_tuple(ctx, xs)
+    return _from_digits([c for v in xs for c in v], ctx.q)
+
+
+# ---------------------------------------------------------------------------
+# the correspondence on codes
+#
+# A matrix code's digit i*g+j is the entry A[i][j], and a tuple code's digit
+# j*g+i is coordinate i of entry j; so both are read as g rows of g digits,
+# the rows of A^T (row j = column j of A = F(e_j)) and the tuple entries.
+# With P the adapted vectors as columns, encoding computes X^T = tau(P)^T A^T
+# by `inner_products` and decoding solves that system by one elimination.
+# No Matrix is built.
+
+
+def _echelon(ctx: FiniteField, rows: list[list[int]]) -> list[list[int]]:
+    """A basis of the span of the rows, by forward elimination in place.
+    `_adapt` reduces whatever basis of a member it is given, so the
+    upward pass of `_row_basis` would be wasted here."""
+    return rows[:len(_eliminate(ctx, rows, reduce_up=False))]
+
+
+def encode_code(ctx: FiniteField, g: int, tau: int, code: int) -> tuple[int, int, int]:
+    """(tuple code, r, s) of the map with matrix code `code` and twist tau:
+    `map_to_tuple` and `profile` on codes.  Unchecked."""
     q = ctx.q
-    code = 0
-    for c in reversed([c for v in xs for c in v]):
-        code = code * q + c
-    return code
+    digits = _digits(code, q, g * g)
+    at = [digits[i * g + j] for j in range(g) for i in range(g)]  # A^T, flat
+    frob = ctx.frobenius_table(tau)
+    # image chain: F(v) is the row tau(v)·A^T, so the images of a member's
+    # basis are the rows of tau(basis)·A^T; F(e_j) is row j of A^T
+    members = []
+    rows = [at[j * g: (j + 1) * g] for j in range(g)]
+    n = g
+    while True:
+        basis = _echelon(ctx, rows)
+        if len(basis) == n:
+            break
+        members.append(basis)
+        n = len(basis)
+        flat = ctx.inner_products([frob[x] for v in basis for x in v], n, g, at, g)
+        rows = [flat[t * g: (t + 1) * g] for t in range(n)]
+    # X^T, flat; with no proper member the adapted basis is the standard one
+    xt = at
+    if members:
+        adapted = _adapt(ctx, g, members).vectors
+        xt = ctx.inner_products([frob[x] for v in adapted for x in v], g, g, at, g)
+    return _from_digits(xt, q), len(members[0]) if members else g, n
+
+
+def decode_code(ctx: FiniteField, g: int, tau: int, code: int) -> int:
+    """Matrix code of the map with twist tau that the tuple with code
+    `code` decodes to: `tuple_to_map` on codes.  Unchecked.
+
+    tau(P)^T A^T = X^T is solved by reducing [tau(P)^T | X^T] to
+    [I | A^T]; tau(P)^T is invertible, so every pivot is on the left.
+    """
+    q = ctx.q
+    digits = _digits(code, q, g * g)
+    xs = [digits[j * g: (j + 1) * g] for j in range(g)]
+    members = []  # the induced flag's proper members
+    n = g
+    while True:
+        basis = _echelon(ctx, [list(v) for v in xs[g - n:]])
+        if len(basis) == n:
+            break
+        members.append(basis)
+        n = len(basis)
+    at = xs  # with no proper member the adapted basis is the standard one
+    if members:
+        adapted = _adapt(ctx, g, members).vectors
+        frob = ctx.frobenius_table(tau)
+        rows = [[frob[x] for x in v] + x for v, x in zip(adapted, xs)]
+        _eliminate(ctx, rows, reduce_up=True)
+        at = [row[g:] for row in rows]
+    return _from_digits([at[j][i] for i in range(g) for j in range(g)], q)
 
 
 def enumerate_vector_tuples(ctx: FiniteField, g: int):
@@ -171,23 +238,20 @@ SPOT_CHECK_SAMPLES = 1000
 def _roundtrip_codes(task: tuple) -> tuple[dict[tuple[int, int], int], list[int]]:
     """Check both directions on a batch of codes; used as a pool worker.
 
-    Each code is read twice: as a map (decode, encode, decode must land
-    back on it) and as a tuple (encode, decode must land back on it).
-    Returns per-profile tallies of the maps checked and the codes that
-    failed either direction.
+    Each code is read twice: as a matrix code (encode, then decode must
+    give it back) and as a tuple code (decode, then encode must give it
+    back).  Returns per-profile tallies of the maps checked, read off
+    their encodings, and the codes that failed either direction.
     """
     p, d, modulus, g, tau, codes = task
     ctx = cached_field(p, d, modulus)
     tallies: dict[tuple[int, int], int] = {}
     failures: list[int] = []
     for code in codes:
-        F = SemilinearMap(matrix_from_code(ctx, g, code), tau)
-        r, s = profile(F)
+        xcode, r, s = encode_code(ctx, g, tau, code)
         tallies[(r, s)] = tallies.get((r, s), 0) + 1
-        ok = tuple_to_map(ctx, map_to_tuple(F), tau) == F
-        xs = tuple_from_code(ctx, g, code)
-        ok = ok and map_to_tuple(tuple_to_map(ctx, xs, tau)) == xs
-        if not ok:
+        if (decode_code(ctx, g, tau, xcode) != code
+                or encode_code(ctx, g, tau, decode_code(ctx, g, tau, code))[0] != code):
             failures.append(code)
     return tallies, failures
 
@@ -205,6 +269,10 @@ def roundtrip_check(
     """Decode-encode round trips over the whole space, or a seeded sample
     of it when q^(g*g) exceeds the budget.  Returns (report, ok); the
     report is JSON-ready and independent of the thread count.
+
+    A sweep of the whole space also holds its per-profile tallies to
+    `counting.formula_table`; profiles that disagree are listed under
+    "formula_mismatch", a key only a failing report has.
     """
     tau %= ctx.d
     total = ctx.q ** (g * g)
@@ -222,6 +290,12 @@ def roundtrip_check(
     parts = counting.run_tasks(_roundtrip_codes, tasks, threads)
     tallies = counting.merge_tallies(g, [tally for tally, _ in parts])
     failures = [code for _, part in parts for code in part]
+    # a sweep of every code must tally the closed-form census exactly
+    mismatches = []
+    if exhaustive:
+        expected = counting.formula_table(g, ctx.q).entries
+        mismatches = [{"r": r, "s": s, "checked": n, "theorem": str(expected[(r, s)])}
+                      for (r, s), n in sorted(tallies.items()) if n != expected[(r, s)]]
     checked = sum(tallies.values())
     report = {
         "field": ctx.spec,
@@ -238,4 +312,6 @@ def roundtrip_check(
             for (r, s) in sorted(tallies)
         ],
     }
-    return report, not failures
+    if mismatches:
+        report["formula_mismatch"] = mismatches
+    return report, not failures and not mismatches

@@ -115,7 +115,7 @@ def _adapt(ctx: FiniteField, g: int, members) -> AdaptedBasis:
     is the pivot count per member, which catches a chain that is not
     nested.
     """
-    sub, mul = ctx.sub, ctx.mul
+    sub_scaled = ctx.sub_scaled
     # (pivot column, vector), smallest member first: reducing in this order
     # leaves every earlier pivot column zero
     chosen: list[tuple[int, list[int]]] = []
@@ -129,7 +129,7 @@ def _adapt(ctx: FiniteField, g: int, members) -> AdaptedBasis:
             for col, u in chosen:
                 c = w[col]
                 if c:
-                    w[:] = [sub(x, mul(c, y)) if y else x for x, y in zip(w, u)]
+                    sub_scaled(w, c, u)
         pivots = _eliminate(ctx, rows, reduce_up=True)
         if len(pivots) != len(member) - prev_dim:
             raise ValueError("subspaces are not nested")

@@ -22,28 +22,54 @@ codes are the polynomial-basis codes above, whatever c is.  Fields with
 more than FIELD_LIMIT elements are refused at construction, so a field is
 always small enough to tabulate.
 
-Irreducibility is checked by exhaustive trial division, and the default
-modulus is the lexicographically least irreducible (coefficients read as a
-little-endian base-p integer), so results are reproducible bit-for-bit
-across runs and machines.
+Irreducibility is decided by Rabin's test and primality by deterministic
+Miller-Rabin, so validating a field spec takes time polynomial in d and
+log p.  The default modulus is the lexicographically least irreducible
+(coefficients read as a little-endian base-p integer), so results are
+reproducible bit-for-bit across runs and machines.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 # Largest field order a FiniteField is built for; parse_spec and
 # validate_field, which build no tables, accept larger ones.
 FIELD_LIMIT = 1 << 16
 
 
+# Miller-Rabin with the first 13 primes as bases is proven to decide
+# primality for every n below PRIME_LIMIT (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; fields here are tiny."""
+    """Deterministic Miller-Rabin; raises ValueError at n >= PRIME_LIMIT,
+    where these bases are not proven to decide."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality "
+                         f"(the bound is PRIME_LIMIT = {PRIME_LIMIT})")
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for b in PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    # n - 1 = m·2^k with m odd; n is prime iff no base witnesses otherwise
+    m, k = n - 1, 0
+    while m % 2 == 0:
+        m, k = m // 2, k + 1
+    for b in PRIME_BASES:
+        x = pow(b, m, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
@@ -110,15 +136,26 @@ def _monic_polys(p: int, degree: int):
 
 
 def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Exhaustive trial division by all monic polynomials of degree <= d/2."""
+    """Rabin's test for a monic f of degree d >= 1 over GF(p): f is
+    irreducible iff x^(p^d) = x mod f and gcd(x^(p^(d/l)) - x, f) = 1 for
+    every prime l dividing d (Rabin, SIAM J. Comput. 1980)."""
     d = len(modulus) - 1
     if d < 1:
         return False
-    poly = list(modulus)
-    for deg in range(1, d // 2 + 1):
-        for divisor in _monic_polys(p, deg):
-            if not _poly_rem(poly, divisor, p):
-                return False
+    f = list(modulus)
+    x = _poly_rem([0, 1], f, p)
+    frob = [x]  # frob[k] = x^(p^k) mod f
+    for _ in range(d):
+        frob.append(_poly_powmod(frob[-1], p, modulus, p))
+    if frob[d] != x:
+        return False
+    for l in _prime_factors(d):
+        h = zip_longest(frob[d // l], x, fillvalue=0)
+        a, b = f, _poly_trim([(u - v) % p for u, v in h])  # x^(p^(d/l)) - x
+        while b:  # Euclid: a ends as gcd(f, x^(p^(d/l)) - x)
+            a, b = b, _poly_rem(a, b, p)
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -145,13 +182,15 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _poly_powmod(a: list[int], n: int, modulus: tuple[int, ...], p: int) -> list[int]:
-    result = [1]
+    """a^n mod modulus, for a already reduced, by square and multiply."""
+    result = None
     while n:
         if n & 1:
-            result = _poly_mulmod(result, a, modulus, p)
-        a = _poly_mulmod(a, a, modulus, p)
+            result = a if result is None else _poly_mulmod(result, a, modulus, p)
         n >>= 1
-    return result
+        if n:
+            a = _poly_mulmod(a, a, modulus, p)
+    return [1] if result is None else result
 
 
 def _least_primitive(p: int, d: int, modulus: tuple[int, ...]) -> int:
@@ -209,38 +248,46 @@ class FiniteField:
     def _build_tables(self) -> None:
         p, d, q, modulus = self.p, self.d, self.q, self.modulus
         n = q - 1
-        c = _poly_trim(_code_to_digits(_least_primitive(p, d, modulus), p, d))
-        # a -> c·a is GF(p)-linear in the digits of a.  Split a = lo + H·hi:
-        # the images of lo and of H·hi are listed with their digits in base
-        # W = 2p - 1, so the integer sum of two keeps each digit sum in its
-        # own place, and two more lists reduce the low and the high places
-        # mod p back to a code.  One step of the walk c^k -> c^(k+1) is then
-        # four lookups and a few integer operations, and no list exceeds 2q
-        # entries.
-        h = (d + 1) // 2
-        H, W = p**h, 2 * p - 1
-        Wh = W**h
-
-        def image(u: int) -> int:
-            digits = _poly_mulmod(_poly_trim(_code_to_digits(u, p, d)), c, modulus, p)
-            return sum(x * W**j for j, x in enumerate(digits))
-
-        def reduce_places(size: int) -> list[int]:
-            out = [0] * size
-            for s in range(1, size):
-                out[s] = s % W % p + p * out[s // W]
-            return out
-
-        lo = [image(u) for u in range(H)]
-        hi = [image(H * v) for v in range(q // H)]
-        low, high = reduce_places(Wh), reduce_places(W ** (d - h))
+        c = _least_primitive(p, d, modulus)
         exp, log = [0] * (2 * n), [0] * q  # log[0] is never read
-        a = 1
-        for k in range(n):
-            exp[k] = exp[k + n] = a
-            log[a] = k
-            s = lo[a % H] + hi[a // H]
-            a = low[s % Wh] + H * high[s // Wh]
+        if d == 1:  # codes are residues mod p: the walk steps a -> c·a % p
+            a = 1
+            for k in range(n):
+                exp[k] = exp[k + n] = a
+                log[a] = k
+                a = a * c % p
+        else:
+            # a -> c·a is GF(p)-linear in the digits of a.  Split
+            # a = lo + H·hi: the images of lo and of H·hi are listed with
+            # their digits in base W = 2p - 1, so the integer sum of two
+            # keeps each digit sum in its own place, and two more lists
+            # reduce the low and the high places mod p back to a code.  One
+            # step of the walk c^k -> c^(k+1) is then four lookups and a few
+            # integer operations, and no list exceeds 2q entries.
+            c = _poly_trim(_code_to_digits(c, p, d))
+            h = (d + 1) // 2
+            H, W = p**h, 2 * p - 1
+            Wh = W**h
+
+            def image(u: int) -> int:
+                digits = _poly_mulmod(_poly_trim(_code_to_digits(u, p, d)), c, modulus, p)
+                return sum(x * W**j for j, x in enumerate(digits))
+
+            def reduce_places(size: int) -> list[int]:
+                out = [0] * size
+                for s in range(1, size):
+                    out[s] = s % W % p + p * out[s // W]
+                return out
+
+            lo = [image(u) for u in range(H)]
+            hi = [image(H * v) for v in range(q // H)]
+            low, high = reduce_places(Wh), reduce_places(W ** (d - h))
+            a = 1
+            for k in range(n):
+                exp[k] = exp[k + n] = a
+                log[a] = k
+                s = lo[a % H] + hi[a // H]
+                a = low[s % Wh] + H * high[s // Wh]
         self._exp, self._log, self._zech = exp, log, None
         if p == 2:
             return
@@ -315,6 +362,37 @@ class FiniteField:
                             s = exp[log[x] + log[y]]
                 out.append(s)
         return out
+
+    def scaled(self, c: int, v) -> list[int]:
+        """[c·x for x in v], for c != 0; the tables are bound once per call."""
+        exp, log = self._exp, self._log
+        lc = log[c]
+        return [exp[lc + log[x]] if x else 0 for x in v]
+
+    def sub_scaled(self, w: list[int], c: int, u, start: int = 0) -> None:
+        """The row update w[j] <- w[j] - c·u[j] for every j >= start, in
+        place, for c != 0; the tables are bound once per call."""
+        exp, log, zech = self._exp, self._log, self._zech
+        if zech is None:  # characteristic 2: subtracting is adding
+            lc = log[c]
+            for j in range(start, len(w)):
+                y = u[j]
+                if y:
+                    w[j] ^= exp[lc + log[y]]
+            return
+        n = self.q - 1
+        lc = (log[c] + n // 2) % n  # log(-c)
+        for j in range(start, len(w)):
+            y = u[j]
+            if y:
+                t = lc + log[y]  # log(-c·y)
+                x = w[j]
+                if x:  # x + c^t = x·(1 + c^(t - log x))
+                    lx = log[x]
+                    z = zech[t - lx]
+                    w[j] = 0 if z is None else exp[lx + z]
+                else:
+                    w[j] = exp[t]
 
     def inv(self, a: int) -> int:
         if a == 0:

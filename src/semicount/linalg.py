@@ -133,31 +133,25 @@ def _eliminate(ctx: FiniteField, rows: list[list[int]], reduce_up: bool):
     if not rows:
         return []
     n, m = len(rows), len(rows[0])
-    sub, mul = ctx.sub, ctx.mul
+    inv, scaled, sub_scaled = ctx.inv, ctx.scaled, ctx.sub_scaled
     pivots = []
     r = 0
     for col in range(m):
-        pivot_row = None
         for i in range(r, n):
             if rows[i][col]:
-                pivot_row = i
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][col]
+        src = rows[i]
+        rows[i] = rows[r]
+        lead = src[col]
         if lead != 1:
-            inv_lead = ctx.inv(lead)
-            rows[r] = [mul(inv_lead, x) for x in rows[r]]
-        src = rows[r]
-        span = range(n) if reduce_up else range(r + 1, n)
-        for i in span:
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                dst = rows[i]
-                for j in range(col, m):
-                    if src[j]:
-                        dst[j] = sub(dst[j], mul(factor, src[j]))
+            src = scaled(inv(lead), src)
+        rows[r] = src
+        for i in range(n) if reduce_up else range(r + 1, n):
+            factor = rows[i][col]
+            if factor and i != r:
+                sub_scaled(rows[i], factor, src, col)
         pivots.append(col)
         r += 1
         if r == n:

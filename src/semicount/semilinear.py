@@ -153,23 +153,30 @@ def nil_part(F: SemilinearMap) -> tuple[Vector, ...]:
     return rref_basis(ctx, vs)
 
 
+def _digits(code: int, q: int, n: int) -> list[int]:
+    """The n little-endian base-q digits of a code."""
+    digits = []
+    for _ in range(n):
+        code, rem = divmod(code, q)
+        digits.append(rem)
+    return digits
+
+
+def _from_digits(digits, q: int) -> int:
+    code = 0
+    for x in reversed(digits):
+        code = code * q + x
+    return code
+
+
 def matrix_from_code(ctx: FiniteField, g: int, code: int) -> Matrix:
     """Decode a matrix index in [0, q^(g^2)): base-q digits, little-endian,
     fill the entries row-major."""
-    q = ctx.q
-    entries = []
-    for _ in range(g * g):
-        code, r = divmod(code, q)
-        entries.append(r)
-    return Matrix(ctx, g, g, tuple(entries))
+    return Matrix(ctx, g, g, tuple(_digits(code, ctx.q, g * g)))
 
 
 def matrix_code(A: Matrix) -> int:
-    code = 0
-    q = A.ctx.q
-    for x in reversed(A.entries):
-        code = code * q + x
-    return code
+    return _from_digits(A.entries, A.ctx.q)
 
 
 def enumerate_maps(

@@ -79,6 +79,37 @@ def f_inv(p: int, modulus: tuple[int, ...], a: int) -> int:
     return f_pow(p, modulus, a, q - 2)
 
 
+# --- primes and irreducible polynomials, by trial division ----------------
+
+def trial_division_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
+
+
+def monic_polys(p: int, degree: int):
+    """Every monic polynomial of the given degree, little-endian, in
+    lexicographic order of the lower coefficients read base p."""
+    for low in range(p ** degree):
+        yield to_digits(low, p, degree) + (1,)
+
+
+def trial_division_irreducible(p: int, coeffs) -> bool:
+    """A monic polynomial of degree d >= 1 is irreducible iff no monic
+    polynomial of degree 1 .. d/2 divides it."""
+    d = len(coeffs) - 1
+    for k in range(1, d // 2 + 1):
+        for divisor in monic_polys(p, k):
+            if not any(_poly_mod(p, divisor, list(coeffs))):
+                return False
+    return True
+
+
 # --- extensional subspaces -------------------------------------------------
 
 def vec_add(p: int, d: int, u, v):

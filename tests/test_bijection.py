@@ -1,10 +1,14 @@
 """Encoding maps as vector tuples and decoding them back."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from semicount.bijection import (
+    decode_code,
+    encode_code,
     enumerate_vector_tuples,
     induced_flag,
     map_to_tuple,
@@ -15,11 +19,18 @@ from semicount.bijection import (
     tuple_profile,
     tuple_to_map,
 )
-from semicount.counting import profiles, staged_count
+from semicount.counting import formula_table, profiles, staged_count
 from semicount.flags import image_flag
 from semicount.gf import make_field
 from semicount.linalg import matrix_from_rows, standard_basis
-from semicount.semilinear import SemilinearMap, enumerate_maps, identity_map, profile
+from semicount.semilinear import (
+    SemilinearMap,
+    enumerate_maps,
+    identity_map,
+    matrix_code,
+    matrix_from_code,
+    profile,
+)
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -156,6 +167,62 @@ def test_tuple_code_roundtrip_and_range():
         tuple_from_code(GF3, 2, 3 ** 4)
     with pytest.raises(ValueError):
         tuple_from_code(GF3, 2, -1)
+
+
+# --- the correspondence on codes ---------------------------------------------------
+
+def _assert_coded_equals_reference(ctx, g, tau, codes):
+    """encode_code/decode_code against map_to_tuple, profile and
+    tuple_to_map, code by code."""
+    for code in codes:
+        F = SemilinearMap(matrix_from_code(ctx, g, code), tau)
+        expected = (tuple_code(ctx, map_to_tuple(F)), *profile(F))
+        assert encode_code(ctx, g, tau, code) == expected, (ctx.spec, tau, code)
+        G = tuple_to_map(ctx, tuple_from_code(ctx, g, code), tau)
+        assert decode_code(ctx, g, tau, code) == matrix_code(G.mat), (ctx.spec, tau, code)
+
+
+@pytest.mark.parametrize("p,d,g,tau", [(2, 1, 3, 0), (3, 2, 2, 1), (5, 1, 2, 0), (2, 3, 2, 2)])
+def test_coded_path_equals_reference_exhaustive(p, d, g, tau):
+    ctx = make_field(p, d)
+    _assert_coded_equals_reference(ctx, g, tau, range(ctx.q ** (g * g)))
+
+
+@pytest.mark.slow
+def test_coded_path_equals_reference_exhaustive_gf27():
+    ctx = make_field(3, 3)
+    _assert_coded_equals_reference(ctx, 2, 1, range(27 ** 4))
+
+
+@pytest.mark.parametrize("p,d,g,tau,n", [
+    (2, 6, 3, 0, 3000), (7, 1, 3, 0, 3000), (3, 1, 3, 0, 1000), (2, 2, 3, 1, 1000),
+    (2, 4, 3, 1, 1000), (3, 2, 3, 1, 500), (2, 1, 4, 0, 1000),
+])
+def test_coded_path_equals_reference_seeded(p, d, g, tau, n):
+    ctx = make_field(p, d)
+    rng = random.Random(f"{p}^{d} g={g}")
+    _assert_coded_equals_reference(
+        ctx, g, tau, [rng.randrange(ctx.q ** (g * g)) for _ in range(n)])
+
+
+def test_roundtrip_check_builds_no_matrix(monkeypatch):
+    import semicount.linalg as linalg
+
+    def refuse(self):
+        raise AssertionError("Matrix built")
+
+    monkeypatch.setattr(linalg.Matrix, "__post_init__", refuse)
+    report, ok = roundtrip_check(GF4, 2, 1)
+    assert ok and report["maps_checked"] == 256
+
+
+def test_roundtrip_gf2_g4_exhaustive_matches_formula():
+    # 65,536 codes both ways, about 4-5 s at 2 workers on a 2-core VM; the
+    # harness itself holds the tallies to the formula, and so does this test
+    report, ok = roundtrip_check(GF2, 4, 0, threads=2)
+    assert ok and report["mode"] == "exhaustive" and report["failures"] == 0
+    expected = formula_table(4, 2).entries
+    assert {(c["r"], c["s"]): c["checked"] for c in report["per_profile"]} == expected
 
 
 # --- batch harness -------------------------------------------------------------

@@ -186,6 +186,27 @@ def test_roundtrip_sampled_over_budget(capsys):
     assert payload["failures"] == 0
 
 
+def test_roundtrip_fails_when_tallies_disagree_with_the_formula(capsys, monkeypatch):
+    # an exhaustive sweep is held to formula_table: shift one count by one
+    import semicount.counting as counting
+    real = counting.formula_table
+
+    def off_by_one(g, q):
+        table = real(g, q)
+        entries = dict(table.entries)
+        entries[(1, 0)] += 1
+        return counting.CountTable(q, g, table.route, None, entries)
+
+    monkeypatch.setattr(counting, "formula_table", off_by_one)
+    code, out, _ = run(capsys, "roundtrip", "--field", "2^1", "--g", "2")
+    payload = json.loads(out)
+    assert code == 1 and payload["failures"] == 0
+    assert payload["formula_mismatch"] == [{"r": 1, "s": 0, "checked": 3, "theorem": "4"}]
+    # a sample is not a census, so it is not compared
+    code, out, _ = run(capsys, "roundtrip", "--field", "2^1", "--g", "2", "--budget", "10")
+    assert code == 0 and "formula_mismatch" not in json.loads(out)
+
+
 # --- misc plumbing ---------------------------------------------------------------
 
 def test_field_info(capsys):
@@ -253,6 +274,17 @@ def test_field_size_bound_exits_2_without_building_a_field(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["q"] == 1 << 17
     code, out, _ = run(capsys, "field-info", "--field", "2^17")
     assert code == 0 and json.loads(out)["q"] == 1 << 17
+
+
+def test_spec_only_routes_take_large_primes_and_degrees(capsys):
+    # trial division hung on both: primality of 2^61 - 1, irreducibility at d = 40
+    payload = run_json(capsys, "count", "--field", "2305843009213693951^1", "--g", "1")
+    assert payload["field"] == "2305843009213693951^1/0,1"
+    assert payload["total"] == "2305843009213693951"
+    payload = run_json(capsys, "count", "--field", "2^40", "--g", "1")
+    assert payload["total"] == str(1 << 40)
+    code, out, err = run(capsys, "count", "--field", f"{2 ** 89 - 1}^1", "--g", "1")
+    assert code == 2 and out == "" and "PRIME_LIMIT" in err
 
 
 def test_largest_prime_field_under_the_bound_is_built(capsys):

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from semicount.gf import (
     FIELD_LIMIT,
+    PRIME_LIMIT,
     FiniteField,
+    _least_irreducible,
     _least_primitive,
     is_irreducible,
     is_prime,
     make_field,
     parse_field_spec,
+    validate_field,
 )
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -74,6 +77,62 @@ def test_parse_field_spec_roundtrip():
         parse_field_spec("abc")
     with pytest.raises(ValueError):
         parse_field_spec("2^2/1,x,1")
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if helpers.trial_division_prime(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to every base 2..7, 2..23 and 2..37 in turn
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(2 ** 79 - 1)  # = 2687 · 202029703 · 1113491139767
+    assert is_prime(PRIME_LIMIT - 1) is False  # even, and just below the bound
+    with pytest.raises(ValueError, match=f"PRIME_LIMIT = {PRIME_LIMIT}"):
+        is_prime(PRIME_LIMIT)
+
+
+# every monic polynomial of degree d with p^d <= 2^8, 3^5, 5^3, 7^2
+RABIN_CASES = [(2, d) for d in range(1, 9)] + [(3, d) for d in range(1, 6)] + [
+    (5, d) for d in range(1, 4)] + [(7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize("p,d", RABIN_CASES)
+def test_is_irreducible_matches_trial_division(p, d):
+    candidates = list(helpers.monic_polys(p, d))
+    verdicts = [is_irreducible(f, p) for f in candidates]
+    assert verdicts == [helpers.trial_division_irreducible(p, f) for f in candidates]
+    # the default modulus is still the lex-least irreducible
+    assert _least_irreducible(p, d) == candidates[verdicts.index(True)]
+
+
+def test_spec_validation_of_large_fields_is_fast():
+    # trial division took seconds at 2^32 and did not finish at 2^40
+    assert validate_field(2, 40)[2][:6] == (1, 0, 0, 1, 1, 1)
+    assert validate_field(2, 64)[2][:5] == (1, 1, 0, 1, 1)
+    assert validate_field(3, 40)[2][:2] == (2, 1)
+    p = 2 ** 61 - 1
+    assert validate_field(p, 1) == (p, 1, (0, 1))
+    with pytest.raises(ValueError, match="PRIME_LIMIT"):
+        validate_field(2 ** 89 - 1, 1)
+
+
+def test_prime_field_of_order_65521():
+    ctx = make_field(65521, 1)
+    assert ctx.modulus == (0, 1)
+    # the walk starts at the least primitive root: 65520 = 2^4·3^2·5·7·13
+    full_order = [c for c in range(1, 20)
+                  if all(pow(c, 65520 // l, 65521) != 1 for l in (2, 3, 5, 7, 13))]
+    assert ctx._exp[1] == full_order[0] == _least_primitive(65521, 1, (0, 1))
+    for a in (1, 2, 17, 4097, 65520):
+        for b in (1, 3, 255, 65519):
+            assert ctx.mul(a, b) == a * b % 65521
+            assert ctx.add(a, b) == (a + b) % 65521
+        assert ctx.inv(a) == pow(a, -1, 65521)
+    assert sorted(ctx._exp[:65520]) == list(range(1, 65521))
 
 
 # --- arithmetic against the digit-tuple oracle ------------------------------
