@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from . import counting
-from .gf import FiniteField, cached_field, field_key
+from .gf import FiniteField, _digits, cached_field, field_key
 from .flags import Flag, _adapt, image_flag
 from .linalg import (
     Matrix,
@@ -38,7 +38,6 @@ from .semilinear import (
     DEFAULT_BUDGET,
     RankProfile,
     SemilinearMap,
-    _digits,
     _from_digits,
     apply,
 )

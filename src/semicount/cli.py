@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 from .gf import FiniteField, parse_field_spec, parse_spec, poly_str, spec_str
 from .linalg import Matrix, matrix_from_rows
@@ -22,7 +22,7 @@ from .bijection import (
     tuple_profile,
     tuple_to_map,
 )
-from .counting import closed_form_count, formula_table, profiles, staged_count, verify_counts
+from .counting import closed_form_count, route_cells, staged_count, verify_counts
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -30,22 +30,9 @@ EXIT_BAD_ARGS = 2
 EXIT_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand needs, normalized from argparse."""
-
-    command: str
-    field_spec: str | None = None
-    g: int | None = None
-    tau: int = 0
-    r: int | None = None
-    s: int | None = None
-    budget: int = DEFAULT_BUDGET
-    threads: int = 1
-    seed: int = 0
-    pretty: bool = False
-    out: str | None = None
-    input_path: str | None = None
+# Largest g that count, verify and roundtrip accept; a sampled round trip
+# on GF(2) takes about 100 s at g = 64.
+G_LIMIT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +117,22 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def cmd_field_info(cfg: RunConfig):
-    p, d, modulus = parse_spec(cfg.field_spec)
+def _check_g(g: int, q: int, least: int = 0) -> None:
+    """Refuse g outside [least, G_LIMIT], and a census whose total q^(g^2)
+    has more decimal digits than Python will print, before any q^(g^2)
+    arithmetic."""
+    _require(least <= g <= G_LIMIT, f"--g must lie in [{least}, {G_LIMIT}], the bound "
+                                     f"G_LIMIT = {G_LIMIT}; got {g}")
+    # Python before 3.10.7 has no such limit (0 means none)
+    n, limit = g * g, getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # far from the limit the estimate decides; near it q^n is cheap to compute
+    if limit and (n * math.log10(q) >= limit + 1 or q**n >= 10**limit):
+        raise ValueError(f"q^(g^2) = {q}^{n} has more than {limit} decimal digits, the bound "
+                         f"sys.get_int_max_str_digits() = {limit} on printed integers")
+
+
+def cmd_field_info(args: argparse.Namespace):
+    p, d, modulus = parse_spec(args.field)
     payload = {
         "spec": spec_str(p, d, modulus),
         "p": p,
@@ -144,58 +145,42 @@ def cmd_field_info(cfg: RunConfig):
     return payload, EXIT_OK, None
 
 
-def cmd_count(cfg: RunConfig):
-    p, d, modulus = parse_spec(cfg.field_spec)  # the formulas need q only: no tables
-    _require(cfg.g is not None and cfg.g >= 0, "--g is required and must be >= 0")
-    g, q = cfg.g, p**d
-    if (cfg.r is None) != (cfg.s is None):
+def cmd_count(args: argparse.Namespace):
+    p, d, modulus = parse_spec(args.field)  # the formulas need q only: no tables
+    g, q = args.g, p**d
+    _check_g(g, q)
+    if (args.r is None) != (args.s is None):
         raise ValueError("--r and --s must be given together")
-    if cfg.r is not None:
-        via_formula = closed_form_count(g, cfg.r, cfg.s, q)
-        via_stages = staged_count(g, cfg.r, cfg.s, q)
-        payload = {
-            "field": spec_str(p, d, modulus),
-            "q": q,
-            "g": g,
-            "r": cfg.r,
-            "s": cfg.s,
-            "theorem": str(via_formula),
-            "staged": str(via_stages),
-            "match": via_formula == via_stages,
-        }
+    payload = {"field": spec_str(p, d, modulus), "q": q, "g": g}
+    if args.r is not None:
+        via_formula = closed_form_count(g, args.r, args.s, q)
+        via_stages = staged_count(g, args.r, args.s, q)
+        payload.update(r=args.r, s=args.s, theorem=str(via_formula), staged=str(via_stages),
+                       match=via_formula == via_stages)
         return payload, EXIT_OK if payload["match"] else EXIT_MISMATCH, None
-    table = formula_table(g, q)
-    cells = [
-        {
-            "r": r,
-            "s": s,
-            "theorem": str(table.entries[(r, s)]),
-            "staged": str(staged_count(g, r, s, q)),
-            "match": True,
-        }
-        for (r, s) in profiles(g)
+    cells = route_cells(g, q)
+    total = sum(via_formula for _, _, via_formula, _ in cells)
+    payload["cells"] = [
+        {"r": r, "s": s, "theorem": str(via_formula), "staged": str(via_stages),
+         "match": via_formula == via_stages}
+        for r, s, via_formula, via_stages in cells
     ]
-    payload = {
-        "field": spec_str(p, d, modulus),
-        "q": q,
-        "g": g,
-        "cells": cells,
-        "total": str(table.total),
-    }
-    return payload, EXIT_OK, _render_count_table
+    payload["total"] = str(total)
+    ok = total == q ** (g * g) and all(cell["match"] for cell in payload["cells"])
+    return payload, EXIT_OK if ok else EXIT_MISMATCH, _render_count_table
 
 
-def cmd_verify(cfg: RunConfig):
-    _require(cfg.threads >= 1, "--threads must be >= 1")
-    ctx = parse_field_spec(cfg.field_spec)
-    _require(cfg.g is not None and cfg.g >= 0, "--g is required and must be >= 0")
+def cmd_verify(args: argparse.Namespace):
+    _require(args.threads >= 1, "--threads must be >= 1")
+    ctx = parse_field_spec(args.field)
+    _check_g(args.g, ctx.q)
     report, ok = verify_counts(
-        ctx, cfg.g, cfg.tau, budget=cfg.budget, threads=cfg.threads)
+        ctx, args.g, args.tau, budget=args.budget, threads=args.threads)
     return report, EXIT_OK if ok else EXIT_MISMATCH, _render_verify_table
 
 
-def cmd_adapt(cfg: RunConfig):
-    blocks = split_blocks(_read_text(cfg.input_path))
+def cmd_adapt(args: argparse.Namespace):
+    blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) >= 2,
              "adapt needs a basis block followed by at least one flag-member block")
     ctx, basis_mat = parse_matrix_block(blocks[0])
@@ -219,8 +204,8 @@ def cmd_adapt(cfg: RunConfig):
     return payload, EXIT_OK, None
 
 
-def cmd_mu(cfg: RunConfig):
-    blocks = split_blocks(_read_text(cfg.input_path))
+def cmd_mu(args: argparse.Namespace):
+    blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) == 1, "mu expects exactly one map block")
     F = parse_map_block(blocks[0])
     xs = map_to_tuple(F)
@@ -236,13 +221,13 @@ def cmd_mu(cfg: RunConfig):
     return payload, EXIT_OK, None
 
 
-def cmd_nu(cfg: RunConfig):
-    blocks = split_blocks(_read_text(cfg.input_path))
+def cmd_nu(args: argparse.Namespace):
+    blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) == 1, "nu expects exactly one tuple block (vectors as rows)")
     ctx, X = parse_matrix_block(blocks[0])
     _require(X.rows == X.cols, "tuple block must be square: g vectors of length g")
     xs = X.row_list()
-    F = tuple_to_map(ctx, xs, cfg.tau)
+    F = tuple_to_map(ctx, xs, args.tau)
     r, s = tuple_profile(ctx, xs)
     payload = {
         "field": ctx.spec,
@@ -255,13 +240,13 @@ def cmd_nu(cfg: RunConfig):
     return payload, EXIT_OK, None
 
 
-def cmd_roundtrip(cfg: RunConfig):
-    _require(cfg.threads >= 1, "--threads must be >= 1")
-    ctx = parse_field_spec(cfg.field_spec)
-    _require(cfg.g is not None and cfg.g >= 1, "--g is required and must be >= 1")
+def cmd_roundtrip(args: argparse.Namespace):
+    _require(args.threads >= 1, "--threads must be >= 1")
+    ctx = parse_field_spec(args.field)
+    _check_g(args.g, ctx.q, least=1)
     report, ok = roundtrip_check(
-        ctx, cfg.g, cfg.tau,
-        budget=cfg.budget, threads=cfg.threads, seed=cfg.seed)
+        ctx, args.g, args.tau,
+        budget=args.budget, threads=args.threads, seed=args.seed)
     return report, EXIT_OK if ok else EXIT_MISMATCH, None
 
 
@@ -288,9 +273,8 @@ def _render_count_table(payload: dict) -> str:
 
 def _render_verify_table(payload: dict) -> str:
     lines = [f"field {payload['field']}  g={payload['g']}  tau={payload['tau']}"]
-    cells = [dict(c, enumerated=c["enumerated"] if c["enumerated"] is not None else "-")
-             for c in payload["cells"]]
-    lines += _render_cells(cells, ["r", "s", "theorem", "staged", "enumerated", "match"])
+    lines += _render_cells(payload["cells"],
+                           ["r", "s", "theorem", "staged", "enumerated", "match"])
     totals = payload["totals"]
     lines.append(f"totals: theorem={totals['theorem']} enumerated={totals['enumerated']} "
                  f"expected={totals['expected']}")
@@ -299,13 +283,13 @@ def _render_verify_table(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(payload: dict, cfg: RunConfig, renderer) -> None:
-    if cfg.pretty:
+def _emit(payload: dict, args: argparse.Namespace, renderer) -> None:
+    if args.pretty:
         text = renderer(payload) if renderer is not None else json.dumps(payload, indent=2)
     else:
         text = json.dumps(payload)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -322,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "over finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, field=False, g=False, tau=False, enum=False, io=False):
+    def common(p, handler, *, field=False, g=False, tau=False, enum=False, io=False):
         if field:
             p.add_argument("--field", required=True,
                            help="field spec, 'p^d' or 'p^d/c0,c1,...,cd' (little-endian modulus)")
@@ -343,74 +327,48 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="input file of text blocks, '-' for stdin")
         p.add_argument("--pretty", action="store_true", help="human-readable output")
         p.add_argument("--out", help="write the report to this path instead of stdout")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("count", help="profile counts from the two formula routes")
-    common(p, field=True, g=True)
+    common(p, cmd_count, field=True, g=True)
     p.add_argument("--r", type=int, help="rank, for a single cell (with --s)")
     p.add_argument("--s", type=int, help="stable rank, for a single cell (with --r)")
 
     p = sub.add_parser("verify", help="formulas vs. exhaustive enumeration")
-    common(p, field=True, g=True, tau=True, enum=True)
+    common(p, cmd_verify, field=True, g=True, tau=True, enum=True)
 
     p = sub.add_parser("adapt", help="adapt an ordered basis to a flag")
-    common(p, io=True)
+    common(p, cmd_adapt, io=True)
 
     p = sub.add_parser("mu", help="encode a map block as its vector tuple")
-    common(p, io=True)
+    common(p, cmd_mu, io=True)
 
     p = sub.add_parser("nu", help="decode a tuple block into a map")
-    common(p, tau=True, io=True)
+    common(p, cmd_nu, tau=True, io=True)
 
     p = sub.add_parser("roundtrip", help="exhaustive or sampled decode-encode check")
-    common(p, field=True, g=True, tau=True, enum=True)
+    common(p, cmd_roundtrip, field=True, g=True, tau=True, enum=True)
 
     p = sub.add_parser("field-info", help="describe a field spec")
-    common(p, field=True)
+    common(p, cmd_field_info, field=True)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        field_spec=getattr(args, "field", None),
-        g=getattr(args, "g", None),
-        tau=getattr(args, "tau", 0),
-        r=getattr(args, "r", None),
-        s=getattr(args, "s", None),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        threads=getattr(args, "threads", 1),
-        seed=getattr(args, "seed", 0),
-        pretty=args.pretty,
-        out=args.out,
-        input_path=getattr(args, "input", None),
-    )
-
-
-_HANDLERS = {
-    "count": cmd_count,
-    "verify": cmd_verify,
-    "adapt": cmd_adapt,
-    "mu": cmd_mu,
-    "nu": cmd_nu,
-    "roundtrip": cmd_roundtrip,
-    "field-info": cmd_field_info,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = _build_parser().parse_args(argv)
     try:
-        payload, code, renderer = _HANDLERS[cfg.command](cfg)
+        payload, code, renderer = args.handler(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ArithmeticError as exc:  # a count route refused to round, or the routes disagree
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
-    _emit(payload, cfg, renderer)
+    _emit(payload, args, renderer)
     return code
 
 

@@ -147,13 +147,20 @@ class CountTable:
         return sum(self.entries.values())
 
 
+def route_cells(g: int, q: int) -> list[tuple[int, int, int, int]]:
+    """(r, s, closed form, staged product) for every profile of g, sorted.
+
+    The one place the two formula routes run, each once per cell; callers
+    compare them."""
+    return [(r, s, closed_form_count(g, r, s, q), staged_count(g, r, s, q))
+            for r, s in profiles(g)]
+
+
 def formula_table(g: int, q: int) -> CountTable:
     """Closed-form counts for every profile, cross-checked against the
     staged route; any disagreement raises."""
     entries: dict[tuple[int, int], int] = {}
-    for r, s in profiles(g):
-        via_formula = closed_form_count(g, r, s, q)
-        via_stages = staged_count(g, r, s, q)
+    for r, s, via_formula, via_stages in route_cells(g, q):
         if via_formula != via_stages:
             raise ArithmeticError(
                 f"count routes disagree at g={g}, r={r}, s={s}, q={q}: "
@@ -208,7 +215,7 @@ def bruteforce_table(
     """
     total = ctx.q ** (g * g)
     if budget is not None and total > budget:
-        raise BudgetExceeded(f"q^(g^2) = {total} exceeds budget {budget}")
+        raise BudgetExceeded(f"q^(g^2) = {ctx.q}^{g * g} exceeds budget {budget}")
     tau %= ctx.d
     tasks = [
         (*field_key(ctx), g, tau, lo, min(lo + CHUNK_CODES, total))
@@ -227,53 +234,44 @@ def verify_counts(
     *,
     budget: int | None = DEFAULT_BUDGET,
     threads: int = 1,
-    enumerate_route: bool = True,
 ) -> tuple[dict, bool]:
     """Compare all routes cell by cell and check the corollary identities.
 
+    Enumerates first, so a run over budget raises before any formula work.
     Returns (report, ok).  The report is JSON-ready: counts as decimal
     strings, cells sorted by (r, s), fixed key order throughout.
     """
     q = ctx.q
-    formula = formula_table(g, q)
-    enum_table = None
-    if enumerate_route:
-        enum_table = bruteforce_table(ctx, g, tau, budget=budget, threads=threads)
+    enumerated = bruteforce_table(ctx, g, tau, budget=budget, threads=threads).entries
+    theorem = {}
     cells = []
-    ok = True
-    for r, s in profiles(g):
-        via_formula = formula.entries[(r, s)]
-        via_stages = staged_count(g, r, s, q)
-        via_enum = None if enum_table is None else enum_table.entries[(r, s)]
-        match = via_formula == via_stages and (via_enum is None or via_enum == via_formula)
-        ok = ok and match
+    for r, s, via_formula, via_stages in route_cells(g, q):
+        theorem[(r, s)] = via_formula
         cells.append({
             "r": r,
             "s": s,
             "theorem": str(via_formula),
             "staged": str(via_stages),
-            "enumerated": None if via_enum is None else str(via_enum),
-            "match": match,
+            "enumerated": str(enumerated[(r, s)]),
+            "match": via_formula == via_stages == enumerated[(r, s)],
         })
     expected_total = q ** (g * g)
+    theorem_total = sum(theorem.values())
     corollaries = {
-        "gl": formula.entries[(g, g)] == gl_order(g, q),
-        "nilpotent": sum(formula.entries[(r, 0)] for r in range(g + 1)) == q ** (g * g - g),
-        "total_mass": formula.total == expected_total,
+        "gl": theorem[(g, g)] == gl_order(g, q),
+        "nilpotent": sum(theorem[(r, 0)] for r in range(g + 1)) == q ** (g * g - g),
+        "total_mass": theorem_total == expected_total,
     }
-    ok = ok and all(corollaries.values())
-    if enum_table is not None:
-        ok = ok and enum_table.total == expected_total
     report = {
         "field": ctx.spec,
         "g": g,
         "tau": tau % ctx.d,
         "cells": cells,
         "totals": {
-            "theorem": str(formula.total),
-            "enumerated": None if enum_table is None else str(enum_table.total),
+            "theorem": str(theorem_total),
+            "enumerated": str(sum(enumerated.values())),
             "expected": str(expected_total),
         },
         "corollaries": corollaries,
     }
-    return report, ok
+    return report, all(c["match"] for c in cells) and all(corollaries.values())

@@ -22,20 +22,31 @@ codes are the polynomial-basis codes above, whatever c is.  Fields with
 more than FIELD_LIMIT elements are refused at construction, so a field is
 always small enough to tabulate.
 
-Irreducibility is decided by Rabin's test and primality by deterministic
+Irreducibility is decided by Ben-Or's test and primality by deterministic
 Miller-Rabin, so validating a field spec takes time polynomial in d and
 log p.  The default modulus is the lexicographically least irreducible
 (coefficients read as a little-endian base-p integer), so results are
-reproducible bit-for-bit across runs and machines.
+reproducible bit-for-bit across runs and machines.  The degree is bounded
+by DEGREE_LIMIT and the search for the default modulus by SEARCH_LIMIT
+candidates, so no spec keeps a validation running unbounded.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 # Largest field order a FiniteField is built for; parse_spec and
 # validate_field, which build no tables, accept larger ones.
 FIELD_LIMIT = 1 << 16
+
+# Largest extension degree d accepted, with or without a modulus.
+DEGREE_LIMIT = 64
+
+# Candidates the default-modulus search tries before it gives up.  Every
+# field with at most FIELD_LIMIT elements finds its modulus among the
+# first 65; the search runs past about p candidates only when no binomial
+# x^d + c is irreducible (x^4 + c when p = 3 mod 4, x^3 + c when p = 2 mod 3).
+SEARCH_LIMIT = 1024
 
 
 # Miller-Rabin with the first 13 primes as bases is proven to decide
@@ -73,10 +84,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _code_to_digits(code: int, p: int, d: int) -> list[int]:
+def _digits(code: int, base: int, n: int) -> list[int]:
+    """The n little-endian base-`base` digits of a code."""
     digits = []
-    for _ in range(d):
-        code, r = divmod(code, p)
+    for _ in range(n):
+        code, r = divmod(code, base)
         digits.append(r)
     return digits
 
@@ -127,32 +139,34 @@ def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
 def _monic_polys(p: int, degree: int):
     """All monic polynomials of the given degree over GF(p), little-endian."""
     for low in range(p**degree):
-        digits = []
-        c = low
-        for _ in range(degree):
-            c, r = divmod(c, p)
-            digits.append(r)
-        yield digits + [1]
+        yield _digits(low, p, degree) + [1]
 
 
 def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Rabin's test for a monic f of degree d >= 1 over GF(p): f is
-    irreducible iff x^(p^d) = x mod f and gcd(x^(p^(d/l)) - x, f) = 1 for
-    every prime l dividing d (Rabin, SIAM J. Comput. 1980)."""
+    """Ben-Or's test for a monic f of degree d >= 1 over GF(p): f is
+    irreducible iff gcd(x^(p^i) - x, f) = 1 for every i <= d/2, since
+    x^(p^i) - x is the product of the monic irreducibles of degree
+    dividing i (Ben-Or, FOCS 1981).  It stops at the first factor found,
+    so a reducible candidate mostly costs one p-th power; later p-th
+    powers apply the matrix of the GF(p)-linear map a -> a^p mod f."""
     d = len(modulus) - 1
-    if d < 1:
-        return False
+    if d < 2:
+        return d == 1
     f = list(modulus)
-    x = _poly_rem([0, 1], f, p)
-    frob = [x]  # frob[k] = x^(p^k) mod f
-    for _ in range(d):
-        frob.append(_poly_powmod(frob[-1], p, modulus, p))
-    if frob[d] != x:
-        return False
-    for l in _prime_factors(d):
-        h = zip_longest(frob[d // l], x, fillvalue=0)
-        a, b = f, _poly_trim([(u - v) % p for u, v in h])  # x^(p^(d/l)) - x
-        while b:  # Euclid: a ends as gcd(f, x^(p^(d/l)) - x)
+    xp = _poly_powmod([0, 1], p, modulus, p)
+    rows = [[1]]  # rows[j] = x^(jp) mod f, built up to j < d once needed
+    h = xp  # x^(p^i) mod f
+    for i in range(1, d // 2 + 1):
+        if i > 1:
+            while len(rows) < d:
+                rows.append(_poly_mulmod(rows[-1], xp, modulus, p))
+            acc = [0] * d
+            for c, row in zip(h, rows):  # h^p = sum of h_j·x^(jp), as h_j^p = h_j
+                for j, y in enumerate(row):
+                    acc[j] += c * y
+            h = _poly_trim([v % p for v in acc])
+        a, b = f, _poly_trim([(u - v) % p for u, v in zip_longest(h, [0, 1], fillvalue=0)])
+        while b:  # Euclid: a ends as gcd(f, x^(p^i) - x)
             a, b = b, _poly_rem(a, b, p)
         if len(a) > 1:
             return False
@@ -162,10 +176,12 @@ def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
 def _least_irreducible(p: int, d: int) -> tuple[int, ...]:
     # Lex-least means the lower coefficients, read little-endian base p,
     # are minimal; the leading 1 is shared by every candidate.
-    for candidate in _monic_polys(p, d):
+    for candidate in islice(_monic_polys(p, d), SEARCH_LIMIT):
         if is_irreducible(tuple(candidate), p):
             return tuple(candidate)
-    raise AssertionError(f"no irreducible degree-{d} polynomial over GF({p})")
+    raise ValueError(f"no irreducible modulus of degree {d} over GF({p}) among the first "
+                     f"SEARCH_LIMIT = {SEARCH_LIMIT} candidates; pass the modulus explicitly, "
+                     f"as '{p}^{d}/c0,c1,...,c{d}'")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -199,7 +215,7 @@ def _least_primitive(p: int, d: int, modulus: tuple[int, ...]) -> int:
     n = p**d - 1
     primes = _prime_factors(n)
     for c in range(1, n + 1):
-        a = _poly_trim(_code_to_digits(c, p, d))
+        a = _poly_trim(_digits(c, p, d))
         if all(_poly_powmod(a, n // l, modulus, p) != [1] for l in primes):
             return c
     raise AssertionError(f"modulus {modulus} over GF({p}) has no primitive element")
@@ -225,6 +241,12 @@ def spec_str(p: int, d: int, modulus: tuple[int, ...]) -> str:
     return f"{p}^{d}/{','.join(str(c) for c in modulus)}"
 
 
+def _check_field_size(p: int, d: int) -> None:
+    if p**d > FIELD_LIMIT:
+        raise ValueError(f"GF({p}^{d}) has {p**d} elements, "
+                         f"above the field-size bound FIELD_LIMIT = {FIELD_LIMIT}")
+
+
 class FiniteField:
     """GF(p^d) with a fixed monic irreducible modulus; owns element arithmetic.
 
@@ -239,9 +261,7 @@ class FiniteField:
         self.d = d
         self.q = p**d
         self.modulus = modulus
-        if self.q > FIELD_LIMIT:
-            raise ValueError(f"GF({p}^{d}) has {self.q} elements, "
-                             f"above the field-size bound FIELD_LIMIT = {FIELD_LIMIT}")
+        _check_field_size(p, d)
         self._frob: dict[int, list[int]] = {}
         self._build_tables()
 
@@ -264,13 +284,13 @@ class FiniteField:
             # reduce the low and the high places mod p back to a code.  One
             # step of the walk c^k -> c^(k+1) is then four lookups and a few
             # integer operations, and no list exceeds 2q entries.
-            c = _poly_trim(_code_to_digits(c, p, d))
+            c = _poly_trim(_digits(c, p, d))
             h = (d + 1) // 2
             H, W = p**h, 2 * p - 1
             Wh = W**h
 
             def image(u: int) -> int:
-                digits = _poly_mulmod(_poly_trim(_code_to_digits(u, p, d)), c, modulus, p)
+                digits = _poly_mulmod(_poly_trim(_digits(u, p, d)), c, modulus, p)
                 return sum(x * W**j for j, x in enumerate(digits))
 
             def reduce_places(size: int) -> list[int]:
@@ -436,7 +456,7 @@ class FiniteField:
 
     def element_str(self, a: int) -> str:
         """Human-readable polynomial form of an element code."""
-        return poly_str(_code_to_digits(a, self.p, self.d))
+        return poly_str(_digits(a, self.p, self.d))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteField):
@@ -462,6 +482,9 @@ def validate_field(p: int, d: int, modulus=None) -> tuple[int, int, tuple[int, .
         raise ValueError(f"p = {p} is not prime")
     if d < 1:
         raise ValueError(f"extension degree d = {d} must be >= 1")
+    if d > DEGREE_LIMIT:
+        raise ValueError(f"extension degree d = {d} is above the bound "
+                         f"DEGREE_LIMIT = {DEGREE_LIMIT}")
     if modulus is None:
         modulus = _least_irreducible(p, d)
     else:
@@ -505,9 +528,9 @@ def cached_field(p: int, d: int, modulus: tuple[int, ...]) -> FiniteField:
     return ctx
 
 
-def parse_spec(spec: str) -> tuple[int, int, tuple[int, ...]]:
-    """Parse "p^d" or "p^d/c_0,c_1,...,c_d" (little-endian coefficients)
-    and validate it, without building the field's tables."""
+def _split_spec(spec: str) -> tuple[int, int, tuple[int, ...] | None]:
+    """p, d and the modulus (None when omitted) of "p^d" or
+    "p^d/c_0,c_1,...,c_d" (little-endian coefficients), unvalidated."""
     spec = spec.strip()
     body, _, mod_part = spec.partition("/")
     try:
@@ -522,9 +545,19 @@ def parse_spec(spec: str) -> tuple[int, int, tuple[int, ...]]:
             modulus = tuple(int(c) for c in mod_part.split(","))
         except ValueError:
             raise ValueError(f"malformed modulus in field spec {spec!r}")
-    return validate_field(p, d, modulus)
+    return p, d, modulus
+
+
+def parse_spec(spec: str) -> tuple[int, int, tuple[int, ...]]:
+    """Parse "p^d" or "p^d/c_0,c_1,...,c_d" (little-endian coefficients)
+    and validate it, without building the field's tables."""
+    return validate_field(*_split_spec(spec))
 
 
 def parse_field_spec(spec: str) -> FiniteField:
-    """The field a spec string names; see `parse_spec`."""
-    return FiniteField(*parse_spec(spec))
+    """The field a spec string names; see `parse_spec`.  Its size is held
+    to FIELD_LIMIT before the modulus is checked or searched for."""
+    p, d, modulus = _split_spec(spec)
+    if 1 <= d <= DEGREE_LIMIT:
+        _check_field_size(p, d)
+    return FiniteField(*validate_field(p, d, modulus))

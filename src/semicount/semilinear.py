@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, NamedTuple
 
-from .gf import FiniteField
+from .gf import FiniteField, _digits
 from .linalg import (
     Matrix,
     Vector,
@@ -153,15 +153,6 @@ def nil_part(F: SemilinearMap) -> tuple[Vector, ...]:
     return rref_basis(ctx, vs)
 
 
-def _digits(code: int, q: int, n: int) -> list[int]:
-    """The n little-endian base-q digits of a code."""
-    digits = []
-    for _ in range(n):
-        code, rem = divmod(code, q)
-        digits.append(rem)
-    return digits
-
-
 def _from_digits(digits, q: int) -> int:
     code = 0
     for x in reversed(digits):
@@ -185,21 +176,13 @@ def enumerate_maps(
     tau: int,
     *,
     budget: int | None = DEFAULT_BUDGET,
-    start: int = 0,
-    stop: int | None = None,
 ) -> Iterator[SemilinearMap]:
-    """All q^(g^2) endomorphisms with the given twist, in matrix-code order.
-
-    `start`/`stop` restrict to a code sub-range so disjoint chunks can be
-    handed to parallel workers; the stream order is deterministic either way.
-    """
+    """All q^(g^2) endomorphisms with the given twist, in matrix-code order."""
     total = ctx.q ** (g * g)
     if budget is not None and total > budget:
-        raise BudgetExceeded(f"q^(g^2) = {total} exceeds budget {budget}")
-    if stop is None:
-        stop = total
+        raise BudgetExceeded(f"q^(g^2) = {ctx.q}^{g * g} exceeds budget {budget}")
     tau %= ctx.d
-    for code in range(start, stop):
+    for code in range(total):
         yield SemilinearMap(matrix_from_code(ctx, g, code), tau)
 
 

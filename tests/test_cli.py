@@ -320,3 +320,170 @@ def test_golden_outputs(capsys, monkeypatch):
     assert code == 0 and out == (
         '{"field": "3^1/0,1", "g": 3, "dims": [3, 2, 1], '
         '"basis": [[2, 0, 1], [2, 1, 0], [1, 0, 1]], "pivot_sets": [[0, 2], [0]]}\n')
+
+
+def test_verify_and_count_reports_pinned(capsys):
+    # stdout of the parent of the single census pass, byte for byte
+    pinned = {
+        ("verify", "--field", "3^1", "--g", "2"):
+            "fed5c517215834b256e67de5a532de755e3c06e607bfd42d82d715076724f89b",
+        ("verify", "--field", "3^1", "--g", "2", "--pretty"):
+            "c067173b89c45959ac7b033e4ccdccc9ba17f9f1f5d3cfc9d24ff4b6ebbd3dce",
+        ("verify", "--field", "2^2", "--g", "2", "--tau", "1"):
+            "38411e711e8bbfabb8aa84895b82a79b647b182cc95bf96a5fcddf4833f66f30",
+        ("verify", "--field", "2^2", "--g", "2", "--tau", "1", "--pretty"):
+            "7e00bc72a97dd7104b4691cd44a416374ac03cb06e1fa0e82027d5c11b283545",
+        ("count", "--field", "3^1", "--g", "3", "--pretty"):
+            "877a9d1b531899b3f25016c9142339b36d0c2471dfd333ce171f82f9aa050de0",
+    }
+    for argv, digest in pinned.items():
+        for threads in ([], ["--threads", "2"]) if argv[0] == "verify" else ([],):
+            code, out, _ = run(capsys, *argv, *threads)
+            assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def _staged_off_by_one_at_1_0(monkeypatch):
+    import semicount.counting as counting
+    real = counting.staged_count
+    monkeypatch.setattr(counting, "staged_count",
+                        lambda g, r, s, q: real(g, r, s, q) + ((r, s) == (1, 0)))
+
+
+def test_route_disagreement_is_reported_not_raised(capsys, monkeypatch):
+    _staged_off_by_one_at_1_0(monkeypatch)
+    for argv in [("count", "--field", "2^1", "--g", "2"),
+                 ("verify", "--field", "2^1", "--g", "2")]:
+        code, out, _ = run(capsys, *argv)
+        matches = {(c["r"], c["s"]): c["match"] for c in json.loads(out)["cells"]}
+        assert code == 1 and matches.pop((1, 0)) is False and all(matches.values()), argv
+    # the round trip holds its tallies to formula_table, which refuses to pick a route
+    code, out, err = run(capsys, "roundtrip", "--field", "2^1", "--g", "2")
+    assert code == 1 and out == "" and "routes disagree at g=2, r=1, s=0" in err
+    # a sample is not compared with the census, so it never asks for one
+    code, out, _ = run(capsys, "roundtrip", "--field", "2^1", "--g", "2", "--budget", "10")
+    assert code == 0 and json.loads(out)["failures"] == 0
+
+
+def test_count_exits_1_when_the_census_misses_its_total(capsys, monkeypatch):
+    # both routes agree on a wrong cell: every match holds, the total does not
+    import semicount.counting as counting
+    real = counting.route_cells
+    monkeypatch.setattr(counting, "route_cells", lambda g, q: [
+        (r, s, a + 1, b + 1) if (r, s) == (0, 0) else (r, s, a, b)
+        for r, s, a, b in real(g, q)])
+    monkeypatch.setattr(cli, "route_cells", counting.route_cells)
+    code, out, _ = run(capsys, "count", "--field", "2^1", "--g", "2")
+    payload = json.loads(out)
+    assert code == 1 and payload["total"] == "17"
+    assert all(c["match"] for c in payload["cells"])
+
+
+def test_closed_form_refusing_to_round_exits_1(capsys, monkeypatch):
+    import semicount.counting as counting
+
+    def refuses(g, r, s, q):
+        raise ArithmeticError(f"count is not an integer at g={g}, r={r}, s={s}, q={q}")
+
+    monkeypatch.setattr(counting, "closed_form_count", refuses)
+    code, out, err = run(capsys, "count", "--field", "2^1", "--g", "2")
+    assert code == 1 and out == "" and "not an integer" in err
+
+
+def test_verify_checks_the_budget_before_any_formula_work(capsys, monkeypatch):
+    import semicount.counting as counting
+    monkeypatch.setattr(counting, "closed_form_count",
+                        lambda *args: pytest.fail("formula evaluated"))
+    code, out, err = run(capsys, "verify", "--field", "13^1", "--g", "40")
+    assert code == 3 and out == "" and "13^1600 exceeds budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--field", "3^1", "--g", "3"),
+    ("count", "--field", "3^1", "--g", "3", "--pretty"),
+    ("verify", "--field", "3^1", "--g", "2"),
+    ("verify", "--field", "2^2", "--g", "2", "--tau", "1", "--threads", "2"),
+])
+def test_each_route_runs_once_per_cell(capsys, monkeypatch, argv):
+    import collections
+    import semicount.counting as counting
+    calls = collections.Counter()
+    for name in ("closed_form_count", "staged_count"):
+        def counted(g, r, s, q, real=getattr(counting, name), name=name):
+            calls[name, r, s] += 1
+            return real(g, r, s, q)
+        monkeypatch.setattr(counting, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    code, _, _ = run(capsys, *argv)
+    g = int(argv[argv.index("--g") + 1])
+    assert code == 0
+    assert calls == {(name, r, s): 1 for name in ("closed_form_count", "staged_count")
+                     for r, s in counting.profiles(g)}
+
+
+# --- bounds on g, on printed size and on the field spec ----------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("roundtrip", "--field", "2^1", "--g", "3000"),
+    ("roundtrip", "--field", "2^1", "--g", "65"),
+    ("count", "--field", "2^1", "--g", "65"),
+    ("verify", "--field", "2^1", "--g", "65"),
+    ("count", "--field", "2^1", "--g", "-1"),
+    ("roundtrip", "--field", "2^1", "--g", "0"),
+])
+def test_g_outside_its_bounds_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and f"G_LIMIT = {cli.G_LIMIT}" in err
+    assert cli.G_LIMIT == 64
+
+
+@pytest.mark.parametrize("argv, power", [
+    (("count", "--field", "2305843009213693951^1", "--g", "16"), "2305843009213693951^256"),
+    (("count", "--field", "2^64", "--g", "64"), "18446744073709551616^4096"),
+    (("verify", "--field", "2^8", "--g", "50"), "256^2500"),
+    (("roundtrip", "--field", "2^16", "--g", "64"), "65536^4096"),
+])
+def test_census_too_long_to_print_exits_2_up_front(capsys, argv, power):
+    # each used to fail on Python's own digit limit, count 2^64 after 280 s
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"q^(g^2) = {power} has more than 4300 decimal digits" in err
+    assert "Exceeds the limit" not in err
+
+
+def test_digit_bound_is_exact(capsys, monkeypatch):
+    # 7^100 has 85 decimal digits
+    monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 85)
+    payload = run_json(capsys, "count", "--field", "7^1", "--g", "10")
+    assert payload["total"] == str(7 ** 100)
+    monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 84)
+    code, _, err = run(capsys, "count", "--field", "7^1", "--g", "10")
+    assert code == 2 and "7^100 has more than 84 decimal digits" in err
+
+
+def test_budget_message_names_the_power(capsys):
+    code, out, err = run(capsys, "verify", "--field", "2^1", "--g", "48")
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: q^(g^2) = 2^2304 exceeds budget 67108864\n"
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("count", "--field", "1000003^4", "--g", "1"), "SEARCH_LIMIT"),
+    (("count", "--field", "2305843009213693951^4", "--g", "1"), "SEARCH_LIMIT"),
+    (("count", "--field", "1000000000000000841^3", "--g", "1"), "SEARCH_LIMIT"),
+    (("field-info", "--field", "65519^4"), "SEARCH_LIMIT"),
+    (("count", "--field", "2^80", "--g", "1"), "DEGREE_LIMIT"),
+    (("verify", "--field", "1000003^4", "--g", "1"), "FIELD_LIMIT"),
+])
+def test_spec_bounds_exit_2(capsys, argv, bound):
+    # each hung: the default-modulus search walked every binomial first
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and bound in err
+    if bound == "SEARCH_LIMIT":
+        assert "pass the modulus explicitly" in err
+
+
+def test_explicit_modulus_skips_the_search(capsys):
+    payload = run_json(capsys, "count", "--field", "1000003^4/1,1,0,0,1", "--g", "1")
+    assert payload["q"] == 1000003 ** 4
+    payload = run_json(capsys, "count", "--field", "2^64", "--g", "2")
+    assert payload["total"] == str(2 ** 256)

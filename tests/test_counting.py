@@ -225,13 +225,6 @@ def test_verify_counts_report_shape():
     assert report["corollaries"] == {"gl": True, "nilpotent": True, "total_mass": True}
 
 
-def test_verify_counts_formula_only():
-    report, ok = verify_counts(GF9, 3, 1, enumerate_route=False)
-    assert ok
-    assert report["totals"]["enumerated"] is None
-    assert all(c["enumerated"] is None and c["match"] for c in report["cells"])
-
-
 def test_verify_counts_field_without_tables():
     # a large prime field: its own tables are O(q), and at g = 1 the
     # enumeration kernel builds none

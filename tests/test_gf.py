@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import semicount.gf as gf
 from semicount.gf import (
+    DEGREE_LIMIT,
     FIELD_LIMIT,
     PRIME_LIMIT,
+    SEARCH_LIMIT,
     FiniteField,
     _least_irreducible,
     _least_primitive,
@@ -96,11 +99,11 @@ def test_is_prime_on_strong_pseudoprimes_and_large_primes():
 
 
 # every monic polynomial of degree d with p^d <= 2^8, 3^5, 5^3, 7^2
-RABIN_CASES = [(2, d) for d in range(1, 9)] + [(3, d) for d in range(1, 6)] + [
+IRREDUCIBILITY_CASES = [(2, d) for d in range(1, 9)] + [(3, d) for d in range(1, 6)] + [
     (5, d) for d in range(1, 4)] + [(7, 1), (7, 2)]
 
 
-@pytest.mark.parametrize("p,d", RABIN_CASES)
+@pytest.mark.parametrize("p,d", IRREDUCIBILITY_CASES)
 def test_is_irreducible_matches_trial_division(p, d):
     candidates = list(helpers.monic_polys(p, d))
     verdicts = [is_irreducible(f, p) for f in candidates]
@@ -118,6 +121,37 @@ def test_spec_validation_of_large_fields_is_fast():
     assert validate_field(p, 1) == (p, 1, (0, 1))
     with pytest.raises(ValueError, match="PRIME_LIMIT"):
         validate_field(2 ** 89 - 1, 1)
+
+
+def test_degree_and_modulus_search_are_bounded(monkeypatch):
+    # validate_field(2, 80) took 3.7 s and (2, 256) over a minute
+    for d in (DEGREE_LIMIT + 1, 256):
+        with pytest.raises(ValueError, match=f"DEGREE_LIMIT = {DEGREE_LIMIT}"):
+            validate_field(2, d)
+    # with p = 3 mod 4 no x^4 + c is irreducible, so the search walks past
+    # every binomial: it now stops at SEARCH_LIMIT candidates
+    for p in (1_000_003, 2 ** 61 - 1):
+        with pytest.raises(ValueError, match=f"SEARCH_LIMIT = {SEARCH_LIMIT}.*explicitly"):
+            validate_field(p, 4)
+    # 1019^4 is found at lex index 1023, the last candidate the search tries
+    assert validate_field(1019, 4)[2] == (4, 1, 0, 0, 1)
+    with pytest.raises(ValueError, match="SEARCH_LIMIT"):
+        validate_field(1031, 4)
+    # an explicit modulus is never searched for
+    assert validate_field(1_000_003, 4, (1, 1, 0, 0, 1))[2] == (1, 1, 0, 0, 1)
+    monkeypatch.setattr(gf, "SEARCH_LIMIT", 8)
+    with pytest.raises(ValueError, match="SEARCH_LIMIT = 8"):
+        validate_field(2, 8)  # x^8+x^4+x^3+x+1 sits at lex index 27
+    assert validate_field(2, 4)[2] == (1, 1, 0, 0, 1)  # lex index 3
+
+
+def test_field_size_is_checked_before_the_modulus_search(monkeypatch):
+    monkeypatch.setattr(gf, "_least_irreducible", lambda p, d: pytest.fail("searched"))
+    for spec in ["1000003^4", "2305843009213693951^4", "2^17"]:
+        with pytest.raises(ValueError, match=f"FIELD_LIMIT = {FIELD_LIMIT}"):
+            parse_field_spec(spec)
+    with pytest.raises(ValueError, match="DEGREE_LIMIT"):
+        parse_field_spec(f"2^{10 ** 9}")
 
 
 def test_prime_field_of_order_65521():
