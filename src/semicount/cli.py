@@ -67,6 +67,7 @@ def split_blocks(text: str) -> list[list[str]]:
 
 
 def parse_matrix_block(lines: list[str]) -> tuple[FiniteField, Matrix]:
+    _require(bool(lines), "missing matrix block: expected a 'rows cols fieldspec' header")
     header = lines[0].split()
     if len(header) != 3:
         raise ValueError(f"matrix header must be 'rows cols fieldspec', got {lines[0]!r}")
@@ -90,6 +91,7 @@ def parse_matrix_block(lines: list[str]) -> tuple[FiniteField, Matrix]:
 
 
 def parse_map_block(lines: list[str]) -> SemilinearMap:
+    _require(bool(lines), "missing map block: expected a 'tau <i>' line")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "tau":
         raise ValueError(f"map block must start with 'tau <i>', got {lines[0]!r}")
@@ -160,11 +162,13 @@ def cmd_count(args: argparse.Namespace):
         return payload, EXIT_OK if payload["match"] else EXIT_MISMATCH, None
     cells = route_cells(g, q)
     total = sum(via_formula for _, _, via_formula, _ in cells)
-    payload["cells"] = [
-        {"r": r, "s": s, "theorem": str(via_formula), "staged": str(via_stages),
-         "match": via_formula == via_stages}
-        for r, s, via_formula, via_stages in cells
-    ]
+    payload["cells"] = []
+    for r, s, via_formula, via_stages in cells:
+        text = str(via_formula)  # printed once when the routes agree: str() is quadratic
+        payload["cells"].append(
+            {"r": r, "s": s, "theorem": text,
+             "staged": text if via_stages == via_formula else str(via_stages),
+             "match": via_formula == via_stages})
     payload["total"] = str(total)
     ok = total == q ** (g * g) and all(cell["match"] for cell in payload["cells"])
     return payload, EXIT_OK if ok else EXIT_MISMATCH, _render_count_table

@@ -52,16 +52,32 @@ def gl_order(g: int, q: int) -> int:
     return out
 
 
+# The staged route's falling products prod_{i<d} (q^n - q^i), one row per
+# (q, n) holding d = 0, 1, ...; a row grows only as far as a caller reads
+# it, and the oldest rows go first past the bound.
+_FALLING_ROWS = 512
+_falling_rows: dict[tuple[int, int], list[int]] = {}
+
+
+def _falling(n: int, d: int, q: int) -> int:
+    """prod_{i<d} (q^n - q^i), for 0 <= d."""
+    row = _falling_rows.get((q, n))
+    if row is None:
+        if len(_falling_rows) >= _FALLING_ROWS:
+            del _falling_rows[next(iter(_falling_rows))]
+        row = _falling_rows[q, n] = [1]
+    if len(row) <= d:
+        qn = q**n
+        while len(row) <= d:
+            row.append(row[-1] * (qn - q ** (len(row) - 1)))
+    return row[d]
+
+
 def gaussian_binomial(n: int, d: int, q: int) -> int:
     """Number of d-dimensional subspaces of an n-dimensional space."""
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
-    num = 1
-    den = 1
-    for i in range(d):
-        num *= q**n - q**i
-        den *= q**d - q**i
-    out, rem = divmod(num, den)
+    out, rem = divmod(_falling(n, d, q), _falling(d, d, q))
     assert rem == 0
     return out
 
@@ -73,10 +89,7 @@ def surjection_count(m: int, d: int, q: int) -> int:
         return 1
     if d > m:
         return 0
-    out = 1
-    for i in range(d):
-        out *= q**m - q**i
-    return out
+    return _falling(m, d, q)
 
 
 def spanning_tuple_count(n: int, d: int, q: int) -> int:
@@ -94,19 +107,25 @@ def staged_count(g: int, r: int, s: int, q: int) -> int:
     independent choices for the last s tuple entries, q^{s(g-s)} lifts,
     then the leading-block count with n = g-s and d = r-s."""
     _check_profile(g, r, s)
-    out = 1
-    for i in range(s):
-        out *= q**g - q**i
-    out *= q ** (s * (g - s))
-    return out * spanning_tuple_count(g - s, r - s, q)
+    return _falling(g, s, q) * q ** (s * (g - s)) * spanning_tuple_count(g - s, r - s, q)
 
 
-def _one_minus_q_pow(q: int, lo: int, hi: int) -> Fraction:
-    """prod_{j=lo}^{hi} (1 - q^-j); empty when lo > hi."""
-    out = Fraction(1)
-    for j in range(lo, hi + 1):
-        out *= 1 - Fraction(1, q**j)
-    return out
+# The closed form's q-Pochhammer prefixes N(n) = prod_{j=1}^{n} (q^j - 1),
+# one list per q grown on demand; the oldest q goes first past the bound.
+_POCHHAMMER_QS = 16
+_pochhammer_rows: dict[int, list[int]] = {}
+
+
+def _pochhammer(q: int, n: int) -> list[int]:
+    """[N(0), ..., N(n)] at least."""
+    N = _pochhammer_rows.get(q)
+    if N is None:
+        if len(_pochhammer_rows) >= _POCHHAMMER_QS:
+            del _pochhammer_rows[next(iter(_pochhammer_rows))]
+        N = _pochhammer_rows[q] = [1]
+    while len(N) <= n:
+        N.append(N[-1] * (q ** len(N) - 1))
+    return N
 
 
 def closed_form_count(g: int, r: int, s: int, q: int) -> int:
@@ -115,15 +134,27 @@ def closed_form_count(g: int, r: int, s: int, q: int) -> int:
     q^{g^2 - (g-r)^2 - (r-s)} times a ratio of four descending products
     in q^-1.  The value is always an integer; a fractional result would
     mean the implementation is wrong, so it raises rather than rounds.
+
+    Each product prod_{j=lo}^{hi} (1 - q^-j) is N(hi)/N(lo-1) times
+    q^-(T(hi) - T(lo-1)), with T(n) = n(n+1)/2; a range from lo = 0 holds
+    the factor 1 - q^0 = 0.
     """
     _check_profile(g, r, s)
-    num = _one_minus_q_pow(q, 1, g) * _one_minus_q_pow(q, g - r, g - s - 1)
-    den = _one_minus_q_pow(q, 1, r - s) * _one_minus_q_pow(q, 1, g - r)
-    value = Fraction(q) ** (g * g - (g - r) ** 2 - (r - s)) * num / den
-    if value.denominator != 1:
+    a, b = g - r, r - s
+    if a == 0 and b > 0:
+        return 0
+    N = _pochhammer(q, g)
+    # numerator prod_{1}^{g} * prod_{a}^{g-s-1}, denominator prod_{1}^{b} * prod_{1}^{a}
+    num, den = N[g], N[b] * N[a]
+    if b > 0:
+        num, den = num * N[g - s - 1], den * N[a - 1]
+    # with the q^-T parts the power of q is q^e, e = sum_{j=a}^{g-1} j - ab >= 0
+    num *= q ** ((g * (g - 1) - a * (a - 1)) // 2 - a * b)
+    value, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError(
-            f"count is not an integer at g={g}, r={r}, s={s}, q={q}: {value}")
-    return value.numerator
+            f"count is not an integer at g={g}, r={r}, s={s}, q={q}: {Fraction(num, den)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -247,12 +278,14 @@ def verify_counts(
     cells = []
     for r, s, via_formula, via_stages in route_cells(g, q):
         theorem[(r, s)] = via_formula
+        text = str(via_formula)  # printed once when the routes agree: str() is quadratic
         cells.append({
             "r": r,
             "s": s,
-            "theorem": str(via_formula),
-            "staged": str(via_stages),
-            "enumerated": str(enumerated[(r, s)]),
+            "theorem": text,
+            "staged": text if via_stages == via_formula else str(via_stages),
+            "enumerated": text if enumerated[(r, s)] == via_formula
+            else str(enumerated[(r, s)]),
             "match": via_formula == via_stages == enumerated[(r, s)],
         })
     expected_total = q ** (g * g)

@@ -9,6 +9,7 @@ between these oracles and the library is a real check, not a tautology.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -260,3 +261,36 @@ def direct_adapt(p, modulus, e_basis, U_set: frozenset, g: int):
     adapted = [e_basis[j] for j in range(g) if j not in J]
     adapted += [chosen[j] for j in sorted(J)]
     return adapted, J, match_counts
+
+
+# --- the two census formulas, factor by factor -------------------------------
+
+def naive_closed_form(g: int, r: int, s: int, q: int) -> int:
+    """The closed form with every factor 1 - q^-j built as its own rational."""
+    def run(lo, hi):
+        out = Fraction(1)
+        for j in range(lo, hi + 1):
+            out *= 1 - Fraction(1, q ** j)
+        return out
+
+    value = (Fraction(q) ** (g * g - (g - r) ** 2 - (r - s))
+             * run(1, g) * run(g - r, g - s - 1) / (run(1, r - s) * run(1, g - r)))
+    assert value.denominator == 1
+    return value.numerator
+
+
+def naive_staged(g: int, r: int, s: int, q: int) -> int:
+    """The staged product with every falling product built factor by factor:
+    the last s entries, the lifts, the span of the leading block, then a
+    surjection onto it."""
+    def falling(n, d):
+        out = 1
+        for i in range(d):
+            out *= q ** n - q ** i
+        return out
+
+    n, d = g - s, r - s
+    subspaces, rem = divmod(falling(n, d), falling(d, d))
+    assert rem == 0
+    surjections = 1 if d == 0 else 0 if d > n - 1 else falling(n - 1, d)
+    return falling(g, s) * q ** (s * (g - s)) * subspaces * surjections

@@ -422,6 +422,22 @@ def test_each_route_runs_once_per_cell(capsys, monkeypatch, argv):
 
 # --- bounds on g, on printed size and on the field spec ----------------------------
 
+@pytest.mark.parametrize("q", [2, 11])
+def test_count_at_the_g_bound(capsys, q):
+    # 11^(64^2) has 4,265 digits, just under Python's limit on printed integers
+    g = cli.G_LIMIT
+    payload = run_json(capsys, "count", "--field", f"{q}^1", "--g", str(g))
+    cells = {(c["r"], c["s"]): c for c in payload["cells"]}
+    assert len(cells) == (g + 1) * (g + 2) // 2
+    assert all(c["match"] is True and c["staged"] == c["theorem"] for c in cells.values())
+    assert payload["total"] == str(q ** (g * g))
+    gl = 1
+    for i in range(g):
+        gl *= q ** g - q ** i
+    assert cells[g, g]["theorem"] == str(gl)
+    assert sum(int(cells[r, 0]["theorem"]) for r in range(g + 1)) == q ** (g * g - g)
+
+
 @pytest.mark.parametrize("argv", [
     ("roundtrip", "--field", "2^1", "--g", "3000"),
     ("roundtrip", "--field", "2^1", "--g", "65"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import semicount.counting as counting
 from semicount.counting import (
     CountTable,
     bruteforce_table,
@@ -14,6 +15,7 @@ from semicount.counting import (
     gaussian_binomial,
     gl_order,
     profiles,
+    route_cells,
     spanning_tuple_count,
     staged_count,
     surjection_count,
@@ -123,6 +125,65 @@ def test_formula_table_totals_and_corollaries():
         assert table.entries[(g, g)] == gl_order(g, q)
         nilpotent = sum(table.entries[(r, 0)] for r in range(g + 1))
         assert nilpotent == q ** (g * g - g)
+
+
+# --- prefix products against factor-by-factor oracles ----------------------------
+
+def naive_cells(g, q):
+    return [(r, s, helpers.naive_closed_form(g, r, s, q), helpers.naive_staged(g, r, s, q))
+            for r, s in profiles(g)]
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Empty prefix caches for both routes, restored afterwards."""
+    monkeypatch.setattr(counting, "_falling_rows", {})
+    monkeypatch.setattr(counting, "_pochhammer_rows", {})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 256, 65521])
+def test_routes_match_the_oracles_up_to_g_16(cold_caches, q):
+    for g in range(17):
+        assert route_cells(g, q) == naive_cells(g, q), g
+
+
+def _prime_powers():
+    primes = [p for p in range(2, 60) if helpers.trial_division_prime(p)]
+    return st.builds(pow, st.sampled_from(primes), st.integers(1, 3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_prime_powers(), st.integers(0, 24))
+def test_property_routes_match_the_oracles(q, g):
+    assert route_cells(g, q) == naive_cells(g, q)
+
+
+def test_cache_call_order_is_invisible(cold_caches):
+    expected = {(g, q): naive_cells(g, q) for g in (3, 12) for q in (2, 9)}
+    # a long table first, then a short one read from its prefixes
+    assert route_cells(12, 2) == expected[12, 2]
+    assert route_cells(3, 2) == expected[3, 2]
+    # q values interleaved cell by cell
+    for (r, s), cell_2, cell_9 in zip(profiles(12), expected[12, 2], expected[12, 9]):
+        assert (r, s, closed_form_count(12, r, s, 9), staged_count(12, r, s, 9)) == cell_9
+        assert (r, s, closed_form_count(12, r, s, 2), staged_count(12, r, s, 2)) == cell_2
+    warm = [route_cells(g, q) for g in (12, 3) for q in (9, 2)]
+    counting._falling_rows.clear()
+    counting._pochhammer_rows.clear()
+    cold = [route_cells(g, q) for g in (12, 3) for q in (9, 2)]
+    assert warm == cold == [expected[g, q] for g in (12, 3) for q in (9, 2)]
+    # the single-cell helpers read the same rows
+    assert gaussian_binomial(12, 5, 9) * gaussian_binomial(5, 2, 9) == \
+        gaussian_binomial(12, 2, 9) * gaussian_binomial(10, 3, 9)
+
+
+def test_caches_stay_bounded(cold_caches, monkeypatch):
+    monkeypatch.setattr(counting, "_FALLING_ROWS", 5)
+    monkeypatch.setattr(counting, "_POCHHAMMER_QS", 2)
+    # rows evicted in the middle of a table are rebuilt, not misread
+    for q in (2, 3, 4, 5, 2):
+        assert route_cells(8, q) == naive_cells(8, q)
+        assert len(counting._falling_rows) <= 5 and len(counting._pochhammer_rows) <= 2
 
 
 # --- enumeration oracle ---------------------------------------------------------
