@@ -28,12 +28,12 @@ log p.  The default modulus is the lexicographically least irreducible
 (coefficients read as a little-endian base-p integer), so results are
 reproducible bit-for-bit across runs and machines.  The degree is bounded
 by DEGREE_LIMIT and the search for the default modulus by SEARCH_LIMIT
-candidates, so no spec keeps a validation running unbounded.
+units of work, so no spec keeps a validation running unbounded.
 """
 
 from __future__ import annotations
 
-from itertools import islice, zip_longest
+from itertools import zip_longest
 
 # Largest field order a FiniteField is built for; parse_spec and
 # validate_field, which build no tables, accept larger ones.
@@ -42,11 +42,19 @@ FIELD_LIMIT = 1 << 16
 # Largest extension degree d accepted, with or without a modulus.
 DEGREE_LIMIT = 64
 
-# Candidates the default-modulus search tries before it gives up.  Every
-# field with at most FIELD_LIMIT elements finds its modulus among the
-# first 65; the search runs past about p candidates only when no binomial
-# x^d + c is irreducible (x^4 + c when p = 3 mod 4, x^3 + c when p = 2 mod 3).
-SEARCH_LIMIT = 1024
+# Work the default-modulus search may spend on reducible candidates before
+# it gives up, in the units `_ben_or` counts: about 30-100 ns each in
+# CPython, so a refused search ends within about a second.  Every field
+# with at most FIELD_LIMIT elements finds its modulus among the first 65
+# candidates, for at most 23,048 units (GF(3^9)).  The search runs past
+# about p candidates only when no binomial x^d + c is irreducible (x^4 + c
+# when p = 3 mod 4, x^3 + c when p = 2 mod 3); at large d a candidate that
+# runs many rounds costs up to a few 10^5 units.
+SEARCH_LIMIT = 10_000_000
+
+# Work charged per polynomial product or gcd on top of its coefficient
+# operations: the interpreter's call overhead, which dominates at small d.
+_CALL_WORK = 32
 
 
 # Miller-Rabin with the first 13 primes as bases is proven to decide
@@ -143,45 +151,67 @@ def _monic_polys(p: int, degree: int):
 
 
 def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Ben-Or's test for a monic f of degree d >= 1 over GF(p): f is
-    irreducible iff gcd(x^(p^i) - x, f) = 1 for every i <= d/2, since
+    """Ben-Or's test for a monic f of degree d >= 1 over GF(p); see `_ben_or`."""
+    return _ben_or(modulus, p)[0]
+
+
+def _ben_or(modulus: tuple[int, ...], p: int) -> tuple[bool, int]:
+    """Ben-Or's test and the work it took.
+
+    f is irreducible iff gcd(x^(p^i) - x, f) = 1 for every i <= d/2, since
     x^(p^i) - x is the product of the monic irreducibles of degree
     dividing i (Ben-Or, FOCS 1981).  It stops at the first factor found,
     so a reducible candidate mostly costs one p-th power; later p-th
-    powers apply the matrix of the GF(p)-linear map a -> a^p mod f."""
+    powers apply the matrix of the GF(p)-linear map a -> a^p mod f.
+
+    The work counts the coefficient operations of the rounds actually
+    run, read off the sizes of the polynomials involved: about log2(p)
+    products with x^p mod f for the first p-th power, the matrix rows
+    once, and a matrix product and a gcd per round, each product or gcd
+    also charged _CALL_WORK.
+    """
     d = len(modulus) - 1
     if d < 2:
-        return d == 1
+        return d == 1, 0
     f = list(modulus)
     xp = _poly_powmod([0, 1], p, modulus, p)
-    rows = [[1]]  # rows[j] = x^(jp) mod f, built up to j < d once needed
+    work = p.bit_length() * (d * (len(xp) - xp.count(0)) + _CALL_WORK)
+    rows = [[1]]  # rows[j] = x^(jp) mod f, built up to j < d in round 2
     h = xp  # x^(p^i) mod f
     for i in range(1, d // 2 + 1):
         if i > 1:
-            while len(rows) < d:
-                rows.append(_poly_mulmod(rows[-1], xp, modulus, p))
+            if i == 2:
+                for _ in range(d - 1):
+                    rows.append(_poly_mulmod(rows[-1], xp, modulus, p))
+                work += len(xp) * sum(len(row) - row.count(0) for row in rows) + d * _CALL_WORK
             acc = [0] * d
             for c, row in zip(h, rows):  # h^p = sum of h_j·x^(jp), as h_j^p = h_j
                 for j, y in enumerate(row):
                     acc[j] += c * y
             h = _poly_trim([v % p for v in acc])
+        work += 2 * d * len(h) + _CALL_WORK
         a, b = f, _poly_trim([(u - v) % p for u, v in zip_longest(h, [0, 1], fillvalue=0)])
         while b:  # Euclid: a ends as gcd(f, x^(p^i) - x)
             a, b = b, _poly_rem(a, b, p)
         if len(a) > 1:
-            return False
-    return True
+            return False, work
+    return True, work
 
 
 def _least_irreducible(p: int, d: int) -> tuple[int, ...]:
     # Lex-least means the lower coefficients, read little-endian base p,
     # are minimal; the leading 1 is shared by every candidate.
-    for candidate in islice(_monic_polys(p, d), SEARCH_LIMIT):
-        if is_irreducible(tuple(candidate), p):
+    spent = 0
+    for candidate in _monic_polys(p, d):
+        irreducible, work = _ben_or(tuple(candidate), p)
+        if irreducible:
             return tuple(candidate)
-    raise ValueError(f"no irreducible modulus of degree {d} over GF({p}) among the first "
-                     f"SEARCH_LIMIT = {SEARCH_LIMIT} candidates; pass the modulus explicitly, "
-                     f"as '{p}^{d}/c0,c1,...,c{d}'")
+        spent += work
+        if spent > SEARCH_LIMIT:
+            break
+    raise ValueError(f"no irreducible modulus of degree {d} over GF({p}) found within "
+                     f"SEARCH_LIMIT = {SEARCH_LIMIT} units of search work; pass the modulus "
+                     f"explicitly, as '{p}^{d}/c0,c1,...,c{d}'")
 
 
 def _prime_factors(n: int) -> list[int]:

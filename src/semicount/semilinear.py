@@ -204,23 +204,37 @@ class RowKernel:
     one to the rank exactly when it is not in that list.
 
     s comes from the dual image chain U_1 = row space of A and
-    U_(k+1) = tau^-1(U_k)·A.  F^k has matrix A·tau(A)···tau^(k-1)(A), so
-    U_k = tau^-(k-1)(row space of F^k) and dim U_k = rank(F^k); the chain
-    stops when the dimension repeats or reaches 0.  Only maps with
-    0 < r < g take it.  Each x·A in it is one entry of the run's list
-    plus a scaled row 0.
+    U_(k+1) = L(U_k), where L(x) = tau^-1(x)·A.  F^k has matrix
+    A·tau(A)···tau^(k-1)(A), so U_k = tau^-(k-1)(row space of F^k) and
+    dim U_k = rank(F^k); the chain stops when the dimension repeats or
+    reaches 0.  Each x·A in it is one entry of the run's list plus a
+    scaled row 0.
+
+    Most runs need no chain at all: when rows 1..g-1 are independent they
+    span a hyperplane W, listed once by y -> images[y].  A row 0 outside W
+    gives a bijective map, r = s = g, and those codes are only counted.
+    A row 0 = images[y] gives r = g-1, and then L, semilinear with the
+    1-dimensional kernel spanned by k_1 = tau((-1, y)), has a nilpotent
+    part that is one Jordan block (Fitting; Fine & Herstein 1958).  Its
+    length m is read off the chain k_(j+1) = tau((0, coord[k_j])), which
+    solves L(k_(j+1)) = k_j while k_j is in W = im L; m is the first j
+    with k_j outside W, whichever preimages were taken, since
+    k_1..k_(j-1) span ker L^(j-1) and lie in W.  So rank F^k = g - min(k, m)
+    and s = g - m.  Only maps with 0 < r < g in the other runs take the
+    echelon chain.
 
     Tables are built for g >= 2 only, and none has more than q^(g+1)
-    entries: the q scalings of every row code, and for odd p the sums of
-    the lower and the upper halves of two rows (in characteristic 2 a row
-    sum is XOR).  At g <= 1 the rank of a row is "row != 0" and the chain
-    never runs, so no table is built.
+    entries: the q scalings of every row code, tau and tau^-1 digit by
+    digit, and for odd p the sums of the lower and the upper halves of two
+    rows (in characteristic 2 a row sum is XOR).  At g <= 1 the rank of a
+    row is "row != 0" and the chain never runs, so no table is built.
     """
 
     def __init__(self, ctx: FiniteField, g: int, tau: int):
         self.g, self.q, self.Q = g, ctx.q, ctx.q**g
         self.tables: dict[str, list[int]] = {}
         self.add = None  # row code + row code
+        self.neg_one = ctx.neg(1)
         if g >= 2:
             self._build(ctx, tau)
 
@@ -247,8 +261,9 @@ class RowKernel:
             norm[v] = scale[inv * Q + v]
             negnorm[v] = scale[ctx.neg(inv) * Q + v]
         untwist = digitwise(ctx.frobenius_table(-tau).__getitem__, Q)
+        twist = digitwise(ctx.frobenius_table(tau).__getitem__, Q)
         self.tables = {"scale": scale, "lead": lead, "norm": norm,
-                       "negnorm": negnorm, "untwist": untwist}
+                       "negnorm": negnorm, "untwist": untwist, "twist": twist}
         if ctx.p == 2:
             self.add = operator.xor
             return
@@ -288,9 +303,11 @@ class RowKernel:
     def tally(self, start: int, stop: int) -> dict[tuple[int, int], int]:
         """{(r, s): number of maps} over the codes in [start, stop)."""
         g, q, Q = self.g, self.q, self.Q
-        scale, untwist = self.tables.get("scale"), self.tables.get("untwist")
-        add, echelon = self.add, self._echelon
+        t = self.tables
+        scale, untwist, twist = t.get("scale"), t.get("untwist"), t.get("twist")
+        add, echelon, neg_one = self.add, self._echelon, self.neg_one
         counts = [0] * (g + 1) ** 2
+        corank1 = (g - 1) * (g + 1) + g  # counts[corank1 - m] is the cell (g-1, g-m)
         for prefix in range(start // Q, -(-stop // Q)):
             rows, rest = [], prefix  # rows 1..g-1
             for _ in range(g - 1):
@@ -300,10 +317,24 @@ class RowKernel:
             images = [0]
             for v in reversed(rows):
                 images = [add(scale[c * Q + v], w) for w in images for c in range(q)]
-            upper = set(images)
             base = echelon(rows) if rows else []
             first = prefix * Q
-            for row0 in range(max(start - first, 0), min(stop - first, Q)):
+            lo, hi = max(start - first, 0), min(stop - first, Q)
+            if g >= 2 and len(base) == g - 1:
+                # hyperplane run: images lists W once, and coord inverts it
+                coord = {w: y for y, w in enumerate(images)}
+                inside = 0
+                for y, row0 in enumerate(images):
+                    if lo <= row0 < hi:
+                        inside += 1
+                        k, m = twist[neg_one + q * y], 1
+                        while k in coord:
+                            k, m = twist[q * coord[k]], m + 1
+                        counts[corank1 - m] += 1
+                counts[-1] += hi - lo - inside  # row 0 outside W: bijective
+                continue
+            upper = set(images)
+            for row0 in range(lo, hi):
                 basis = base if row0 in upper else base + [row0]
                 r = n = len(basis)
                 while 0 < n < g:

@@ -56,8 +56,8 @@ def test_criterion_1_formula_equals_exhaustive_enumeration():
     grid = (
         [(GF2, g, 0) for g in range(5)]
         + [(GF3, g, 0) for g in range(4)]
-        + [(GF4, g, tau) for g in range(3) for tau in (0, 1)]
-        + [(GF5, g, 0) for g in range(3)]
+        + [(GF4, g, tau) for g in range(4) for tau in (0, 1)]
+        + [(GF5, g, 0) for g in range(4)]
         + [(GF8, 2, tau) for tau in (0, 1, 2)]
         + [(GF9, 2, tau) for tau in (0, 1)]
     )

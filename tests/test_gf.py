@@ -129,20 +129,31 @@ def test_degree_and_modulus_search_are_bounded(monkeypatch):
         with pytest.raises(ValueError, match=f"DEGREE_LIMIT = {DEGREE_LIMIT}"):
             validate_field(2, d)
     # with p = 3 mod 4 no x^4 + c is irreducible, so the search walks past
-    # every binomial: it now stops at SEARCH_LIMIT candidates
+    # every binomial: it stops once its work passes SEARCH_LIMIT
     for p in (1_000_003, 2 ** 61 - 1):
         with pytest.raises(ValueError, match=f"SEARCH_LIMIT = {SEARCH_LIMIT}.*explicitly"):
             validate_field(p, 4)
-    # 1019^4 is found at lex index 1023, the last candidate the search tries
-    assert validate_field(1019, 4)[2] == (4, 1, 0, 0, 1)
+    # so does a large d whose candidates run many Ben-Or rounds: 251^60
+    # was refused only after 1024 candidates and 2.6-5.8 s
     with pytest.raises(ValueError, match="SEARCH_LIMIT"):
-        validate_field(1031, 4)
+        validate_field(251, 60)
+    # 1019^4 is found at lex index 1023, and 1031^4, refused after 1024
+    # candidates, at 1032
+    assert validate_field(1019, 4)[2] == (4, 1, 0, 0, 1)
+    assert validate_field(1031, 4)[2] == (1, 1, 0, 0, 1)
     # an explicit modulus is never searched for
     assert validate_field(1_000_003, 4, (1, 1, 0, 0, 1))[2] == (1, 1, 0, 0, 1)
     monkeypatch.setattr(gf, "SEARCH_LIMIT", 8)
     with pytest.raises(ValueError, match="SEARCH_LIMIT = 8"):
         validate_field(2, 8)  # x^8+x^4+x^3+x+1 sits at lex index 27
+    # the search charges each reducible candidate the work of the rounds it
+    # ran and stops only once the total passes the limit
+    spent = sum(gf._ben_or(f, 2)[1] for f in [(0, 0, 0, 0, 1), (1, 0, 0, 0, 1), (0, 1, 0, 0, 1)])
+    monkeypatch.setattr(gf, "SEARCH_LIMIT", spent)
     assert validate_field(2, 4)[2] == (1, 1, 0, 0, 1)  # lex index 3
+    monkeypatch.setattr(gf, "SEARCH_LIMIT", spent - 1)
+    with pytest.raises(ValueError, match=f"SEARCH_LIMIT = {spent - 1}"):
+        validate_field(2, 4)
 
 
 def test_field_size_is_checked_before_the_modulus_search(monkeypatch):

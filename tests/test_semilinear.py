@@ -37,6 +37,7 @@ from semicount.semilinear import (
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
 GF4 = make_field(2, 2)
+GF5 = make_field(5, 1)
 GF8 = make_field(2, 3)
 GF9 = make_field(3, 2)
 
@@ -274,3 +275,105 @@ def test_row_kernel_table_sizes(p, d, g):
     kernel = RowKernel(ctx, g, 0)
     assert all(len(table) <= bound for table in kernel.tables.values())
     assert bool(kernel.tables) == (g >= 2)
+
+
+# --- hyperplane runs: rows 1..g-1 independent ---------------------------------------
+
+HYPERPLANE_CELLS = [(GF2, 4, 0), (GF3, 4, 0), (GF5, 3, 0), (GF4, 3, 1), (GF8, 3, 2), (GF9, 3, 1)]
+
+
+def _run_rows(ctx, g, prefix):
+    """Rows 1..g-1 of every code in the run `prefix`, as row codes."""
+    Q = ctx.q ** g
+    return [prefix // Q ** i % Q for i in range(g - 1)]
+
+
+def _is_hyperplane_run(ctx, g, prefix):
+    rows = [helpers.to_vec(v, ctx.q, g) for v in _run_rows(ctx, g, prefix)]
+    return rank(matrix_from_rows(ctx, rows, g)) == g - 1
+
+
+def _reference_tally(ctx, g, tau, lo, hi):
+    counts = {}
+    for code in range(lo, hi):
+        key = tuple(profile(SemilinearMap(matrix_from_code(ctx, g, code), tau)))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
+def test_row_kernel_hyperplane_rank_g_minus_1_every_chain_length(ctx, g, tau):
+    # codes whose rows 1..g-1 are independent and whose row 0 is y·(rows
+    # 1..g-1): rank g-1, with Jordan chain length m = g - s for every m in
+    # 1..g, m = g being the single-block nilpotent maps (s = 0)
+    rng = random.Random(f"hyperplane/{ctx.q}/{g}/{tau}")
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    seen = {m: 0 for m in range(1, g + 1)}
+    for _ in range(20000):
+        if sum(seen.values()) >= 200 and min(seen.values()) >= 3:
+            break
+        prefix = rng.randrange(Q ** (g - 1))
+        if not _is_hyperplane_run(ctx, g, prefix):
+            continue
+        rows = [helpers.to_vec(v, ctx.q, g) for v in _run_rows(ctx, g, prefix)]
+        row0 = [0] * g
+        for row in rows:
+            c = rng.randrange(ctx.q)
+            row0 = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(row0, row)]
+        A = matrix_from_rows(ctx, [row0] + rows)
+        code = matrix_code(A)
+        r, s = profile(SemilinearMap(A, tau))
+        assert r == g - 1
+        assert kernel.tally(code, code + 1) == {(r, s): 1}, (ctx, g, tau, code)
+        seen[g - s] += 1
+    assert sum(seen.values()) >= 200 and min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
+def test_row_kernel_hyperplane_ranges_inside_one_run(ctx, g, tau):
+    # the bijective codes are counted, not visited, so a range that starts
+    # and ends inside a run must still count only its own codes
+    rng = random.Random(f"inside/{ctx.q}/{g}/{tau}")
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    checked = 0
+    while checked < 6:
+        prefix = rng.randrange(Q ** (g - 1))
+        if not _is_hyperplane_run(ctx, g, prefix):
+            continue
+        first = prefix * Q
+        lo = first + rng.randrange(1, Q // 2)
+        hi = first + rng.randrange(Q // 2, Q)
+        for a, b in [(lo, hi), (lo, lo), (lo, lo + 1), (first, hi), (lo, first + Q)]:
+            assert kernel.tally(a, b) == _reference_tally(ctx, g, tau, a, b), (a, b)
+        checked += 1
+
+
+@pytest.mark.parametrize("ctx, g, tau", [(GF2, 4, 0), (GF3, 3, 0), (GF4, 3, 1), (GF9, 2, 1)])
+def test_row_kernel_hyperplane_runs_skip_the_echelon_chain(monkeypatch, ctx, g, tau):
+    # over runs whose rows 1..g-1 are independent the only echelon allowed
+    # is each run's base; a chain step would raise
+    rng = random.Random(f"no-chain/{ctx.q}/{g}/{tau}")
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    while True:
+        start = rng.randrange(Q ** (g - 1) - 3)
+        prefixes = range(start, start + 3)
+        if all(_is_hyperplane_run(ctx, g, prefix) for prefix in prefixes):
+            break
+    allowed = [tuple(_run_rows(ctx, g, prefix)) for prefix in prefixes]
+    echelon = RowKernel._echelon
+
+    def base_only(self, vectors):
+        vectors = tuple(vectors)
+        if vectors not in allowed:
+            raise AssertionError(f"echelon chain ran in a hyperplane run: {vectors}")
+        allowed.remove(vectors)
+        return echelon(self, vectors)
+
+    lo, hi = start * Q, (start + 3) * Q
+    reference = _reference_tally(ctx, g, tau, lo, hi)
+    monkeypatch.setattr(RowKernel, "_echelon", base_only)
+    assert kernel.tally(lo, hi) == reference
+    assert allowed == []
