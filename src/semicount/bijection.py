@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from . import counting
-from .gf import FiniteField, _digits, cached_field, field_key
+from .gf import FiniteField, _digits, cached_field
 from .flags import Flag, _adapt, image_flag
 from .linalg import (
     Matrix,
@@ -281,12 +281,7 @@ def roundtrip_check(
     else:
         rng = random.Random(seed)
         codes = [rng.randrange(total) for _ in range(samples)]
-    # the same chunks as the counting enumerator, so the work split never
-    # depends on how many workers run
-    step = counting.CHUNK_CODES
-    tasks = [(*field_key(ctx), g, tau, codes[lo: lo + step])
-             for lo in range(0, len(codes), step)]
-    parts = counting.run_tasks(_roundtrip_codes, tasks, threads)
+    parts = counting.run_chunks(_roundtrip_codes, ctx, g, tau, codes, threads)
     tallies = counting.merge_tallies(g, [tally for tally, _ in parts])
     failures = [code for _, part in parts for code in part]
     # a sweep of every code must tally the closed-form census exactly

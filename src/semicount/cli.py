@@ -22,7 +22,7 @@ from .bijection import (
     tuple_profile,
     tuple_to_map,
 )
-from .counting import closed_form_count, route_cells, staged_count, verify_counts
+from .counting import closed_form_count, report_cells, staged_count, verify_counts
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -33,6 +33,10 @@ EXIT_BUDGET = 3
 # Largest g that count, verify and roundtrip accept; a sampled round trip
 # on GF(2) takes about 100 s at g = 64.
 G_LIMIT = 64
+
+# Largest --budget of verify and roundtrip: a sweep of 2^30 codes cuts
+# into 262,144 chunk tasks, about 60 MB of task tuples made up front.
+BUDGET_LIMIT = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,17 @@ def _check_g(g: int, q: int, least: int = 0) -> None:
                          f"sys.get_int_max_str_digits() = {limit} on printed integers")
 
 
+def _run_field(args: argparse.Namespace, least: int = 0) -> FiniteField:
+    """The field of verify or roundtrip: --threads and --budget are checked
+    before it is built, --g after."""
+    _require(args.threads >= 1, "--threads must be >= 1")
+    _require(0 <= args.budget <= BUDGET_LIMIT, f"--budget must lie in [0, {BUDGET_LIMIT}], "
+                                                f"the bound BUDGET_LIMIT = 2^30; got {args.budget}")
+    ctx = parse_field_spec(args.field)
+    _check_g(args.g, ctx.q, least)
+    return ctx
+
+
 def cmd_field_info(args: argparse.Namespace):
     p, d, modulus = parse_spec(args.field)
     payload = {
@@ -160,24 +175,15 @@ def cmd_count(args: argparse.Namespace):
         payload.update(r=args.r, s=args.s, theorem=str(via_formula), staged=str(via_stages),
                        match=via_formula == via_stages)
         return payload, EXIT_OK if payload["match"] else EXIT_MISMATCH, None
-    cells = route_cells(g, q)
-    total = sum(via_formula for _, _, via_formula, _ in cells)
-    payload["cells"] = []
-    for r, s, via_formula, via_stages in cells:
-        text = str(via_formula)  # printed once when the routes agree: str() is quadratic
-        payload["cells"].append(
-            {"r": r, "s": s, "theorem": text,
-             "staged": text if via_stages == via_formula else str(via_stages),
-             "match": via_formula == via_stages})
+    theorem, payload["cells"] = report_cells(g, q)
+    total = sum(theorem.values())
     payload["total"] = str(total)
     ok = total == q ** (g * g) and all(cell["match"] for cell in payload["cells"])
     return payload, EXIT_OK if ok else EXIT_MISMATCH, _render_count_table
 
 
 def cmd_verify(args: argparse.Namespace):
-    _require(args.threads >= 1, "--threads must be >= 1")
-    ctx = parse_field_spec(args.field)
-    _check_g(args.g, ctx.q)
+    ctx = _run_field(args)
     report, ok = verify_counts(
         ctx, args.g, args.tau, budget=args.budget, threads=args.threads)
     return report, EXIT_OK if ok else EXIT_MISMATCH, _render_verify_table
@@ -245,9 +251,7 @@ def cmd_nu(args: argparse.Namespace):
 
 
 def cmd_roundtrip(args: argparse.Namespace):
-    _require(args.threads >= 1, "--threads must be >= 1")
-    ctx = parse_field_spec(args.field)
-    _check_g(args.g, ctx.q, least=1)
+    ctx = _run_field(args, least=1)
     report, ok = roundtrip_check(
         ctx, args.g, args.tau,
         budget=args.budget, threads=args.threads, seed=args.seed)
@@ -324,8 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="largest enumeration size allowed")
             p.add_argument("--threads", type=int, default=1,
                            help="worker processes for enumeration")
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for sampled checks (default 0)")
         if io:
             p.add_argument("input", nargs="?", default="-",
                            help="input file of text blocks, '-' for stdin")
@@ -352,6 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="exhaustive or sampled decode-encode check")
     common(p, cmd_roundtrip, field=True, g=True, tau=True, enum=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the sampled check (default 0)")
 
     p = sub.add_parser("field-info", help="describe a field spec")
     common(p, cmd_field_info, field=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf import FiniteField, cached_field, field_key
-from .semilinear import DEFAULT_BUDGET, BudgetExceeded, row_kernel
+from .semilinear import DEFAULT_BUDGET, check_budget, row_kernel
 
 # Fixed chunk granularity for the parallel enumerator.  Constant by design:
 # the work split, and therefore the merged result, never depends on how
@@ -46,38 +46,33 @@ def _check_profile(g: int, r: int, s: int) -> None:
 
 def gl_order(g: int, q: int) -> int:
     """Number of invertible g x g matrices: prod_{i<g} (q^g - q^i)."""
-    out = 1
-    for i in range(g):
-        out *= q**g - q**i
-    return out
+    return _falling_row(q, g)[g]
 
 
-# The staged route's falling products prod_{i<d} (q^n - q^i), one row per
-# (q, n) holding d = 0, 1, ...; a row grows only as far as a caller reads
-# it, and the oldest rows go first past the bound.
-_FALLING_ROWS = 512
-_falling_rows: dict[tuple[int, int], list[int]] = {}
+def _falling_row(q: int, n: int) -> list[int]:
+    """[prod_{i<d} (q^n - q^i) for d = 0, ..., n]: row n of the staged route."""
+    qn, qi, row = q**n, 1, [1]
+    for _ in range(n):
+        row.append(row[-1] * (qn - qi))
+        qi *= q
+    return row
 
 
-def _falling(n: int, d: int, q: int) -> int:
-    """prod_{i<d} (q^n - q^i), for 0 <= d."""
-    row = _falling_rows.get((q, n))
-    if row is None:
-        if len(_falling_rows) >= _FALLING_ROWS:
-            del _falling_rows[next(iter(_falling_rows))]
-        row = _falling_rows[q, n] = [1]
-    if len(row) <= d:
-        qn = q**n
-        while len(row) <= d:
-            row.append(row[-1] * (qn - q ** (len(row) - 1)))
-    return row[d]
+def _staged(rows, g: int, r: int, s: int, q: int) -> int:
+    """`staged_count` from rows[n] = _falling_row(q, n), a list of every
+    row n <= g or a dict of the rows this cell reads; unchecked."""
+    n, d = g - s, r - s
+    subspaces, rem = divmod(rows[n][d], rows[d][d])
+    assert rem == 0
+    surjections = 1 if d == 0 else 0 if d >= n else rows[n - 1][d]
+    return rows[g][s] * q ** (s * n) * subspaces * surjections
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
     """Number of d-dimensional subspaces of an n-dimensional space."""
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
-    out, rem = divmod(_falling(n, d, q), _falling(d, d, q))
+    out, rem = divmod(_falling_row(q, n)[d], _falling_row(q, d)[d])
     assert rem == 0
     return out
 
@@ -89,7 +84,7 @@ def surjection_count(m: int, d: int, q: int) -> int:
         return 1
     if d > m:
         return 0
-    return _falling(m, d, q)
+    return _falling_row(q, m)[d]
 
 
 def spanning_tuple_count(n: int, d: int, q: int) -> int:
@@ -97,8 +92,6 @@ def spanning_tuple_count(n: int, d: int, q: int) -> int:
     dimension exactly d: choose the subspace, then a surjection onto it.
     The n-th block entry in the staged count is pinned by the span
     conditions, so it contributes no factor here."""
-    if not 0 <= d <= n:
-        raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
     return gaussian_binomial(n, d, q) * surjection_count(n - 1, d, q)
 
 
@@ -107,25 +100,35 @@ def staged_count(g: int, r: int, s: int, q: int) -> int:
     independent choices for the last s tuple entries, q^{s(g-s)} lifts,
     then the leading-block count with n = g-s and d = r-s."""
     _check_profile(g, r, s)
-    return _falling(g, s, q) * q ** (s * (g - s)) * spanning_tuple_count(g - s, r - s, q)
-
-
-# The closed form's q-Pochhammer prefixes N(n) = prod_{j=1}^{n} (q^j - 1),
-# one list per q grown on demand; the oldest q goes first past the bound.
-_POCHHAMMER_QS = 16
-_pochhammer_rows: dict[int, list[int]] = {}
+    rows = {n: _falling_row(q, n) for n in (g, g - s, r - s, g - s - 1)}
+    return _staged(rows, g, r, s, q)
 
 
 def _pochhammer(q: int, n: int) -> list[int]:
-    """[N(0), ..., N(n)] at least."""
-    N = _pochhammer_rows.get(q)
-    if N is None:
-        if len(_pochhammer_rows) >= _POCHHAMMER_QS:
-            del _pochhammer_rows[next(iter(_pochhammer_rows))]
-        N = _pochhammer_rows[q] = [1]
-    while len(N) <= n:
-        N.append(N[-1] * (q ** len(N) - 1))
+    """The closed form's prefixes [N(0), ..., N(n)], N(k) = prod_{j=1}^{k} (q^j - 1)."""
+    N, qj = [1], 1
+    for _ in range(n):
+        qj *= q
+        N.append(N[-1] * (qj - 1))
     return N
+
+
+def _closed_form(N: list[int], g: int, r: int, s: int, q: int) -> int:
+    """The closed form at one cell, from N(0..g); unchecked."""
+    a, b = g - r, r - s
+    if a == 0 and b > 0:
+        return 0
+    # numerator prod_{1}^{g} * prod_{a}^{g-s-1}, denominator prod_{1}^{b} * prod_{1}^{a}
+    num, den = N[g], N[b] * N[a]
+    if b > 0:
+        num, den = num * N[g - s - 1], den * N[a - 1]
+    # with the q^-T parts the power of q is q^e, e = sum_{j=a}^{g-1} j - ab >= 0
+    num *= q ** ((g * (g - 1) - a * (a - 1)) // 2 - a * b)
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(
+            f"count is not an integer at g={g}, r={r}, s={s}, q={q}: {Fraction(num, den)}")
+    return value
 
 
 def closed_form_count(g: int, r: int, s: int, q: int) -> int:
@@ -140,21 +143,7 @@ def closed_form_count(g: int, r: int, s: int, q: int) -> int:
     the factor 1 - q^0 = 0.
     """
     _check_profile(g, r, s)
-    a, b = g - r, r - s
-    if a == 0 and b > 0:
-        return 0
-    N = _pochhammer(q, g)
-    # numerator prod_{1}^{g} * prod_{a}^{g-s-1}, denominator prod_{1}^{b} * prod_{1}^{a}
-    num, den = N[g], N[b] * N[a]
-    if b > 0:
-        num, den = num * N[g - s - 1], den * N[a - 1]
-    # with the q^-T parts the power of q is q^e, e = sum_{j=a}^{g-1} j - ab >= 0
-    num *= q ** ((g * (g - 1) - a * (a - 1)) // 2 - a * b)
-    value, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(
-            f"count is not an integer at g={g}, r={r}, s={s}, q={q}: {Fraction(num, den)}")
-    return value
+    return _closed_form(_pochhammer(q, g), g, r, s, q)
 
 
 @dataclass(frozen=True)
@@ -182,9 +171,30 @@ def route_cells(g: int, q: int) -> list[tuple[int, int, int, int]]:
     """(r, s, closed form, staged product) for every profile of g, sorted.
 
     The one place the two formula routes run, each once per cell; callers
-    compare them."""
-    return [(r, s, closed_form_count(g, r, s, q), staged_count(g, r, s, q))
+    compare them.  Each route builds its prefix lists once per table, N(0..g)
+    and the falling rows n <= g, so a table costs O(g^2) products."""
+    _check_profile(g, 0, 0)
+    N = _pochhammer(q, g)
+    rows = [_falling_row(q, n) for n in range(g + 1)]
+    return [(r, s, _closed_form(N, g, r, s, q), _staged(rows, g, r, s, q))
             for r, s in profiles(g)]
+
+
+def report_cells(g: int, q: int, enumerated: dict | None = None) -> tuple[dict, list[dict]]:
+    """The closed-form count of every profile, and JSON-ready report cells
+    that compare it with the staged product and, when given, the
+    enumerated tally: counts as decimal strings, one "match" per cell."""
+    theorem, cells = {}, []
+    for r, s, via_formula, via_stages in route_cells(g, q):
+        theorem[r, s] = via_formula
+        others = {"staged": via_stages}
+        if enumerated is not None:
+            others["enumerated"] = enumerated[r, s]
+        text = str(via_formula)  # printed once when the routes agree: str() is quadratic
+        cells.append({"r": r, "s": s, "theorem": text,
+                      **{k: text if n == via_formula else str(n) for k, n in others.items()},
+                      "match": all(n == via_formula for n in others.values())})
+    return theorem, cells
 
 
 def formula_table(g: int, q: int) -> CountTable:
@@ -202,13 +212,17 @@ def formula_table(g: int, q: int) -> CountTable:
     return table
 
 
-def run_tasks(fn, tasks: list, threads: int) -> list:
-    """[fn(t) for t in tasks], on a process pool when threads > 1.
+def run_chunks(fn, ctx: FiniteField, g: int, tau: int, codes, threads: int) -> list:
+    """fn((p, d, modulus, g, tau, chunk)) for each CHUNK_CODES-long slice of
+    `codes` (a range or a list), on a process pool when threads > 1.
 
-    The pool gets at most one worker per task and per core: the default
+    The pool gets at most one worker per chunk and per core: the default
     `fork` start method launches every worker up front, so surplus workers
-    cost a fork each and do nothing.  Results come back in task order.
+    cost a fork each and do nothing.  Results come back in chunk order.
     """
+    key = field_key(ctx)
+    tasks = [(*key, g, tau, codes[lo: lo + CHUNK_CODES])
+             for lo in range(0, len(codes), CHUNK_CODES)]
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(t) for t in tasks]
@@ -226,8 +240,8 @@ def merge_tallies(g: int, parts) -> dict[tuple[int, int], int]:
 
 
 def _tally_chunk(task: tuple) -> dict[tuple[int, int], int]:
-    p, d, modulus, g, tau, start, stop = task
-    return row_kernel(cached_field(p, d, modulus), g, tau).tally(start, stop)
+    p, d, modulus, g, tau, chunk = task
+    return row_kernel(cached_field(p, d, modulus), g, tau).tally(chunk.start, chunk.stop)
 
 
 def bruteforce_table(
@@ -244,15 +258,9 @@ def bruteforce_table(
     are summed, so the result is identical whether chunks run serially or
     on a process pool of any size.
     """
-    total = ctx.q ** (g * g)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"q^(g^2) = {ctx.q}^{g * g} exceeds budget {budget}")
+    total = check_budget(ctx.q, g, budget)
     tau %= ctx.d
-    tasks = [
-        (*field_key(ctx), g, tau, lo, min(lo + CHUNK_CODES, total))
-        for lo in range(0, total, CHUNK_CODES)
-    ]
-    entries = merge_tallies(g, run_tasks(_tally_chunk, tasks, threads))
+    entries = merge_tallies(g, run_chunks(_tally_chunk, ctx, g, tau, range(total), threads))
     table = CountTable(ctx.q, g, "enumeration", tau, entries)
     assert table.total == total
     return table
@@ -274,20 +282,7 @@ def verify_counts(
     """
     q = ctx.q
     enumerated = bruteforce_table(ctx, g, tau, budget=budget, threads=threads).entries
-    theorem = {}
-    cells = []
-    for r, s, via_formula, via_stages in route_cells(g, q):
-        theorem[(r, s)] = via_formula
-        text = str(via_formula)  # printed once when the routes agree: str() is quadratic
-        cells.append({
-            "r": r,
-            "s": s,
-            "theorem": text,
-            "staged": text if via_stages == via_formula else str(via_stages),
-            "enumerated": text if enumerated[(r, s)] == via_formula
-            else str(enumerated[(r, s)]),
-            "match": via_formula == via_stages == enumerated[(r, s)],
-        })
+    theorem, cells = report_cells(g, q, enumerated)
     expected_total = q ** (g * g)
     theorem_total = sum(theorem.values())
     corollaries = {

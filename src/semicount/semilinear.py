@@ -49,6 +49,14 @@ class BudgetExceeded(RuntimeError):
     """Raised when an exhaustive enumeration would exceed its budget."""
 
 
+def check_budget(q: int, g: int, budget: int | None) -> int:
+    """q^(g^2) maps to enumerate, or BudgetExceeded past `budget` (None: no cap)."""
+    total = q ** (g * g)
+    if budget is not None and total > budget:
+        raise BudgetExceeded(f"q^(g^2) = {q}^{g * g} exceeds budget {budget}")
+    return total
+
+
 class RankProfile(NamedTuple):
     r: int  # rank
     s: int  # infinity rank, 0 <= s <= r <= g
@@ -178,9 +186,7 @@ def enumerate_maps(
     budget: int | None = DEFAULT_BUDGET,
 ) -> Iterator[SemilinearMap]:
     """All q^(g^2) endomorphisms with the given twist, in matrix-code order."""
-    total = ctx.q ** (g * g)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"q^(g^2) = {ctx.q}^{g * g} exceeds budget {budget}")
+    total = check_budget(ctx.q, g, budget)
     tau %= ctx.d
     for code in range(total):
         yield SemilinearMap(matrix_from_code(ctx, g, code), tau)

@@ -344,9 +344,9 @@ def test_verify_and_count_reports_pinned(capsys):
 
 def _staged_off_by_one_at_1_0(monkeypatch):
     import semicount.counting as counting
-    real = counting.staged_count
-    monkeypatch.setattr(counting, "staged_count",
-                        lambda g, r, s, q: real(g, r, s, q) + ((r, s) == (1, 0)))
+    real = counting._staged
+    monkeypatch.setattr(counting, "_staged",
+                        lambda rows, g, r, s, q: real(rows, g, r, s, q) + ((r, s) == (1, 0)))
 
 
 def test_route_disagreement_is_reported_not_raised(capsys, monkeypatch):
@@ -371,7 +371,6 @@ def test_count_exits_1_when_the_census_misses_its_total(capsys, monkeypatch):
     monkeypatch.setattr(counting, "route_cells", lambda g, q: [
         (r, s, a + 1, b + 1) if (r, s) == (0, 0) else (r, s, a, b)
         for r, s, a, b in real(g, q)])
-    monkeypatch.setattr(cli, "route_cells", counting.route_cells)
     code, out, _ = run(capsys, "count", "--field", "2^1", "--g", "2")
     payload = json.loads(out)
     assert code == 1 and payload["total"] == "17"
@@ -381,18 +380,18 @@ def test_count_exits_1_when_the_census_misses_its_total(capsys, monkeypatch):
 def test_closed_form_refusing_to_round_exits_1(capsys, monkeypatch):
     import semicount.counting as counting
 
-    def refuses(g, r, s, q):
+    def refuses(N, g, r, s, q):
         raise ArithmeticError(f"count is not an integer at g={g}, r={r}, s={s}, q={q}")
 
-    monkeypatch.setattr(counting, "closed_form_count", refuses)
+    monkeypatch.setattr(counting, "_closed_form", refuses)
     code, out, err = run(capsys, "count", "--field", "2^1", "--g", "2")
     assert code == 1 and out == "" and "not an integer" in err
 
 
 def test_verify_checks_the_budget_before_any_formula_work(capsys, monkeypatch):
     import semicount.counting as counting
-    monkeypatch.setattr(counting, "closed_form_count",
-                        lambda *args: pytest.fail("formula evaluated"))
+    for name in ("_pochhammer", "_falling_row", "_closed_form", "_staged"):
+        monkeypatch.setattr(counting, name, lambda *args: pytest.fail("formula evaluated"))
     code, out, err = run(capsys, "verify", "--field", "13^1", "--g", "40")
     assert code == 3 and out == "" and "13^1600 exceeds budget" in err
 
@@ -407,16 +406,15 @@ def test_each_route_runs_once_per_cell(capsys, monkeypatch, argv):
     import collections
     import semicount.counting as counting
     calls = collections.Counter()
-    for name in ("closed_form_count", "staged_count"):
-        def counted(g, r, s, q, real=getattr(counting, name), name=name):
+    for name in ("_closed_form", "_staged"):
+        def counted(table, g, r, s, q, real=getattr(counting, name), name=name):
             calls[name, r, s] += 1
-            return real(g, r, s, q)
+            return real(table, g, r, s, q)
         monkeypatch.setattr(counting, name, counted)
-        monkeypatch.setattr(cli, name, counted)
     code, _, _ = run(capsys, *argv)
     g = int(argv[argv.index("--g") + 1])
     assert code == 0
-    assert calls == {(name, r, s): 1 for name in ("closed_form_count", "staged_count")
+    assert calls == {(name, r, s): 1 for name in ("_closed_form", "_staged")
                      for r, s in counting.profiles(g)}
 
 
@@ -474,6 +472,36 @@ def test_digit_bound_is_exact(capsys, monkeypatch):
     monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 84)
     code, _, err = run(capsys, "count", "--field", "7^1", "--g", "10")
     assert code == 2 and "7^100 has more than 84 decimal digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("roundtrip", "--field", "2^1", "--g", "9", "--budget", "100000000000000000000000000000"),
+    ("roundtrip", "--field", "2^1", "--g", "2", "--budget", "-1"),
+    ("verify", "--field", "2^1", "--g", "2", "--budget", "-1"),
+    ("verify", "--field", "2^1", "--g", "2", "--budget", str(2**30 + 1)),
+])
+def test_budget_outside_its_bounds_exits_2(capsys, monkeypatch, argv):
+    # refused before the field is built
+    monkeypatch.setattr(cli, "parse_field_spec", lambda spec: pytest.fail("field built"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"--budget must lie in [0, {2**30}], the bound BUDGET_LIMIT = 2^30" in err
+    assert cli.BUDGET_LIMIT == 2**30
+
+
+def test_budget_bounds_are_inclusive(capsys):
+    payload = run_json(capsys, "verify", "--field", "2^1", "--g", "2", "--budget", str(2**30))
+    assert payload["totals"]["enumerated"] == "16"
+    payload = run_json(capsys, "roundtrip", "--field", "2^1", "--g", "1", "--budget", "0")
+    assert payload["mode"] == "sampled" and payload["failures"] == 0
+    code, _, err = run(capsys, "verify", "--field", "2^1", "--g", "1", "--budget", "0")
+    assert code == 3 and "exceeds budget 0" in err
+
+
+def test_verify_takes_no_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--field", "2^1", "--g", "1", "--seed", "3"])
+    assert exc.value.code == 2 and "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_budget_message_names_the_power(capsys):

@@ -134,15 +134,8 @@ def naive_cells(g, q):
             for r, s in profiles(g)]
 
 
-@pytest.fixture
-def cold_caches(monkeypatch):
-    """Empty prefix caches for both routes, restored afterwards."""
-    monkeypatch.setattr(counting, "_falling_rows", {})
-    monkeypatch.setattr(counting, "_pochhammer_rows", {})
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 256, 65521])
-def test_routes_match_the_oracles_up_to_g_16(cold_caches, q):
+def test_routes_match_the_oracles_up_to_g_16(q):
     for g in range(17):
         assert route_cells(g, q) == naive_cells(g, q), g
 
@@ -158,32 +151,40 @@ def test_property_routes_match_the_oracles(q, g):
     assert route_cells(g, q) == naive_cells(g, q)
 
 
-def test_cache_call_order_is_invisible(cold_caches):
+def test_cache_call_order_is_invisible():
     expected = {(g, q): naive_cells(g, q) for g in (3, 12) for q in (2, 9)}
-    # a long table first, then a short one read from its prefixes
+    # a long table first, then a short one
     assert route_cells(12, 2) == expected[12, 2]
     assert route_cells(3, 2) == expected[3, 2]
     # q values interleaved cell by cell
     for (r, s), cell_2, cell_9 in zip(profiles(12), expected[12, 2], expected[12, 9]):
         assert (r, s, closed_form_count(12, r, s, 9), staged_count(12, r, s, 9)) == cell_9
         assert (r, s, closed_form_count(12, r, s, 2), staged_count(12, r, s, 2)) == cell_2
-    warm = [route_cells(g, q) for g in (12, 3) for q in (9, 2)]
-    counting._falling_rows.clear()
-    counting._pochhammer_rows.clear()
-    cold = [route_cells(g, q) for g in (12, 3) for q in (9, 2)]
-    assert warm == cold == [expected[g, q] for g in (12, 3) for q in (9, 2)]
-    # the single-cell helpers read the same rows
+    first = [route_cells(g, q) for g in (12, 3) for q in (9, 2)]
+    again = [route_cells(g, q) for g in (12, 3) for q in (9, 2)]
+    assert first == again == [expected[g, q] for g in (12, 3) for q in (9, 2)]
+    # the single-cell helpers satisfy [12, 5][5, 2] = [12, 2][10, 3]
     assert gaussian_binomial(12, 5, 9) * gaussian_binomial(5, 2, 9) == \
         gaussian_binomial(12, 2, 9) * gaussian_binomial(10, 3, 9)
 
 
-def test_caches_stay_bounded(cold_caches, monkeypatch):
-    monkeypatch.setattr(counting, "_FALLING_ROWS", 5)
-    monkeypatch.setattr(counting, "_POCHHAMMER_QS", 2)
-    # rows evicted in the middle of a table are rebuilt, not misread
-    for q in (2, 3, 4, 5, 2):
-        assert route_cells(8, q) == naive_cells(8, q)
-        assert len(counting._falling_rows) <= 5 and len(counting._pochhammer_rows) <= 2
+def test_prefix_lists_are_built_once_per_table(monkeypatch):
+    built = []
+    for name in ("_pochhammer", "_falling_row"):
+        def recorded(q, n, real=getattr(counting, name), name=name):
+            built.append((name, q, n))
+            return real(q, n)
+        monkeypatch.setattr(counting, name, recorded)
+    assert route_cells(12, 9) == naive_cells(12, 9)
+    # N(0..12) once, and each falling row n <= 12 once
+    assert sorted(built) == [("_falling_row", 9, n) for n in range(13)] + [("_pochhammer", 9, 12)]
+    # a single cell builds only the rows it reads, none of them twice
+    built.clear()
+    assert staged_count(12, 7, 3, 9) == naive_cells(12, 9)[profiles(12).index((7, 3))][3]
+    assert sorted(built) == [("_falling_row", 9, n) for n in (4, 8, 9, 12)]
+    built.clear()
+    closed_form_count(12, 7, 3, 9)
+    assert built == [("_pochhammer", 9, 12)]
 
 
 # --- enumeration oracle ---------------------------------------------------------
@@ -237,8 +238,7 @@ def test_bruteforce_unaligned_chunks_match_profile(monkeypatch, chunk, ctx, g, t
     assert bruteforce_table(ctx, g, tau).entries == reference
 
 
-def test_run_tasks_caps_workers(monkeypatch):
-    import semicount.counting as counting
+def test_run_chunks_caps_workers(monkeypatch):
     made = []
 
     class RecordingPool:
@@ -256,15 +256,24 @@ def test_run_tasks_caps_workers(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
+    def run(codes, threads):
+        return counting.run_chunks(lambda task: task, GF3, 2, 0, codes, threads)
+
     monkeypatch.setattr(counting, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
-    assert counting.run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
-    assert counting.run_tasks(abs, [-1, -2, -3], 1) == [1, 2, 3]
-    assert counting.run_tasks(abs, [-4], 64) == [4]
-    assert made == [2]  # one worker per core; serial with one thread or one task
+    chunk = counting.CHUNK_CODES
+    monkeypatch.setattr(counting, "CHUNK_CODES", 2)
+    key = (GF3.p, GF3.d, GF3.modulus)
+    assert run(range(6), 64) == [(*key, 2, 0, range(lo, lo + 2)) for lo in (0, 2, 4)]
+    assert run([5, 4, 3, 2, 1], 1) == [(*key, 2, 0, [5, 4]), (*key, 2, 0, [3, 2]),
+                                       (*key, 2, 0, [1])]
+    assert run(range(2), 64) == [(*key, 2, 0, range(2))]
+    assert run([], 64) == []
+    assert made == [2]  # one worker per core; serial with one thread or one chunk
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
-    assert counting.run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
-    assert made == [2, 3]  # never more workers than tasks
+    assert len(run(range(5), 64)) == 3
+    assert made == [2, 3]  # never more workers than chunks
+    monkeypatch.setattr(counting, "CHUNK_CODES", chunk)
     # 9^4 maps make two chunks of CHUNK_CODES
     assert bruteforce_table(GF9, 2, 1, threads=1000).entries == formula_table(2, 9).entries
     assert made == [2, 3, 2]
