@@ -50,41 +50,42 @@ def gl_order(g: int, q: int) -> int:
 
 
 def _falling_row(q: int, n: int) -> list[int]:
-    """[prod_{i<d} (q^n - q^i) for d = 0, ..., n]: row n of the staged route."""
-    qn, qi, row = q**n, 1, [1]
+    """Row n of the staged route, [prod_{i<d} (q^n - q^i) for d = 0..n]; [1] if n < 0."""
+    qn, qi, row = q ** max(n, 0), 1, [1]
     for _ in range(n):
         row.append(row[-1] * (qn - qi))
         qi *= q
     return row
 
 
-def _staged(rows, g: int, r: int, s: int, q: int) -> int:
-    """`staged_count` from rows[n] = _falling_row(q, n), a list of every
-    row n <= g or a dict of the rows this cell reads; unchecked."""
-    n, d = g - s, r - s
-    subspaces, rem = divmod(rows[n][d], rows[d][d])
+def _subspaces(rows: dict, n: int, d: int) -> int:
+    out, rem = divmod(rows[n][d], rows[d][d])
     assert rem == 0
-    surjections = 1 if d == 0 else 0 if d >= n else rows[n - 1][d]
-    return rows[g][s] * q ** (s * n) * subspaces * surjections
+    return out
+
+
+def _surjections(rows: dict, m: int, d: int) -> int:
+    return 1 if d == 0 else 0 if d > m else rows[m][d]
+
+
+def _staged(rows: dict, g: int, r: int, s: int, q: int) -> int:
+    """`staged_count` at one cell, unchecked, as are `_subspaces` and `_surjections`:
+    each reads rows[n] = _falling_row(q, n) from a dict holding every row it touches."""
+    n, d = g - s, r - s
+    return rows[g][s] * q ** (s * n) * _subspaces(rows, n, d) * _surjections(rows, n - 1, d)
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
     """Number of d-dimensional subspaces of an n-dimensional space."""
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
-    out, rem = divmod(_falling_row(q, n)[d], _falling_row(q, d)[d])
-    assert rem == 0
-    return out
+    return _subspaces({k: _falling_row(q, k) for k in (n, d)}, n, d)
 
 
 def surjection_count(m: int, d: int, q: int) -> int:
     """Surjective linear maps from an m-dimensional space onto a fixed
     d-dimensional one: prod_{i<d} (q^m - q^i); zero when d > m."""
-    if d == 0:
-        return 1
-    if d > m:
-        return 0
-    return _falling_row(q, m)[d]
+    return _surjections({m: _falling_row(q, m)}, m, d)
 
 
 def spanning_tuple_count(n: int, d: int, q: int) -> int:
@@ -100,8 +101,7 @@ def staged_count(g: int, r: int, s: int, q: int) -> int:
     independent choices for the last s tuple entries, q^{s(g-s)} lifts,
     then the leading-block count with n = g-s and d = r-s."""
     _check_profile(g, r, s)
-    rows = {n: _falling_row(q, n) for n in (g, g - s, r - s, g - s - 1)}
-    return _staged(rows, g, r, s, q)
+    return _staged({n: _falling_row(q, n) for n in (g, g - s, r - s, g - s - 1)}, g, r, s, q)
 
 
 def _pochhammer(q: int, n: int) -> list[int]:
@@ -175,7 +175,7 @@ def route_cells(g: int, q: int) -> list[tuple[int, int, int, int]]:
     and the falling rows n <= g, so a table costs O(g^2) products."""
     _check_profile(g, 0, 0)
     N = _pochhammer(q, g)
-    rows = [_falling_row(q, n) for n in range(g + 1)]
+    rows = {n: _falling_row(q, n) for n in range(g + 1)}
     return [(r, s, _closed_form(N, g, r, s, q), _staged(rows, g, r, s, q))
             for r, s in profiles(g)]
 

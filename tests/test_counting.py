@@ -102,6 +102,13 @@ def test_staged_count_examples():
         staged_count(2, 1, 2, 2)
 
 
+def test_single_cells_take_q_beyond_float_range():
+    # s = g and n = 0 read no row n - 1 = -1: building one must not compute q^-1
+    q = 2**1100
+    assert staged_count(1, 1, 1, q) == closed_form_count(1, 1, 1, q) == q - 1
+    assert spanning_tuple_count(0, 0, q) == surjection_count(-1, 0, q) == 1
+
+
 def test_closed_form_examples():
     for q in (2, 3, 4, 9):
         assert closed_form_count(1, 1, 1, q) == q - 1
