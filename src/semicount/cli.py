@@ -138,7 +138,8 @@ def _check_g(g: int, q: int, least: int = 0) -> None:
 
 
 def _run_field(args: argparse.Namespace, least: int = 0) -> FiniteField:
-    """The field of verify or roundtrip: checks --threads and --budget, builds it, checks --g."""
+    """The field of verify or roundtrip: --threads and --budget are checked
+    before it is built, --g after."""
     _require(args.threads >= 1, "--threads must be >= 1")
     _require(0 <= args.budget <= BUDGET_LIMIT, f"--budget must lie in [0, {BUDGET_LIMIT}], "
                                                 f"the bound BUDGET_LIMIT = 2^30; got {args.budget}")
