@@ -21,26 +21,17 @@ import random
 
 from . import counting
 from .gf import FiniteField, _digits, cached_field
-from .flags import Flag, _adapt, image_flag
+from .flags import Flag, _adapt
 from .linalg import (
     Matrix,
     Vector,
     _eliminate,
     _row_basis,
     in_span,
-    map_entries,
-    mat_inverse,
-    mat_mul,
     span_dim,
     standard_basis,
 )
-from .semilinear import (
-    DEFAULT_BUDGET,
-    RankProfile,
-    SemilinearMap,
-    _from_digits,
-    apply,
-)
+from .semilinear import DEFAULT_BUDGET, RankProfile, SemilinearMap, _from_digits
 
 VectorTuple = tuple[Vector, ...]
 
@@ -106,33 +97,6 @@ def tuple_profile(ctx: FiniteField, xs) -> RankProfile:
     return RankProfile(dims[1] if len(dims) > 1 else dims[0], dims[-1])
 
 
-def _cols(ctx: FiniteField, vectors) -> Matrix:
-    """Square matrix with the given vectors as columns, unchecked."""
-    return Matrix(ctx, len(vectors), len(vectors),
-                  tuple(x for row in zip(*vectors) for x in row))
-
-
-def map_to_tuple(F: SemilinearMap) -> VectorTuple:
-    """Encode a map as the images of the basis adapted to its image flag."""
-    adapted = _adapt(F.ctx, F.g, image_flag(F).subspaces[1:])
-    return tuple(apply(F, v) for v in adapted.vectors)
-
-
-def tuple_to_map(ctx: FiniteField, xs, tau: int) -> SemilinearMap:
-    """Decode: the unique map with twist tau sending the basis adapted to
-    the induced flag to the tuple, entry by entry.
-
-    If P has the adapted vectors as columns and X the tuple entries, the
-    matrix is X (tau P)^(-1); P is invertible because the adapted vectors
-    form a basis.
-    """
-    xs = _check_tuple(ctx, xs)
-    adapted = _adapt(ctx, len(xs), _induced_members(ctx, xs)[1:])
-    P = _cols(ctx, adapted.vectors)
-    A = mat_mul(_cols(ctx, xs), mat_inverse(map_entries(P, tau)))
-    return SemilinearMap(A, tau)
-
-
 def tuple_from_code(ctx: FiniteField, g: int, code: int) -> VectorTuple:
     """Tuple numbered by little-endian base-q digits; entry j owns digits
     j*g through j*g+g-1 as its coordinates."""
@@ -148,14 +112,15 @@ def tuple_code(ctx: FiniteField, xs) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the correspondence on codes
+# the correspondence
 #
 # A matrix code's digit i*g+j is the entry A[i][j], and a tuple code's digit
 # j*g+i is coordinate i of entry j; so both are read as g rows of g digits,
 # the rows of A^T (row j = column j of A = F(e_j)) and the tuple entries.
 # With P the adapted vectors as columns, encoding computes X^T = tau(P)^T A^T
 # by `inner_products` and decoding solves that system by one elimination.
-# No Matrix is built.
+# The two cores work on these digit lists; the code functions and the
+# Matrix functions only convert at the ends.
 
 
 def _echelon(ctx: FiniteField, rows: list[list[int]]) -> list[list[int]]:
@@ -165,12 +130,10 @@ def _echelon(ctx: FiniteField, rows: list[list[int]]) -> list[list[int]]:
     return rows[:len(_eliminate(ctx, rows, reduce_up=False))]
 
 
-def encode_code(ctx: FiniteField, g: int, tau: int, code: int) -> tuple[int, int, int]:
-    """(tuple code, r, s) of the map with matrix code `code` and twist tau:
-    `map_to_tuple` and `profile` on codes.  Unchecked."""
-    q = ctx.q
-    digits = _digits(code, q, g * g)
-    at = [digits[i * g + j] for j in range(g) for i in range(g)]  # A^T, flat
+def _encode(ctx: FiniteField, g: int, tau: int, entries) -> tuple[list[int], int, int]:
+    """(X^T flat, r, s) of the map with twist tau whose matrix has the
+    row-major `entries`.  Unchecked."""
+    at = [entries[i * g + j] for j in range(g) for i in range(g)]  # A^T, flat
     frob = ctx.frobenius_table(tau)
     # image chain: F(v) is the row tau(v)·A^T, so the images of a member's
     # basis are the rows of tau(basis)·A^T; F(e_j) is row j of A^T
@@ -185,24 +148,21 @@ def encode_code(ctx: FiniteField, g: int, tau: int, code: int) -> tuple[int, int
         n = len(basis)
         flat = ctx.inner_products([frob[x] for v in basis for x in v], n, g, at, g)
         rows = [flat[t * g: (t + 1) * g] for t in range(n)]
-    # X^T, flat; with no proper member the adapted basis is the standard one
+    # with no proper member the adapted basis is the standard one
     xt = at
     if members:
         adapted = _adapt(ctx, g, members).vectors
         xt = ctx.inner_products([frob[x] for v in adapted for x in v], g, g, at, g)
-    return _from_digits(xt, q), len(members[0]) if members else g, n
+    return xt, len(members[0]) if members else g, n
 
 
-def decode_code(ctx: FiniteField, g: int, tau: int, code: int) -> int:
-    """Matrix code of the map with twist tau that the tuple with code
-    `code` decodes to: `tuple_to_map` on codes.  Unchecked.
+def _decode(ctx: FiniteField, g: int, tau: int, xs: list[list[int]]) -> list[list[int]]:
+    """Rows of A^T for the map with twist tau that the tuple entries `xs`
+    decode to.  Unchecked.
 
     tau(P)^T A^T = X^T is solved by reducing [tau(P)^T | X^T] to
     [I | A^T]; tau(P)^T is invertible, so every pivot is on the left.
     """
-    q = ctx.q
-    digits = _digits(code, q, g * g)
-    xs = [digits[j * g: (j + 1) * g] for j in range(g)]
     members = []  # the induced flag's proper members
     n = g
     while True:
@@ -211,14 +171,44 @@ def decode_code(ctx: FiniteField, g: int, tau: int, code: int) -> int:
             break
         members.append(basis)
         n = len(basis)
-    at = xs  # with no proper member the adapted basis is the standard one
-    if members:
-        adapted = _adapt(ctx, g, members).vectors
-        frob = ctx.frobenius_table(tau)
-        rows = [[frob[x] for x in v] + x for v, x in zip(adapted, xs)]
-        _eliminate(ctx, rows, reduce_up=True)
-        at = [row[g:] for row in rows]
-    return _from_digits([at[j][i] for i in range(g) for j in range(g)], q)
+    if not members:  # the adapted basis is the standard one
+        return xs
+    adapted = _adapt(ctx, g, members).vectors
+    frob = ctx.frobenius_table(tau)
+    rows = [[frob[x] for x in v] + x for v, x in zip(adapted, xs)]
+    _eliminate(ctx, rows, reduce_up=True)
+    return [row[g:] for row in rows]
+
+
+def map_to_tuple(F: SemilinearMap) -> VectorTuple:
+    """Encode a map as the images of the basis adapted to its image flag."""
+    g = F.g
+    xt = _encode(F.ctx, g, F.tau, F.mat.entries)[0]
+    return tuple(tuple(xt[j * g: (j + 1) * g]) for j in range(g))
+
+
+def tuple_to_map(ctx: FiniteField, xs, tau: int) -> SemilinearMap:
+    """Decode: the unique map with twist tau sending the basis adapted to
+    the induced flag to the tuple, entry by entry."""
+    xs = _check_tuple(ctx, xs)
+    g = len(xs)
+    at = _decode(ctx, g, tau, [list(v) for v in xs])
+    return SemilinearMap(Matrix(ctx, g, g, tuple(x for row in zip(*at) for x in row)), tau)
+
+
+def encode_code(ctx: FiniteField, g: int, tau: int, code: int) -> tuple[int, int, int]:
+    """(tuple code, r, s) of the map with matrix code `code` and twist tau.
+    Unchecked."""
+    xt, r, s = _encode(ctx, g, tau, _digits(code, ctx.q, g * g))
+    return _from_digits(xt, ctx.q), r, s
+
+
+def decode_code(ctx: FiniteField, g: int, tau: int, code: int) -> int:
+    """Matrix code of the map with twist tau that the tuple with code
+    `code` decodes to.  Unchecked."""
+    digits = _digits(code, ctx.q, g * g)
+    at = _decode(ctx, g, tau, [digits[j * g: (j + 1) * g] for j in range(g)])
+    return _from_digits([at[j][i] for i in range(g) for j in range(g)], ctx.q)
 
 
 def enumerate_vector_tuples(ctx: FiniteField, g: int):

@@ -366,15 +366,7 @@ class FiniteField:
         return a or b
 
     def sub(self, a: int, b: int) -> int:
-        zech = self._zech
-        if zech is None:
-            return a ^ b
-        if a and b:  # a - b = a·(1 + (-1)·b/a), -1 = c^((q-1)/2)
-            log = self._log
-            la = log[a]
-            z = zech[log[b] + (self.q - 1) // 2 - la]
-            return 0 if z is None else self._exp[la + z]
-        return a or self.neg(b)
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         if self._zech is None or not a:

@@ -263,6 +263,25 @@ def direct_adapt(p, modulus, e_basis, U_set: frozenset, g: int):
     return adapted, J, match_counts
 
 
+def naive_tuple(p, modulus, rows, tau_i: int, g: int) -> tuple:
+    """Images of the basis adapted to the image flag: the chain of literal
+    set images down to the stable one, the standard basis adapted to its
+    members smallest first, then each adapted vector pushed through the map."""
+    S = span_set(p, modulus, standard_vectors(g), g)
+    chain = []
+    while True:
+        T = image_set(p, modulus, rows, tau_i, S)
+        if T == S:
+            break
+        chain.append(T)
+        S = T
+    basis = standard_vectors(g)
+    for U in reversed(chain):
+        basis, _, counts = direct_adapt(p, modulus, basis, U, g)
+        assert set(counts.values()) <= {1}, "normal-form vector not unique"
+    return tuple(apply_map(p, modulus, rows, tau_i, v) for v in basis)
+
+
 # --- the two census formulas, factor by factor -------------------------------
 
 def naive_closed_form(g: int, r: int, s: int, q: int) -> int:

@@ -20,11 +20,19 @@ from semicount.bijection import (
     tuple_to_map,
 )
 from semicount.counting import formula_table, profiles, staged_count
-from semicount.flags import image_flag
+from semicount.flags import _adapt, image_flag
 from semicount.gf import make_field
-from semicount.linalg import matrix_from_rows, standard_basis
+from semicount.linalg import (
+    map_entries,
+    mat_inverse,
+    mat_mul,
+    matrix_from_cols,
+    matrix_from_rows,
+    standard_basis,
+)
 from semicount.semilinear import (
     SemilinearMap,
+    apply,
     enumerate_maps,
     identity_map,
     matrix_code,
@@ -169,16 +177,36 @@ def test_tuple_code_roundtrip_and_range():
         tuple_from_code(GF3, 2, -1)
 
 
-# --- the correspondence on codes ---------------------------------------------------
+# --- the coded core against the Matrix reference -------------------------------------
+
+def _reference_map_to_tuple(F):
+    """Apply F to the basis adapted to its image flag, vector by vector."""
+    adapted = _adapt(F.ctx, F.g, image_flag(F).subspaces[1:])
+    return tuple(apply(F, v) for v in adapted.vectors)
+
+
+def _reference_tuple_to_map(ctx, xs, tau):
+    """X (tau P)^(-1), with P the adapted vectors as columns and X the
+    tuple entries; P is invertible because the adapted vectors form a basis."""
+    g = len(xs)
+    adapted = _adapt(ctx, g, induced_flag(ctx, xs).subspaces[1:])
+    P = matrix_from_cols(ctx, adapted.vectors, g)
+    A = mat_mul(matrix_from_cols(ctx, xs, g), mat_inverse(map_entries(P, tau)))
+    return SemilinearMap(A, tau)
+
 
 def _assert_coded_equals_reference(ctx, g, tau, codes):
-    """encode_code/decode_code against map_to_tuple, profile and
-    tuple_to_map, code by code."""
+    """encode_code/decode_code and the Matrix functions against the
+    reference functions and profile, code by code."""
     for code in codes:
         F = SemilinearMap(matrix_from_code(ctx, g, code), tau)
-        expected = (tuple_code(ctx, map_to_tuple(F)), *profile(F))
-        assert encode_code(ctx, g, tau, code) == expected, (ctx.spec, tau, code)
-        G = tuple_to_map(ctx, tuple_from_code(ctx, g, code), tau)
+        xs = _reference_map_to_tuple(F)
+        assert map_to_tuple(F) == xs, (ctx.spec, tau, code)
+        assert encode_code(ctx, g, tau, code) == (tuple_code(ctx, xs), *profile(F)), \
+            (ctx.spec, tau, code)
+        xs = tuple_from_code(ctx, g, code)
+        G = _reference_tuple_to_map(ctx, xs, tau)
+        assert tuple_to_map(ctx, xs, tau) == G, (ctx.spec, tau, code)
         assert decode_code(ctx, g, tau, code) == matrix_code(G.mat), (ctx.spec, tau, code)
 
 
@@ -203,6 +231,44 @@ def test_coded_path_equals_reference_seeded(p, d, g, tau, n):
     rng = random.Random(f"{p}^{d} g={g}")
     _assert_coded_equals_reference(
         ctx, g, tau, [rng.randrange(ctx.q ** (g * g)) for _ in range(n)])
+
+
+@pytest.mark.parametrize("p,d,g,tau", [(2, 1, 2, 0), (2, 1, 3, 0), (3, 1, 2, 0), (2, 2, 2, 1)])
+def test_map_to_tuple_matches_first_principles_oracle(p, d, g, tau):
+    ctx = make_field(p, d)
+    for F in enumerate_maps(ctx, g, tau):
+        xs = helpers.naive_tuple(ctx.p, ctx.modulus, [F.mat.row(i) for i in range(g)], tau, g)
+        assert map_to_tuple(F) == xs, F
+        assert tuple_to_map(ctx, xs, tau) == F, F
+
+
+def test_every_entry_point_runs_the_two_cores(capsys, monkeypatch):
+    import collections
+    import io
+    import sys
+    import semicount.bijection as bijection
+    from semicount.cli import main
+    calls = collections.Counter()
+    for name in ("_encode", "_decode"):
+        def counted(*args, real=getattr(bijection, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(bijection, name, counted)
+
+    def counts_of(run):
+        calls.clear()
+        run()
+        return dict(calls)
+
+    assert counts_of(lambda: map_to_tuple(identity_map(GF3, 2))) == {"_encode": 1}
+    assert counts_of(lambda: tuple_to_map(GF3, E1_ZERO, 0)) == {"_decode": 1}
+    # each code is encoded and decoded twice, once from each side
+    assert counts_of(lambda: roundtrip_check(GF2, 2, 0)) == {"_encode": 32, "_decode": 32}
+    for argv, text, expected in [(["mu"], "tau 0\n2 2 3^1\n1 2\n0 1\n", {"_encode": 1}),
+                                 (["nu"], "2 2 3^1\n1 2\n0 1\n", {"_decode": 1})]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert counts_of(lambda: main(argv)) == expected, argv
+        assert capsys.readouterr().err == ""
 
 
 def test_roundtrip_check_builds_no_matrix(monkeypatch):

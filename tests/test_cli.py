@@ -170,6 +170,14 @@ def test_missing_input_file_is_reported(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_unwritable_out_path_is_reported(capsys, monkeypatch, tmp_path):
+    out_path = str(tmp_path / "missing" / "r.json")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(MAP_BLOCK))
+    for argv in [("count", "--field", "2^1", "--g", "2"), ("mu",)]:
+        code, out, err = run(capsys, *argv, "--out", out_path)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
 # --- roundtrip ----------------------------------------------------------------------
 
 def test_roundtrip_exhaustive(capsys):
@@ -315,6 +323,35 @@ def test_golden_outputs(capsys, monkeypatch):
     for argv, digest in pinned.items():
         code, out, _ = run(capsys, *argv)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    # mu and nu, pinned before they moved onto the coded core
+    blocks = {
+        ("mu", "tau 0\n0 0 2^1\n"):
+            "cac6fa46295447fa3344019e1da44662675d03c5469442d52abc46b6d1a86924",
+        ("mu", "tau 1\n2 2 2^2\n2 3\n1 0\n"):
+            "c6b89112bfafbfc952aa9a0e4bbbae0f16deef52226cb7b07fe6e39574105655",
+        ("mu", "tau 0\n3 3 3^1\n0 1 2\n0 0 1\n0 0 0\n"):
+            "b266cf5ef6c7a3bf3b66fda9d74c06220f5ff4f70d0c33959c52f310038201be",
+        ("mu", "tau 1\n3 3 3^2\n1 4 0\n2 8 0\n0 0 0\n"):
+            "e5278f7aaacfa6c42cddcd876c0e770746e7d1cbc6b2ed33bf72a55cc836aa6e",
+        ("mu", "tau 7\n3 3 2^3\n0 5 0\n3 0 0\n0 0 6\n"):
+            "59fa5392caf3af1c3344451ba735637dec2f3d893b60ec58fc8876be774cbf14",
+    }
+    for text, digests in [
+        ("0 0 2^1\n", ["3b8d206432c80cb85e8a1310d6863c43517db907dc6d5680aaa270c382e8ba99"] * 3),
+        ("3 3 3^1\n1 2 0\n0 0 0\n2 1 0\n",
+         ["2e53ba5bf5a36aec23ec0f20313730b12952aaa5eadd47d877fbce3032763f97"] * 3),
+        ("3 3 2^2\n0 0 0\n1 0 3\n2 0 1\n",
+         ["649315779869a443fb86e45256f6388adeab4bcc19d55554df5b437237f31117"]
+         + ["7dab3303277eba62743c284416ec60fb558cc4941ea77ff486a974aba3d1ff3c"] * 2),
+        ("2 2 5^1\n1 4\n2 3\n",
+         ["164dabf21da25c57238b42f1a9e9b8ab78357cea1b88be2be0de6e6827102deb"] * 3),
+    ]:
+        for tau, digest in zip(("0", "1", "-1"), digests):
+            blocks["nu", "--tau", tau, text] = digest
+    for (*argv, text), digest in blocks.items():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, (argv, text)
     monkeypatch.setattr(sys, "stdin", io.StringIO(ADAPT_BASIS.format("2 0 1")))
     code, out, _ = run(capsys, "adapt")
     assert code == 0 and out == (
