@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from . import counting
-from .gf import FiniteField, _digits, cached_field
+from .gf import FiniteField, _digits
 from .flags import Flag, _adapt
 from .linalg import (
     Matrix,
@@ -224,16 +224,15 @@ def enumerate_vector_tuples(ctx: FiniteField, g: int):
 SPOT_CHECK_SAMPLES = 1000
 
 
-def _roundtrip_codes(task: tuple) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """Check both directions on a batch of codes; used as a pool worker.
+def _roundtrip_codes(ctx: FiniteField, g: int, tau: int,
+                     codes) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """Check both directions on a batch of codes; the job of `roundtrip_check`.
 
     Each code is read twice: as a matrix code (encode, then decode must
     give it back) and as a tuple code (decode, then encode must give it
     back).  Returns per-profile tallies of the maps checked, read off
     their encodings, and the codes that failed either direction.
     """
-    p, d, modulus, g, tau, codes = task
-    ctx = cached_field(p, d, modulus)
     tallies: dict[tuple[int, int], int] = {}
     failures: list[int] = []
     for code in codes:
@@ -243,6 +242,10 @@ def _roundtrip_codes(task: tuple) -> tuple[dict[tuple[int, int], int], list[int]
                 or encode_code(ctx, g, tau, decode_code(ctx, g, tau, code))[0] != code):
             failures.append(code)
     return tallies, failures
+
+
+def _roundtrip_job(ctx: FiniteField, g: int, tau: int):
+    return lambda codes: _roundtrip_codes(ctx, g, tau, codes)
 
 
 def roundtrip_check(
@@ -271,7 +274,7 @@ def roundtrip_check(
     else:
         rng = random.Random(seed)
         codes = [rng.randrange(total) for _ in range(samples)]
-    parts = counting.run_chunks(_roundtrip_codes, ctx, g, tau, codes, threads)
+    parts = counting.run_chunks(_roundtrip_job, ctx, g, tau, codes, threads)
     tallies = counting.merge_tallies(g, [tally for tally, _ in parts])
     failures = [code for _, part in parts for code in part]
     # a sweep of every code must tally the closed-form census exactly

@@ -3,7 +3,7 @@
 Three independent routes to the same numbers:
 
 * `closed_form_count` evaluates a single product formula with exact
-  rational arithmetic and asserts the result clears to an integer.
+  rational arithmetic and raises unless the result clears to an integer.
 * `staged_count` multiplies the sizes of the stages that build a tuple
   with the given profile (choices for the trailing block, lifts, choices
   for the leading block); integers only.
@@ -23,8 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import FiniteField, cached_field, field_key
-from .semilinear import DEFAULT_BUDGET, check_budget, row_kernel
+from .gf import FiniteField
+from .semilinear import DEFAULT_BUDGET, RowKernel, check_budget
 
 # Fixed chunk granularity for the parallel enumerator.  Constant by design:
 # the work split, and therefore the merged result, never depends on how
@@ -60,7 +60,8 @@ def _falling_row(q: int, n: int) -> list[int]:
 
 def _subspaces(rows: dict, n: int, d: int) -> int:
     out, rem = divmod(rows[n][d], rows[d][d])
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"subspace count is not an integer at n={n}, d={d}")
     return out
 
 
@@ -208,26 +209,43 @@ def formula_table(g: int, q: int) -> CountTable:
                 f"{via_formula} vs {via_stages}")
         entries[(r, s)] = via_formula
     table = CountTable(q, g, "theorem", None, entries)
-    assert table.total == q ** (g * g)
+    if table.total != q ** (g * g):
+        raise ArithmeticError(f"counts at g={g}, q={q} sum to {table.total}, not q^(g^2)")
     return table
 
 
-def run_chunks(fn, ctx: FiniteField, g: int, tau: int, codes, threads: int) -> list:
-    """fn((p, d, modulus, g, tau, chunk)) for each CHUNK_CODES-long slice of
-    `codes` (a range or a list), on a process pool when threads > 1.
+# the job of a pool worker, set once by _start_worker when the worker starts
+_worker_job = None
 
-    The pool gets at most one worker per chunk and per core: the default
-    `fork` start method launches every worker up front, so surplus workers
-    cost a fork each and do nothing.  Results come back in chunk order.
+
+def _start_worker(make_job, ctx: FiniteField, g: int, tau: int) -> None:
+    global _worker_job
+    _worker_job = make_job(ctx, g, tau)
+
+
+def _run_worker_job(chunk):
+    return _worker_job(chunk)
+
+
+def run_chunks(make_job, ctx: FiniteField, g: int, tau: int, codes, threads: int) -> list:
+    """job(chunk) for each CHUNK_CODES-long slice of `codes` (a range or a
+    list), job = make_job(ctx, g, tau), on a process pool when threads > 1.
+
+    The job is made once per call, or once per pool worker by the pool's
+    initializer, and is dropped with the call or the pool.  `spawn` and
+    `forkserver` pickle `make_job` and ctx, so `make_job` must be a
+    module-level function; the job itself need not pickle.  The pool gets
+    at most one worker per chunk and per core.  Results come back in
+    chunk order.
     """
-    key = field_key(ctx)
-    tasks = [(*key, g, tau, codes[lo: lo + CHUNK_CODES])
-             for lo in range(0, len(codes), CHUNK_CODES)]
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    chunks = [codes[lo: lo + CHUNK_CODES] for lo in range(0, len(codes), CHUNK_CODES)]
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        job = make_job(ctx, g, tau)
+        return [job(chunk) for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                             initargs=(make_job, ctx, g, tau)) as pool:
+        return list(pool.map(_run_worker_job, chunks))
 
 
 def merge_tallies(g: int, parts) -> dict[tuple[int, int], int]:
@@ -239,9 +257,9 @@ def merge_tallies(g: int, parts) -> dict[tuple[int, int], int]:
     return entries
 
 
-def _tally_chunk(task: tuple) -> dict[tuple[int, int], int]:
-    p, d, modulus, g, tau, chunk = task
-    return row_kernel(cached_field(p, d, modulus), g, tau).tally(chunk.start, chunk.stop)
+def _tally_job(ctx: FiniteField, g: int, tau: int):
+    kernel = RowKernel(ctx, g, tau)
+    return lambda chunk: kernel.tally(chunk.start, chunk.stop)
 
 
 def bruteforce_table(
@@ -260,9 +278,10 @@ def bruteforce_table(
     """
     total = check_budget(ctx.q, g, budget)
     tau %= ctx.d
-    entries = merge_tallies(g, run_chunks(_tally_chunk, ctx, g, tau, range(total), threads))
+    entries = merge_tallies(g, run_chunks(_tally_job, ctx, g, tau, range(total), threads))
     table = CountTable(ctx.q, g, "enumeration", tau, entries)
-    assert table.total == total
+    if table.total != total:
+        raise ArithmeticError(f"chunks tallied {table.total} of the {total} maps")
     return table
 
 

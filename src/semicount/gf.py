@@ -527,29 +527,6 @@ def make_field(p: int, d: int, modulus=None) -> FiniteField:
     return FiniteField(*validate_field(p, d, modulus))
 
 
-# fields by (p, d, modulus), shared by every chunk a process runs
-_FIELDS: dict[tuple, FiniteField] = {}
-
-
-def field_key(ctx: FiniteField) -> tuple:
-    """(p, d, modulus): what a chunk task carries instead of the field.
-
-    Also files ctx under that key, so chunks run in this process, or in a
-    worker forked from it, find it in `cached_field` without rebuilding.
-    """
-    key = (ctx.p, ctx.d, ctx.modulus)
-    _FIELDS.setdefault(key, ctx)
-    return key
-
-
-def cached_field(p: int, d: int, modulus: tuple[int, ...]) -> FiniteField:
-    """The field for a chunk task, built at most once per process."""
-    ctx = _FIELDS.get((p, d, modulus))
-    if ctx is None:
-        ctx = _FIELDS[(p, d, modulus)] = make_field(p, d, modulus)
-    return ctx
-
-
 def _split_spec(spec: str) -> tuple[int, int, tuple[int, ...] | None]:
     """p, d and the modulus (None when omitted) of "p^d" or
     "p^d/c_0,c_1,...,c_d" (little-endian coefficients), unvalidated."""

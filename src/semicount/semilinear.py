@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator, NamedTuple
 
 from .gf import FiniteField, _digits
@@ -356,8 +355,3 @@ class RowKernel:
         return {(r, s): counts[r * (g + 1) + s]
                 for r in range(g + 1) for s in range(r + 1) if counts[r * (g + 1) + s]}
 
-
-@cache
-def row_kernel(ctx: FiniteField, g: int, tau: int) -> RowKernel:
-    """The kernel for (field, g, tau), built once per process."""
-    return RowKernel(ctx, g, tau)

@@ -324,18 +324,28 @@ def test_roundtrip_check_sampled_mode_is_seeded():
 
 
 def test_chunks_reuse_the_callers_field(monkeypatch):
-    # chunk tasks carry (p, d, modulus); the field the caller passed in is
-    # found again instead of rebuilt, once per chunk or otherwise
+    # chunk jobs are handed the field the caller passed in, never a rebuilt
+    # one, and an enumeration builds one kernel for all its chunks
     import semicount.counting as counting
     import semicount.gf as gf
     from semicount.counting import bruteforce_table
+    built = []
+
+    class CountedKernel(counting.RowKernel):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
     ctx = make_field(5, 1)
     monkeypatch.setattr(counting, "CHUNK_CODES", 100)
+    monkeypatch.setattr(counting, "RowKernel", CountedKernel)
     monkeypatch.setattr(gf, "make_field", lambda *args: pytest.fail("field rebuilt"))
+    monkeypatch.setattr(gf.FiniteField, "_build_tables", lambda self: pytest.fail("field rebuilt"))
     report, ok = roundtrip_check(ctx, 2, 0)
     assert ok and report["maps_checked"] == 625
-    assert bruteforce_table(ctx, 2, 0).total == 625
-    assert gf.cached_field(*gf.field_key(ctx)) == ctx
+    assert built == []
+    assert bruteforce_table(ctx, 2, 0).total == 625  # 7 chunks
+    assert len(built) == 1 and built[0][0] is ctx
 
 
 def test_roundtrip_check_worker_split_is_invisible(monkeypatch):

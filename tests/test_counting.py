@@ -1,6 +1,12 @@
 """Counting formulas, the enumeration oracle, and the verification report."""
 
+import gc
 import itertools
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +27,8 @@ from semicount.counting import (
     surjection_count,
     verify_counts,
 )
-from semicount.gf import make_field
+from semicount.bijection import roundtrip_check
+from semicount.gf import FiniteField, make_field
 from semicount.semilinear import BudgetExceeded, enumerate_maps, profile
 
 GF2 = make_field(2, 1)
@@ -246,13 +253,16 @@ def test_bruteforce_unaligned_chunks_match_profile(monkeypatch, chunk, ctx, g, t
 
 
 def test_run_chunks_caps_workers(monkeypatch):
-    made = []
+    made, jobs = [], []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+        """Stands in for ProcessPoolExecutor: records max_workers, starts
+        each worker with the initializer, runs inline."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             made.append(max_workers)
+            for _ in range(max_workers):
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -263,27 +273,116 @@ def test_run_chunks_caps_workers(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
+    def make_job(ctx, g, tau):
+        jobs.append((ctx, g, tau))
+        return lambda chunk: chunk
+
     def run(codes, threads):
-        return counting.run_chunks(lambda task: task, GF3, 2, 0, codes, threads)
+        jobs.clear()
+        return counting.run_chunks(make_job, GF3, 2, 0, codes, threads)
 
     monkeypatch.setattr(counting, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(counting, "_worker_job", None)  # the inline workers set it
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     chunk = counting.CHUNK_CODES
     monkeypatch.setattr(counting, "CHUNK_CODES", 2)
-    key = (GF3.p, GF3.d, GF3.modulus)
-    assert run(range(6), 64) == [(*key, 2, 0, range(lo, lo + 2)) for lo in (0, 2, 4)]
-    assert run([5, 4, 3, 2, 1], 1) == [(*key, 2, 0, [5, 4]), (*key, 2, 0, [3, 2]),
-                                       (*key, 2, 0, [1])]
-    assert run(range(2), 64) == [(*key, 2, 0, range(2))]
+    # chunk tasks are bare slices of the codes
+    assert run(range(6), 64) == [range(0, 2), range(2, 4), range(4, 6)]
+    assert jobs == [(GF3, 2, 0)] * 2  # one job per pool worker
+    assert run([5, 4, 3, 2, 1], 1) == [[5, 4], [3, 2], [1]]
+    assert jobs == [(GF3, 2, 0)]  # one job per serial call
+    assert run(range(2), 64) == [range(2)]
+    assert len(jobs) == 1
     assert run([], 64) == []
     assert made == [2]  # one worker per core; serial with one thread or one chunk
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
     assert len(run(range(5), 64)) == 3
     assert made == [2, 3]  # never more workers than chunks
+    assert len(jobs) == 3
     monkeypatch.setattr(counting, "CHUNK_CODES", chunk)
     # 9^4 maps make two chunks of CHUNK_CODES
     assert bruteforce_table(GF9, 2, 1, threads=1000).entries == formula_table(2, 9).entries
     assert made == [2, 3, 2]
+
+
+def test_no_kernel_or_field_outlives_a_call(monkeypatch):
+    class Field(FiniteField):
+        __slots__ = ("__weakref__",)
+
+    kernels = []
+
+    class RecordedKernel(counting.RowKernel):
+        def __init__(self, *args):
+            kernels.append(weakref.ref(self))
+            super().__init__(*args)
+
+    monkeypatch.setattr(counting, "RowKernel", RecordedKernel)
+    monkeypatch.setattr(counting, "CHUNK_CODES", 100)
+    ctx = Field(5, 1, make_field(5, 1).modulus)
+    field = weakref.ref(ctx)
+    assert bruteforce_table(ctx, 2, 0).total == 625
+    report, ok = roundtrip_check(ctx, 2, 0)
+    assert ok and report["maps_checked"] == 625
+    del ctx
+    gc.collect()
+    assert len(kernels) == 1 and kernels[0]() is None
+    assert field() is None  # no module, cache or job holds the caller's field
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(counting.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pools_match_serial_under_start_method(method):
+    # the pickled path: make_job and the field go to each worker, which builds its job
+    script = f"""
+import multiprocessing
+multiprocessing.set_start_method({method!r})
+from semicount.bijection import roundtrip_check
+from semicount.counting import bruteforce_table
+from semicount.gf import make_field
+ctx = make_field(3, 1)
+assert bruteforce_table(ctx, 3, 0, threads=2) == bruteforce_table(ctx, 3, 0)
+sampled = dict(budget=10, samples=5000, seed=3)  # two chunks
+assert roundtrip_check(ctx, 3, 0, threads=2, **sampled) == roundtrip_check(ctx, 3, 0, **sampled)
+print(multiprocessing.get_start_method())
+"""
+    proc = _run_python("-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, method + "\n", "")
+
+
+# each exactness check in counting, faced with a fault that breaks it
+EXACTNESS_FAULTS = {
+    "subspaces": "counting._subspaces({3: [1, 2, 7], 2: [1, 1, 2]}, 3, 2)",
+    "total_mass": "counting.route_cells = lambda g, q: [(r, s, 0, 0) for r, s in profiles(g)]\n"
+                  "counting.formula_table(2, 2)",
+    "coverage": "semilinear.RowKernel.tally = lambda self, start, stop: {(0, 0): 1}\n"
+                "counting.bruteforce_table(make_field(2, 1), 2, 0)",
+}
+
+
+@pytest.mark.parametrize("check", sorted(EXACTNESS_FAULTS))
+def test_exactness_checks_hold_under_python_O(check):
+    proc = _run_python("-O", "-c", "import semicount.counting as counting\n"
+                       "import semicount.semilinear as semilinear\n"
+                       "from semicount.counting import profiles\n"
+                       "from semicount.gf import make_field\n" + EXACTNESS_FAULTS[check])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ArithmeticError: ")
+
+
+def test_uncovered_codes_exit_as_a_mismatch_under_python_O():
+    proc = _run_python("-O", "-c", "import sys\n"
+                       "import semicount.semilinear as semilinear\n"
+                       "from semicount.cli import main\n"
+                       "semilinear.RowKernel.tally = lambda self, start, stop: {(0, 0): 1}\n"
+                       "sys.exit(main(['verify', '--field', '2^1', '--g', '2']))")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "mismatch: chunks tallied 1 of the 16 maps\n"
 
 
 # --- verification report ----------------------------------------------------------
