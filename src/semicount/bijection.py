@@ -156,9 +156,11 @@ def _encode(ctx: FiniteField, g: int, tau: int, entries) -> tuple[list[int], int
     return xt, len(members[0]) if members else g, n
 
 
-def _decode(ctx: FiniteField, g: int, tau: int, xs: list[list[int]]) -> list[list[int]]:
-    """Rows of A^T for the map with twist tau that the tuple entries `xs`
-    decode to.  Unchecked.
+def _decode(ctx: FiniteField, g: int, tau: int,
+            xs: list[list[int]]) -> tuple[list[list[int]], int, int]:
+    """(rows of A^T, r, s) of the map with twist tau that the tuple entries
+    `xs` decode to; the tuple's profile, read off its induced flag.
+    Unchecked.
 
     tau(P)^T A^T = X^T is solved by reducing [tau(P)^T | X^T] to
     [I | A^T]; tau(P)^T is invertible, so every pivot is on the left.
@@ -172,12 +174,12 @@ def _decode(ctx: FiniteField, g: int, tau: int, xs: list[list[int]]) -> list[lis
         members.append(basis)
         n = len(basis)
     if not members:  # the adapted basis is the standard one
-        return xs
+        return xs, g, g
     adapted = _adapt(ctx, g, members).vectors
     frob = ctx.frobenius_table(tau)
     rows = [[frob[x] for x in v] + x for v, x in zip(adapted, xs)]
     _eliminate(ctx, rows, reduce_up=True)
-    return [row[g:] for row in rows]
+    return [row[g:] for row in rows], len(members[0]), n
 
 
 def map_to_tuple(F: SemilinearMap) -> VectorTuple:
@@ -192,7 +194,7 @@ def tuple_to_map(ctx: FiniteField, xs, tau: int) -> SemilinearMap:
     the induced flag to the tuple, entry by entry."""
     xs = _check_tuple(ctx, xs)
     g = len(xs)
-    at = _decode(ctx, g, tau, [list(v) for v in xs])
+    at = _decode(ctx, g, tau, [list(v) for v in xs])[0]
     return SemilinearMap(Matrix(ctx, g, g, tuple(x for row in zip(*at) for x in row)), tau)
 
 
@@ -203,12 +205,12 @@ def encode_code(ctx: FiniteField, g: int, tau: int, code: int) -> tuple[int, int
     return _from_digits(xt, ctx.q), r, s
 
 
-def decode_code(ctx: FiniteField, g: int, tau: int, code: int) -> int:
-    """Matrix code of the map with twist tau that the tuple with code
-    `code` decodes to.  Unchecked."""
+def decode_code(ctx: FiniteField, g: int, tau: int, code: int) -> tuple[int, int, int]:
+    """(matrix code, r, s) of the map with twist tau that the tuple with
+    code `code` decodes to.  Unchecked."""
     digits = _digits(code, ctx.q, g * g)
-    at = _decode(ctx, g, tau, [digits[j * g: (j + 1) * g] for j in range(g)])
-    return _from_digits([at[j][i] for i in range(g) for j in range(g)], ctx.q)
+    at, r, s = _decode(ctx, g, tau, [digits[j * g: (j + 1) * g] for j in range(g)])
+    return _from_digits([at[j][i] for i in range(g) for j in range(g)], ctx.q), r, s
 
 
 def enumerate_vector_tuples(ctx: FiniteField, g: int):
@@ -238,8 +240,8 @@ def _roundtrip_codes(ctx: FiniteField, g: int, tau: int,
     for code in codes:
         xcode, r, s = encode_code(ctx, g, tau, code)
         tallies[(r, s)] = tallies.get((r, s), 0) + 1
-        if (decode_code(ctx, g, tau, xcode) != code
-                or encode_code(ctx, g, tau, decode_code(ctx, g, tau, code))[0] != code):
+        if (decode_code(ctx, g, tau, xcode)[0] != code
+                or encode_code(ctx, g, tau, decode_code(ctx, g, tau, code)[0])[0] != code):
             failures.append(code)
     return tallies, failures
 

@@ -14,14 +14,15 @@ import sys
 
 from .gf import FiniteField, parse_field_spec, parse_spec, poly_str, spec_str
 from .linalg import Matrix, matrix_from_rows
-from .semilinear import BudgetExceeded, DEFAULT_BUDGET, SemilinearMap
-from .flags import make_flag, adapt_to_flag
-from .bijection import (
-    map_to_tuple,
-    roundtrip_check,
-    tuple_profile,
-    tuple_to_map,
+from .semilinear import (
+    BudgetExceeded,
+    DEFAULT_BUDGET,
+    SemilinearMap,
+    matrix_code,
+    matrix_from_code,
 )
+from .flags import make_flag, adapt_to_flag
+from .bijection import decode_code, encode_code, roundtrip_check, tuple_code, tuple_from_code
 from .counting import closed_form_count, report_cells, staged_count, verify_counts
 
 EXIT_OK = 0
@@ -218,8 +219,8 @@ def cmd_mu(args: argparse.Namespace):
     blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) == 1, "mu expects exactly one map block")
     F = parse_map_block(blocks[0])
-    xs = map_to_tuple(F)
-    r, s = tuple_profile(F.ctx, xs)
+    xcode, r, s = encode_code(F.ctx, F.g, F.tau, matrix_code(F.mat))
+    xs = tuple_from_code(F.ctx, F.g, xcode)
     payload = {
         "field": F.ctx.spec,
         "g": F.g,
@@ -236,9 +237,8 @@ def cmd_nu(args: argparse.Namespace):
     _require(len(blocks) == 1, "nu expects exactly one tuple block (vectors as rows)")
     ctx, X = parse_matrix_block(blocks[0])
     _require(X.rows == X.cols, "tuple block must be square: g vectors of length g")
-    xs = X.row_list()
-    F = tuple_to_map(ctx, xs, args.tau)
-    r, s = tuple_profile(ctx, xs)
+    code, r, s = decode_code(ctx, X.rows, args.tau, tuple_code(ctx, X.row_list()))
+    F = SemilinearMap(matrix_from_code(ctx, X.rows, code), args.tau)
     payload = {
         "field": ctx.spec,
         "g": X.rows,

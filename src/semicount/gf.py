@@ -112,9 +112,10 @@ def _poly_mulmod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -
     if not a or not b:
         return []
     prod = [0] * (len(a) + len(b) - 1)
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in terms:
                 prod[i + j] = (prod[i + j] + ai * bj) % p
     d = len(modulus) - 1
     # modulus is monic: x^d = -(lower part), eliminate top terms in place

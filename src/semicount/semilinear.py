@@ -203,10 +203,14 @@ class RowKernel:
     codes, so row i of code c is (c // Q**i) % Q.  No `Matrix` is built.
 
     r is the rank of the rows.  Codes are walked in runs of Q that share
-    rows 1..g-1; per run those rows are eliminated once, with tables for
-    lead position, row normalised to lead 1 (and its negative) and row
-    sums, and the vectors y·(rows 1..g-1) are listed once.  Row 0 adds
-    one to the rank exactly when it is not in that list.
+    rows 1..g-1, and rows 2..g-1 change only once every Q runs.  While
+    they last, one `tally` call keeps their layer y·(rows 2..g-1), their
+    echelon basis (tables for lead position, row normalised to lead 1 and
+    its negative, and row sums) and its span; nothing is kept between
+    calls.  Each run then lists images[y] = y·(rows 1..g-1) from that layer
+    and the q multiples of row 1, and row 1 joins the kept basis when it
+    is outside the kept span.  Row 0 adds one to the rank exactly when it
+    is not in the run's list, the span W of rows 1..g-1.
 
     s comes from the dual image chain U_1 = row space of A and
     U_(k+1) = L(U_k), where L(x) = tau^-1(x)·A.  F^k has matrix
@@ -215,19 +219,28 @@ class RowKernel:
     reaches 0.  Each x·A in it is one entry of the run's list plus a
     scaled row 0.
 
-    Most runs need no chain at all: when rows 1..g-1 are independent they
-    span a hyperplane W, listed once by y -> images[y].  A row 0 outside W
-    gives a bijective map, r = s = g, and those codes are only counted.
-    A row 0 = images[y] gives r = g-1, and then L, semilinear with the
-    1-dimensional kernel spanned by k_1 = tau((-1, y)), has a nilpotent
-    part that is one Jordan block (Fitting; Fine & Herstein 1958).  Its
-    length m is read off the chain k_(j+1) = tau((0, coord[k_j])), which
-    solves L(k_(j+1)) = k_j while k_j is in W = im L; m is the first j
-    with k_j outside W, whichever preimages were taken, since
-    k_1..k_(j-1) span ker L^(j-1) and lie in W.  So rank F^k = g - min(k, m)
-    and s = g - m.  Only maps with 0 < r < g in the other runs take the
-    echelon chain.
+    Most maps need no chain at all.  When r = g-1, L is semilinear with a
+    1-dimensional kernel, so its nilpotent part is one Jordan block
+    (Fitting; Fine & Herstein 1958) of some length m.  From k_1 spanning
+    ker L, the chain k_(j+1) = tau((x_0, y)) with
+    x_0·row 0 + y·(rows 1..g-1) = k_j solves L(k_(j+1)) = k_j while k_j is
+    in im L; m is the first j with k_j outside im L, whichever preimages
+    were taken, since k_1..k_(j-1) span ker L^(j-1) and lie in im L.  So
+    rank F^k = g - min(k, m) and s = g - m.  Two kinds of run give r = g-1:
 
+    - hyperplane runs, where rows 1..g-1 are independent and W is a
+      hyperplane.  A row 0 outside W gives a bijective map, r = s = g,
+      and those codes are only counted.  A row 0 = images[y] has im L = W,
+      k_1 = tau((-1, y)) and k_(j+1) = tau((0, coord[k_j])), where coord
+      inverts images on W.
+    - corank-1 runs, where dim W = g-2, with a row 0 outside W.  Then
+      im L = W + <row 0>, and k_1 = tau((0, y0)) for every such row 0,
+      where images[y0] = 0 with y0 != 0.  A step takes the first scalar
+      x_0 with k_j - x_0·row 0 in W, at most q lookups, and then
+      k_(j+1) = tau((x_0, coord[k_j - x_0·row 0])).
+
+    Only the other maps with 0 < r < g take the echelon chain: a row 0 in
+    W of a corank-1 run, and every row 0 of a run of lower rank.
     Tables are built for g >= 2 only, and none has more than q^(g+1)
     entries: the q scalings of every row code, tau and tau^-1 digit by
     digit, and for odd p the sums of the lower and the upper halves of two
@@ -308,26 +321,33 @@ class RowKernel:
     def tally(self, start: int, stop: int) -> dict[tuple[int, int], int]:
         """{(r, s): number of maps} over the codes in [start, stop)."""
         g, q, Q = self.g, self.q, self.Q
+        if g < 2:  # one entry at most: r = s = 1 exactly when it is nonzero
+            zero = int(start <= 0 < stop)
+            return {cell: n for cell, n in [((0, 0), zero), ((g, g), stop - start - zero)] if n}
         t = self.tables
-        scale, untwist, twist = t.get("scale"), t.get("untwist"), t.get("twist")
+        scale, untwist, twist = t["scale"], t["untwist"], t["twist"]
         add, echelon, neg_one = self.add, self._echelon, self.neg_one
         counts = [0] * (g + 1) ** 2
         corank1 = (g - 1) * (g + 1) + g  # counts[corank1 - m] is the cell (g-1, g-m)
+        top = None  # rows 2..g-1 as one code, with their layer, basis and span
         for prefix in range(start // Q, -(-stop // Q)):
-            rows, rest = [], prefix  # rows 1..g-1
-            for _ in range(g - 1):
-                rest, v = divmod(rest, Q)
-                rows.append(v)
+            if prefix // Q != top:
+                top = prefix // Q
+                rows = [top // Q**i % Q for i in range(g - 2)]  # rows 2..g-1
+                # upper[y] = y·(rows 2..g-1) for y in [0, Q/q^2); digit 0 weighs row 2
+                upper = [0]
+                for v in reversed(rows):
+                    upper = [add(u, w) for w in upper for u in scale[v::Q]]
+                kept, span = echelon(rows), set(upper)
             # images[y] = y·(rows 1..g-1) for y in [0, Q/q); digit 0 weighs row 1
-            images = [0]
-            for v in reversed(rows):
-                images = [add(scale[c * Q + v], w) for w in images for c in range(q)]
-            base = echelon(rows) if rows else []
+            row1 = prefix % Q
+            images = [add(u, w) for w in upper for u in scale[row1::Q]]
+            base = kept if row1 in span else kept + [row1]
+            coord = {w: y for y, w in enumerate(images)}  # inverts images on W
             first = prefix * Q
             lo, hi = max(start - first, 0), min(stop - first, Q)
-            if g >= 2 and len(base) == g - 1:
-                # hyperplane run: images lists W once, and coord inverts it
-                coord = {w: y for y, w in enumerate(images)}
+            if len(base) == g - 1:
+                # hyperplane run: a row 0 = images[y] gives ker L = <tau((-1, y))>
                 inside = 0
                 for y, row0 in enumerate(images):
                     if lo <= row0 < hi:
@@ -338,9 +358,23 @@ class RowKernel:
                         counts[corank1 - m] += 1
                 counts[-1] += hi - lo - inside  # row 0 outside W: bijective
                 continue
-            upper = set(images)
+            # corank 1: a row 0 outside W gives ker L = <tau((0, y0))>
+            y0 = images.index(0, 1) if len(base) == g - 2 else None
             for row0 in range(lo, hi):
-                basis = base if row0 in upper else base + [row0]
+                if y0 is not None and row0 not in coord:
+                    minus = scale[neg_one * Q + row0]
+                    k, m = twist[q * y0], 1
+                    while m < g:  # solve L(x) = k as x = tau((x0, y)), k - x0·row0 = y·rows
+                        for x0 in range(q):
+                            w = add(k, scale[x0 * Q + minus])
+                            if w in coord:
+                                break
+                        else:
+                            break  # k is outside im L = W + <row 0>
+                        k, m = twist[x0 + q * coord[w]], m + 1
+                    counts[corank1 - m] += 1
+                    continue
+                basis = base if row0 in coord else base + [row0]
                 r = n = len(basis)
                 while 0 < n < g:
                     step = []
@@ -354,4 +388,3 @@ class RowKernel:
                 counts[r * (g + 1) + n] += 1
         return {(r, s): counts[r * (g + 1) + s]
                 for r in range(g + 1) for s in range(r + 1) if counts[r * (g + 1) + s]}
-

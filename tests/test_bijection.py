@@ -207,7 +207,8 @@ def _assert_coded_equals_reference(ctx, g, tau, codes):
         xs = tuple_from_code(ctx, g, code)
         G = _reference_tuple_to_map(ctx, xs, tau)
         assert tuple_to_map(ctx, xs, tau) == G, (ctx.spec, tau, code)
-        assert decode_code(ctx, g, tau, code) == matrix_code(G.mat), (ctx.spec, tau, code)
+        assert decode_code(ctx, g, tau, code) == (matrix_code(G.mat), *profile(G)), \
+            (ctx.spec, tau, code)
 
 
 @pytest.mark.parametrize("p,d,g,tau", [(2, 1, 3, 0), (3, 2, 2, 1), (5, 1, 2, 0), (2, 3, 2, 2)])

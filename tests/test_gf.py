@@ -1,5 +1,7 @@
 """Field construction, arithmetic, and Frobenius."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from semicount.gf import (
     SEARCH_LIMIT,
     FiniteField,
     _least_irreducible,
+    _poly_mulmod,
     _least_primitive,
     is_irreducible,
     is_prime,
@@ -154,6 +157,23 @@ def test_degree_and_modulus_search_are_bounded(monkeypatch):
     monkeypatch.setattr(gf, "SEARCH_LIMIT", spent - 1)
     with pytest.raises(ValueError, match=f"SEARCH_LIMIT = {spent - 1}"):
         validate_field(2, 4)
+
+
+@pytest.mark.parametrize("p, d", [(2, 8), (3, 5), (5, 4), (53, 7), (251, 3)])
+def test_poly_mulmod_matches_the_schoolbook_product(p, d):
+    # the product skips the zero coefficients of both factors; a monomial
+    # second factor, like x^p mod f in Ben-Or's matrix rows, is the sparse case
+    rng = random.Random(f"mulmod/{p}/{d}")
+    modulus = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+    monomials = [[0] * k + [1 + rng.randrange(p - 1)] for k in range(d)]
+    dense = [[rng.randrange(p) for _ in range(rng.randrange(1, d + 1))] for _ in range(20)]
+    sparse = [[rng.choice([0, 0, 0, rng.randrange(p)]) for _ in range(d)] for _ in range(20)]
+    for a in dense + sparse + monomials:
+        for b in dense[:5] + sparse[:5] + monomials + [[]]:
+            expected = helpers.f_mul(p, modulus, helpers.from_digits(a, p), helpers.from_digits(b, p))
+            got = _poly_mulmod(a, b, modulus, p)
+            assert helpers.from_digits(got, p) == expected, (a, b)
+            assert not got or got[-1], got  # trimmed
 
 
 def test_field_size_is_checked_before_the_modulus_search(monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import helpers
+from semicount.counting import CHUNK_CODES
 from semicount.gf import make_field
 from semicount.linalg import (
     identity_matrix,
@@ -288,9 +289,9 @@ def _run_rows(ctx, g, prefix):
     return [prefix // Q ** i % Q for i in range(g - 1)]
 
 
-def _is_hyperplane_run(ctx, g, prefix):
+def _rank_of_run(ctx, g, prefix):
     rows = [helpers.to_vec(v, ctx.q, g) for v in _run_rows(ctx, g, prefix)]
-    return rank(matrix_from_rows(ctx, rows, g)) == g - 1
+    return rank(matrix_from_rows(ctx, rows, g))
 
 
 def _reference_tally(ctx, g, tau, lo, hi):
@@ -314,7 +315,7 @@ def test_row_kernel_hyperplane_rank_g_minus_1_every_chain_length(ctx, g, tau):
         if sum(seen.values()) >= 200 and min(seen.values()) >= 3:
             break
         prefix = rng.randrange(Q ** (g - 1))
-        if not _is_hyperplane_run(ctx, g, prefix):
+        if _rank_of_run(ctx, g, prefix) != g - 1:
             continue
         rows = [helpers.to_vec(v, ctx.q, g) for v in _run_rows(ctx, g, prefix)]
         row0 = [0] * g
@@ -340,7 +341,7 @@ def test_row_kernel_hyperplane_ranges_inside_one_run(ctx, g, tau):
     checked = 0
     while checked < 6:
         prefix = rng.randrange(Q ** (g - 1))
-        if not _is_hyperplane_run(ctx, g, prefix):
+        if _rank_of_run(ctx, g, prefix) != g - 1:
             continue
         first = prefix * Q
         lo = first + rng.randrange(1, Q // 2)
@@ -350,30 +351,144 @@ def test_row_kernel_hyperplane_ranges_inside_one_run(ctx, g, tau):
         checked += 1
 
 
-@pytest.mark.parametrize("ctx, g, tau", [(GF2, 4, 0), (GF3, 3, 0), (GF4, 3, 1), (GF9, 2, 1)])
+NO_CHAIN_CELLS = [(GF2, 4, 0), (GF3, 3, 0), (GF4, 3, 1), (GF9, 2, 1)]
+
+
+@pytest.mark.parametrize("ctx, g, tau", NO_CHAIN_CELLS)
 def test_row_kernel_hyperplane_runs_skip_the_echelon_chain(monkeypatch, ctx, g, tau):
-    # over runs whose rows 1..g-1 are independent the only echelon allowed
-    # is each run's base; a chain step would raise
+    # over runs whose rows 1..g-1 are independent the only echelons allowed
+    # are those of the kept rows 2..g-1, one per change of those rows; row
+    # 1 joins their basis by a span lookup, and a chain step would raise
     rng = random.Random(f"no-chain/{ctx.q}/{g}/{tau}")
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
     while True:
         start = rng.randrange(Q ** (g - 1) - 3)
         prefixes = range(start, start + 3)
-        if all(_is_hyperplane_run(ctx, g, prefix) for prefix in prefixes):
+        if all(_rank_of_run(ctx, g, prefix) == g - 1 for prefix in prefixes):
             break
-    allowed = [tuple(_run_rows(ctx, g, prefix)) for prefix in prefixes]
+    expected = [tuple(_run_rows(ctx, g, prefix)[1:])
+                for prefix in prefixes if prefix == start or prefix % Q == 0]
+    calls = []
     echelon = RowKernel._echelon
 
-    def base_only(self, vectors):
-        vectors = tuple(vectors)
-        if vectors not in allowed:
-            raise AssertionError(f"echelon chain ran in a hyperplane run: {vectors}")
-        allowed.remove(vectors)
+    def kept_rows_only(self, vectors):
+        calls.append(tuple(vectors))
+        if calls != expected[:len(calls)]:
+            raise AssertionError(f"echelon chain ran in a hyperplane run: {calls[-1]}")
         return echelon(self, vectors)
 
     lo, hi = start * Q, (start + 3) * Q
     reference = _reference_tally(ctx, g, tau, lo, hi)
-    monkeypatch.setattr(RowKernel, "_echelon", base_only)
+    monkeypatch.setattr(RowKernel, "_echelon", kept_rows_only)
     assert kernel.tally(lo, hi) == reference
-    assert allowed == []
+    assert calls == expected
+
+
+# --- corank-1 runs: rows 1..g-1 of rank g-2 ---------------------------------------
+
+
+def _corank1_prefix(ctx, g, rng):
+    Q = ctx.q ** g
+    while True:
+        prefix = rng.randrange(Q ** (g - 1))
+        if _rank_of_run(ctx, g, prefix) == g - 2:
+            return prefix
+
+
+@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
+def test_row_kernel_corank1_rank_g_minus_1_every_chain_length(ctx, g, tau):
+    # codes whose rows 1..g-1 have rank g-2 and whose row 0 is outside
+    # their span: rank g-1, with Jordan chain length m = g - s for every m
+    # in 1..g; kernel vector and preimages come from the run's list, and
+    # the scalar on row 0 of each preimage is read off the list too
+    rng = random.Random(f"corank1/{ctx.q}/{g}/{tau}")
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    seen = {m: 0 for m in range(1, g + 1)}
+    for _ in range(20000):
+        if sum(seen.values()) >= 200 and min(seen.values()) >= 3:
+            break
+        prefix = _corank1_prefix(ctx, g, rng)
+        code = prefix * Q + rng.randrange(Q)
+        F = SemilinearMap(matrix_from_code(ctx, g, code), tau)
+        r, s = profile(F)
+        if r != g - 1:  # row 0 in the span of rows 1..g-1
+            continue
+        assert kernel.tally(code, code + 1) == {(r, s): 1}, (ctx, g, tau, code)
+        seen[g - s] += 1
+    assert sum(seen.values()) >= 200 and min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
+def test_row_kernel_corank1_ranges_inside_one_run(ctx, g, tau):
+    rng = random.Random(f"corank1-inside/{ctx.q}/{g}/{tau}")
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    for _ in range(4):
+        first = _corank1_prefix(ctx, g, rng) * Q
+        lo = first + rng.randrange(1, Q // 2)
+        hi = first + rng.randrange(Q // 2, Q)
+        for a, b in [(lo, hi), (lo, lo + 1), (first, hi), (lo, first + Q)]:
+            assert kernel.tally(a, b) == _reference_tally(ctx, g, tau, a, b), (a, b)
+
+
+@pytest.mark.parametrize("ctx, g, tau", NO_CHAIN_CELLS)
+def test_row_kernel_corank1_runs_skip_the_echelon_chain(monkeypatch, ctx, g, tau):
+    # code by code over a run whose rows 1..g-1 have rank g-2: a row 0
+    # outside their span may echelon only the kept rows 2..g-1; a row 0
+    # inside it (r <= g-2) still takes the echelon chain
+    rng = random.Random(f"corank1-no-chain/{ctx.q}/{g}/{tau}")
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    prefix = _corank1_prefix(ctx, g, rng)
+    kept = tuple(_run_rows(ctx, g, prefix)[1:])
+    rows = [helpers.to_vec(v, ctx.q, g) for v in _run_rows(ctx, g, prefix)]
+    echelon = RowKernel._echelon
+    outside, chain_steps = False, []
+
+    def no_chain_outside(self, vectors):
+        vectors = tuple(vectors)
+        if vectors != kept:
+            if outside:
+                raise AssertionError(f"echelon chain ran for a row 0 outside W: {vectors}")
+            chain_steps.append(vectors)
+        return echelon(self, vectors)
+
+    monkeypatch.setattr(RowKernel, "_echelon", no_chain_outside)
+    for code in range(prefix * Q, (prefix + 1) * Q):
+        outside = rank(matrix_from_rows(ctx, [helpers.to_vec(code % Q, ctx.q, g)] + rows)) == g - 1
+        expected = {tuple(profile(SemilinearMap(matrix_from_code(ctx, g, code), tau))): 1}
+        assert kernel.tally(code, code + 1) == expected, code
+    # at g = 2 the span is 0, and a row 0 in it gives the zero map
+    assert bool(chain_steps) == (g > 2)
+
+
+# --- kept rows 2..g-1: one layer per block of Q runs ---------------------------------
+
+
+@pytest.mark.parametrize("ctx, g, tau", [(GF2, 4, 0), (GF3, 3, 0), (GF4, 3, 1), (GF5, 3, 0)])
+def test_row_kernel_ranges_around_a_change_of_rows_2_to_g_minus_1(ctx, g, tau):
+    # rows 2..g-1 change at every multiple B of Q^2; ranges cut runs, start
+    # or end inside a block of Q runs that share those rows, or cross B
+    rng = random.Random(f"blocks/{ctx.q}/{g}/{tau}")
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    for _ in range(3):
+        B = rng.randrange(1, Q ** (g - 2)) * Q * Q
+        x, y = rng.randrange(1, Q), rng.randrange(1, Q)
+        for a, b in [(B - Q - x, B + Q + y), (B - 2 * Q, B + 2 * Q), (B - 1, B + 1),
+                     (B + Q + x, B + 3 * Q - y), (B - 3 * Q, B - Q + y)]:
+            assert kernel.tally(a, b) == _reference_tally(ctx, g, tau, a, b), (a, b)
+
+
+@pytest.mark.parametrize("ctx, g, tau", [(GF2, 4, 0), (GF3, 3, 0), (GF5, 3, 0)])
+def test_row_kernel_chunk_crosses_a_change_of_rows_2_to_g_minus_1(ctx, g, tau):
+    # an enumeration chunk, as `bruteforce_table` cuts them, that holds
+    # runs of more than one block
+    block = ctx.q ** (2 * g)
+    chunks = [lo for lo in range(0, ctx.q ** (g * g), CHUNK_CODES)
+              if lo // block < (lo + CHUNK_CODES - 1) // block]
+    lo = random.Random(f"chunk/{ctx.q}/{g}/{tau}").choice(chunks)
+    hi = lo + CHUNK_CODES
+    assert RowKernel(ctx, g, tau).tally(lo, hi) == _reference_tally(ctx, g, tau, lo, hi)
