@@ -132,8 +132,9 @@ def _check_g(g: int, q: int, least: int = 0) -> None:
                                      f"G_LIMIT = {G_LIMIT}; got {g}")
     # Python before 3.10.7 has no such limit (0 means none)
     n, limit = g * g, getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # far from the limit the estimate decides; near it q^n is cheap to compute
-    if limit and (n * math.log10(q) >= limit + 1 or q**n >= 10**limit):
+    # the estimate decides unless it lies within one digit of the limit
+    digits = n * math.log10(q)
+    if limit and (digits >= limit + 1 or digits > limit - 1 and q**n >= 10**limit):
         raise ValueError(f"q^(g^2) = {q}^{n} has more than {limit} decimal digits, the bound "
                          f"sys.get_int_max_str_digits() = {limit} on printed integers")
 
@@ -363,8 +364,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args only reads it, and puts the defaults
+# into a fresh Namespace on each call
+PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         payload, code, renderer = args.handler(args)
         _emit(payload, args, renderer)

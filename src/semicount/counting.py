@@ -19,7 +19,6 @@ counts are arbitrary-precision; reports serialize them as decimal strings.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -243,6 +242,8 @@ def run_chunks(make_job, ctx: FiniteField, g: int, tau: int, codes, threads: int
     if workers <= 1:
         job = make_job(ctx, g, tau)
         return [job(chunk) for chunk in chunks]
+    # imported here, so a process that starts no pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                              initargs=(make_job, ctx, g, tau)) as pool:
         return list(pool.map(_run_worker_job, chunks))

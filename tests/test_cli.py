@@ -243,6 +243,32 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     assert payload["total"] == "16"
 
 
+def test_the_shared_parser_keeps_no_state(capsys, tmp_path):
+    argv = ("count", "--field", "3^1", "--g", "2")
+    first = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "3"])
+    assert exc.value.code == 2
+    assert run(capsys, "verify", "--field", "2^1", "--g", "2", "--pretty")[0] == 0
+    assert run(capsys, *argv, "--out", str(tmp_path / "r.json")) == (0, "", "")
+    assert run(capsys, *argv, "--r", "1", "--s", "1")[0] == 0
+    assert run(capsys, *argv) == first
+    assert vars(cli.PARSER.parse_args(argv)) == vars(cli._build_parser().parse_args(argv))
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for command in ("count", "verify", "adapt", "mu", "nu", "roundtrip", "field-info"):
+        assert command in out
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--r R" in out and "--s S" in out
+
+
 def test_json_output_is_stable(capsys):
     _, first, _ = run(capsys, "verify", "--field", "2^1", "--g", "2")
     _, second, _ = run(capsys, "verify", "--field", "2^1", "--g", "2")
@@ -509,6 +535,46 @@ def test_digit_bound_is_exact(capsys, monkeypatch):
     monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 84)
     code, _, err = run(capsys, "count", "--field", "7^1", "--g", "10")
     assert code == 2 and "7^100 has more than 84 decimal digits" in err
+
+
+@pytest.mark.parametrize("limit", [30, 85, 301])
+@pytest.mark.parametrize("q", [2, 3, 11, 13])
+def test_digit_bound_at_the_largest_g(capsys, monkeypatch, q, limit):
+    monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: limit)
+    g = max(g for g in range(cli.G_LIMIT) if q ** (g * g) < 10**limit)
+    payload = run_json(capsys, "count", "--field", f"{q}^1", "--g", str(g))
+    assert payload["total"] == str(q ** (g * g))
+    n = (g + 1) ** 2
+    assert run(capsys, "count", "--field", f"{q}^1", "--g", str(g + 1)) == (
+        2, "", f"error: q^(g^2) = {q}^{n} has more than {limit} decimal digits, the bound "
+               f"sys.get_int_max_str_digits() = {limit} on printed integers\n")
+
+
+def test_digit_bound_near_and_far_from_the_limit(monkeypatch):
+    def refused(g, q, limit):
+        monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: limit)
+        try:
+            cli._check_g(g, q)
+        except ValueError as exc:
+            assert f"has more than {limit} decimal digits" in str(exc)
+            return True
+        return False
+
+    # 10^(g^2) has g^2 + 1 digits and an estimate of exactly g^2 digits: the
+    # limits g^2 - 1, g^2, g^2 + 1 refuse by the estimate, by the exact
+    # comparison and pass by the estimate
+    for g in range(2, 9):
+        assert [refused(g, 10, g * g + k) for k in (-1, 0, 1)] == [True, True, False]
+    # 9^9 = 387420489: an estimate of 8.59 digits, within one of both limits
+    assert refused(3, 9, 8) and not refused(3, 9, 9)
+    # the prime 10^18 - 11 has a log10 that rounds to exactly 18.0, so its
+    # powers have estimates of whole digit counts they do not reach
+    for g in (1, 2):
+        assert not refused(g, 10**18 - 11, 18 * g * g) and refused(g, 10**18 - 11, 18 * g * g - 1)
+    for q in range(2, 14):
+        for g in range(7):
+            for limit in range(1, 40):
+                assert refused(g, q, limit) == (q ** (g * g) >= 10**limit)
 
 
 @pytest.mark.parametrize("argv", [

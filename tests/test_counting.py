@@ -1,5 +1,6 @@
 """Counting formulas, the enumeration oracle, and the verification report."""
 
+import concurrent.futures
 import gc
 import itertools
 import os
@@ -281,7 +282,8 @@ def test_run_chunks_caps_workers(monkeypatch):
         jobs.clear()
         return counting.run_chunks(make_job, GF3, 2, 0, codes, threads)
 
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", RecordingPool)
+    # run_chunks imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(counting, "_worker_job", None)  # the inline workers set it
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     chunk = counting.CHUNK_CODES
@@ -353,6 +355,29 @@ print(multiprocessing.get_start_method())
 """
     proc = _run_python("-c", script)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, method + "\n", "")
+
+
+def test_no_pool_is_imported_without_a_pool():
+    script = """
+import contextlib, io, sys
+import semicount.cli as cli
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+def pooled():
+    return sorted({"multiprocessing", "concurrent.futures.process"} & set(sys.modules))
+print(run("count", "--field", "2^1", "--g", "3")[0], pooled())
+verify = ("verify", "--field", "3^1", "--g", "3", "--threads")  # five chunks
+one = run(*verify, "1")
+print(one[0], pooled())
+print(run(*verify, "2") == one, pooled())
+"""
+    proc = _run_python("-c", script)
+    # two workers start only where there are two cores
+    pool = "['concurrent.futures.process', 'multiprocessing']"
+    pool = pool if (os.cpu_count() or 1) > 1 else "[]"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0 []\n0 []\nTrue {pool}\n", "")
 
 
 # each exactness check in counting, faced with a fault that breaks it
