@@ -1,135 +1,4 @@
 """Exact linear algebra, normal forms, and counts for twisted-linear
 endomorphisms of finite-dimensional spaces over finite fields."""
 
-from .gf import FiniteField, make_field, parse_field_spec
-from .linalg import (
-    Matrix,
-    Vector,
-    identity_matrix,
-    in_span,
-    kernel_basis,
-    mat_apply,
-    mat_inverse,
-    mat_mul,
-    matrix_from_cols,
-    matrix_from_rows,
-    rank,
-    rref,
-    rref_basis,
-    span_dim,
-    standard_basis,
-    transpose,
-    zero_matrix,
-)
-from .semilinear import (
-    BudgetExceeded,
-    DEFAULT_BUDGET,
-    RankProfile,
-    SemilinearMap,
-    apply,
-    compose,
-    enumerate_maps,
-    identity_map,
-    matrix_code,
-    matrix_from_code,
-    nil_part,
-    power,
-    profile,
-    sl_inf_rank,
-    sl_rank,
-    terminal_image,
-)
-from .flags import AdaptedBasis, Flag, adapt_to_flag, adapt_to_subspace, image_flag, make_flag
-from .bijection import (
-    VectorTuple,
-    enumerate_vector_tuples,
-    induced_flag,
-    map_to_tuple,
-    roundtrip_check,
-    tuple_code,
-    tuple_from_code,
-    tuple_has_profile,
-    tuple_profile,
-    tuple_to_map,
-)
-from .counting import (
-    CountTable,
-    bruteforce_table,
-    closed_form_count,
-    formula_table,
-    gaussian_binomial,
-    gl_order,
-    profiles,
-    spanning_tuple_count,
-    staged_count,
-    surjection_count,
-    verify_counts,
-)
-
-__all__ = [
-    "AdaptedBasis",
-    "BudgetExceeded",
-    "CountTable",
-    "DEFAULT_BUDGET",
-    "FiniteField",
-    "Flag",
-    "Matrix",
-    "RankProfile",
-    "SemilinearMap",
-    "Vector",
-    "VectorTuple",
-    "adapt_to_flag",
-    "adapt_to_subspace",
-    "apply",
-    "bruteforce_table",
-    "closed_form_count",
-    "compose",
-    "enumerate_maps",
-    "enumerate_vector_tuples",
-    "formula_table",
-    "gaussian_binomial",
-    "gl_order",
-    "identity_map",
-    "identity_matrix",
-    "image_flag",
-    "in_span",
-    "induced_flag",
-    "kernel_basis",
-    "make_field",
-    "make_flag",
-    "map_to_tuple",
-    "mat_apply",
-    "mat_inverse",
-    "mat_mul",
-    "matrix_code",
-    "matrix_from_code",
-    "matrix_from_cols",
-    "matrix_from_rows",
-    "nil_part",
-    "parse_field_spec",
-    "power",
-    "profile",
-    "profiles",
-    "rank",
-    "roundtrip_check",
-    "rref",
-    "rref_basis",
-    "sl_inf_rank",
-    "sl_rank",
-    "span_dim",
-    "spanning_tuple_count",
-    "staged_count",
-    "standard_basis",
-    "surjection_count",
-    "terminal_image",
-    "transpose",
-    "tuple_code",
-    "tuple_from_code",
-    "tuple_has_profile",
-    "tuple_profile",
-    "tuple_to_map",
-    "verify_counts",
-    "zero_matrix",
-]
-
 __version__ = "0.1.0"

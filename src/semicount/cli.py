@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .gf import FiniteField, parse_field_spec, parse_spec, poly_str, spec_str
+from .gf import FiniteField, parse_buildable_spec, parse_field_spec, parse_spec, poly_str, spec_str
 from .linalg import Matrix, matrix_from_rows
 from .semilinear import (
     BudgetExceeded,
@@ -21,9 +21,8 @@ from .semilinear import (
     matrix_code,
     matrix_from_code,
 )
-from .flags import make_flag, adapt_to_flag
-from .bijection import decode_code, encode_code, roundtrip_check, tuple_code, tuple_from_code
 from .counting import closed_form_count, report_cells, staged_count, verify_counts
+# flags and bijection are imported only by the handlers that run them
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -71,7 +70,8 @@ def split_blocks(text: str) -> list[list[str]]:
     return blocks
 
 
-def parse_matrix_block(lines: list[str]) -> tuple[FiniteField, Matrix]:
+def parse_matrix_block(lines: list[str], field=None) -> tuple[FiniteField, Matrix]:
+    """The block's field, `field` itself when the block names it, and matrix."""
     _require(bool(lines), "missing matrix block: expected a 'rows cols fieldspec' header")
     header = lines[0].split()
     if len(header) != 3:
@@ -80,7 +80,7 @@ def parse_matrix_block(lines: list[str]) -> tuple[FiniteField, Matrix]:
         nrows, ncols = int(header[0]), int(header[1])
     except ValueError:
         raise ValueError(f"non-integer dimensions in header {lines[0]!r}")
-    ctx = parse_field_spec(header[2])
+    spec = parse_buildable_spec(header[2])
     if len(lines) - 1 != nrows:
         raise ValueError(f"expected {nrows} rows after header, got {len(lines) - 1}")
     rows = []
@@ -92,7 +92,9 @@ def parse_matrix_block(lines: list[str]) -> tuple[FiniteField, Matrix]:
         if len(row) != ncols:
             raise ValueError(f"row {line!r} has {len(row)} entries, expected {ncols}")
         rows.append(row)
-    return ctx, matrix_from_rows(ctx, rows, ncols)
+    if field is None or spec != (field.p, field.d, field.modulus):
+        field = FiniteField(*spec)
+    return field, matrix_from_rows(field, rows, ncols)
 
 
 def parse_map_block(lines: list[str]) -> SemilinearMap:
@@ -192,6 +194,7 @@ def cmd_verify(args: argparse.Namespace):
 
 
 def cmd_adapt(args: argparse.Namespace):
+    from .flags import adapt_to_flag, make_flag
     blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) >= 2,
              "adapt needs a basis block followed by at least one flag-member block")
@@ -200,7 +203,7 @@ def cmd_adapt(args: argparse.Namespace):
     _require(basis_mat.rows == g, "basis block must be square: one row per basis vector")
     members = []
     for block in blocks[1:]:
-        mctx, member = parse_matrix_block(block)
+        mctx, member = parse_matrix_block(block, ctx)
         _require(mctx == ctx, "all blocks must use the same field")
         _require(member.cols == g, "flag member vectors must have length g")
         members.append(member.row_list())
@@ -217,6 +220,7 @@ def cmd_adapt(args: argparse.Namespace):
 
 
 def cmd_mu(args: argparse.Namespace):
+    from .bijection import encode_code, tuple_from_code
     blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) == 1, "mu expects exactly one map block")
     F = parse_map_block(blocks[0])
@@ -234,6 +238,7 @@ def cmd_mu(args: argparse.Namespace):
 
 
 def cmd_nu(args: argparse.Namespace):
+    from .bijection import decode_code, tuple_code
     blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) == 1, "nu expects exactly one tuple block (vectors as rows)")
     ctx, X = parse_matrix_block(blocks[0])
@@ -252,6 +257,7 @@ def cmd_nu(args: argparse.Namespace):
 
 
 def cmd_roundtrip(args: argparse.Namespace):
+    from .bijection import roundtrip_check
     ctx = _run_field(args, least=1)
     report, ok = roundtrip_check(
         ctx, args.g, args.tau,

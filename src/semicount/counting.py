@@ -18,9 +18,9 @@ counts are arbitrary-precision; reports serialize them as decimal strings.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .gf import FiniteField
 from .semilinear import DEFAULT_BUDGET, RowKernel, check_budget
@@ -126,8 +126,9 @@ def _closed_form(N: list[int], g: int, r: int, s: int, q: int) -> int:
     num *= q ** ((g * (g - 1) - a * (a - 1)) // 2 - a * b)
     value, rem = divmod(num, den)
     if rem:
+        k = math.gcd(num, den)
         raise ArithmeticError(
-            f"count is not an integer at g={g}, r={r}, s={s}, q={q}: {Fraction(num, den)}")
+            f"count is not an integer at g={g}, r={r}, s={s}, q={q}: {num // k}/{den // k}")
     return value
 
 

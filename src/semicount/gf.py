@@ -554,10 +554,14 @@ def parse_spec(spec: str) -> tuple[int, int, tuple[int, ...]]:
     return validate_field(*_split_spec(spec))
 
 
-def parse_field_spec(spec: str) -> FiniteField:
-    """The field a spec string names; see `parse_spec`.  Its size is held
-    to FIELD_LIMIT before the modulus is checked or searched for."""
+def parse_buildable_spec(spec: str) -> tuple[int, int, tuple[int, ...]]:
+    """`parse_spec`, with the size held to FIELD_LIMIT before the modulus is sought."""
     p, d, modulus = _split_spec(spec)
     if 1 <= d <= DEGREE_LIMIT:
         _check_field_size(p, d)
-    return FiniteField(*validate_field(p, d, modulus))
+    return validate_field(p, d, modulus)
+
+
+def parse_field_spec(spec: str) -> FiniteField:
+    """The field a spec string names; see `parse_buildable_spec`."""
+    return FiniteField(*parse_buildable_spec(spec))

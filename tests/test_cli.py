@@ -9,6 +9,7 @@ import pytest
 
 import semicount.cli as cli
 from semicount.cli import main
+from semicount.gf import FiniteField
 
 MAP_BLOCK = "tau 0\n2 2 2^1\n0 1\n0 0\n"
 TUPLE_BLOCK = "2 2 2^1\n1 0\n0 0\n"
@@ -634,3 +635,61 @@ def test_explicit_modulus_skips_the_search(capsys):
     assert payload["q"] == 1000003 ** 4
     payload = run_json(capsys, "count", "--field", "2^64", "--g", "2")
     assert payload["total"] == str(2 ** 256)
+
+
+def test_adapt_builds_its_field_once(capsys, monkeypatch):
+    builds = []
+    build_tables = FiniteField._build_tables
+    monkeypatch.setattr(FiniteField, "_build_tables",
+                        lambda self: builds.append(self.q) or build_tables(self))
+    # the same field written three ways: default, explicit and canonical modulus
+    text = "3 3 2^2\n1 0 0\n0 1 0\n0 0 1\n\n2 3 2^2/1,1,1\n1 3 0\n0 0 1\n\n1 3 2^2/1,1,1\n0 0 2\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    payload = run_json(capsys, "adapt")
+    assert builds == [4] and payload["field"] == "2^2/1,1,1" and payload["dims"] == [3, 2, 1]
+
+
+@pytest.mark.parametrize("member, message", [
+    ("1 2 2^2/1,0,1\n1 0\n", "modulus [1, 0, 1] is reducible over GF(2)"),
+    ("1 2 3^1\n1 0\n1 0\n", "expected 1 rows after header, got 2"),
+    ("1 2 2^1\n3 0\n", "entry code out of field range"),
+    ("1 2 2^1\n1 0\n", "all blocks must use the same field"),
+    ("1 3 2^2\n1 0 0\n", "flag member vectors must have length g"),
+])
+def test_adapt_member_errors_keep_their_order(capsys, monkeypatch, member, message):
+    # the member block is parsed whole before its field is compared
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2 2 2^2\n1 0\n0 1\n\n" + member))
+    code, out, err = run(capsys, "adapt")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_each_command_loads_only_what_it_runs():
+    from test_counting import _run_python
+
+    script = """
+import contextlib, io, sys
+import semicount.cli as cli
+def run(*argv, stdin=""):
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+def loaded():
+    names = {"semicount.flags", "semicount.bijection", "fractions", "decimal"}
+    return sorted(names & set(sys.modules))
+if sys.argv[1] == "all":
+    import semicount.bijection, semicount.flags
+print(run("count", "--field", "2^1", "--g", "3")[0], loaded())
+print(run("verify", "--field", "2^1", "--g", "3", "--threads", "1")[0], loaded())
+print(run("field-info", "--field", "2^3")[0], loaded())
+print(run("adapt", stdin="2 2 2^1\\n1 0\\n0 1\\n\\n1 2 2^1\\n1 1\\n"))
+print(run("mu", stdin="tau 1\\n2 2 2^2\\n2 3\\n1 0\\n"))
+print(run("roundtrip", "--field", "2^1", "--g", "2"))
+print(loaded())
+"""
+    lean, eager = (_run_python("-c", script, first) for first in ("lean", "all"))
+    assert lean.returncode == eager.returncode == 0 and lean.stderr == eager.stderr == ""
+    lean, eager = lean.stdout.splitlines(), eager.stdout.splitlines()
+    assert lean[:3] == ["0 []"] * 3
+    assert lean[-1] == "['semicount.bijection', 'semicount.flags']"
+    assert lean[3:6] == eager[3:6] and all(line.startswith("(0, '{") for line in lean[3:6])

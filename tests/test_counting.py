@@ -400,6 +400,18 @@ def test_exactness_checks_hold_under_python_O(check):
     assert proc.stderr.splitlines()[-1].startswith("ArithmeticError: ")
 
 
+@pytest.mark.parametrize("g, r, s, n0, value", [
+    (3, 0, 0, 2, "1/2"),  # N(3) / (2·N(3))
+    (2, 2, 2, 4, "3/8"),  # 2·N(2) / 4², both even
+])
+def test_closed_form_prints_a_non_integer_in_lowest_terms(g, r, s, n0, value):
+    N = counting._pochhammer(2, g)
+    N[0] = n0
+    with pytest.raises(ArithmeticError) as exc:
+        counting._closed_form(N, g, r, s, 2)
+    assert str(exc.value) == f"count is not an integer at g={g}, r={r}, s={s}, q=2: {value}"
+
+
 def test_uncovered_codes_exit_as_a_mismatch_under_python_O():
     proc = _run_python("-O", "-c", "import sys\n"
                        "import semicount.semilinear as semilinear\n"
