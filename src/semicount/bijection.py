@@ -67,23 +67,14 @@ def tuple_has_profile(ctx: FiniteField, xs, r: int, s: int) -> bool:
     return True
 
 
-def _induced_members(ctx: FiniteField, xs: VectorTuple) -> tuple:
-    g = len(xs)
-    members = [standard_basis(g)]
-    while True:
-        d = len(members[-1])
-        nxt = _row_basis(ctx, xs[g - d:])
-        if len(nxt) == d:
-            return tuple(members)
-        members.append(nxt)
-
-
 def induced_flag(ctx: FiniteField, xs) -> Flag:
     """Flag read off a tuple: each member is spanned by as many trailing
     entries as the previous member's dimension, iterated to stabilization.
     """
     xs = _check_tuple(ctx, xs)
-    return Flag(ctx, len(xs), _induced_members(ctx, xs))
+    g = len(xs)
+    members = _induced_members(ctx, g, [c for v in xs for c in v])
+    return Flag(ctx, g, (standard_basis(g), *(_row_basis(ctx, m) for m in members)))
 
 
 def tuple_profile(ctx: FiniteField, xs) -> RankProfile:
@@ -93,8 +84,9 @@ def tuple_profile(ctx: FiniteField, xs) -> RankProfile:
     tuple, so its dimension is r; there is none when r = g.
     """
     xs = _check_tuple(ctx, xs)
-    dims = [len(m) for m in _induced_members(ctx, xs)]
-    return RankProfile(dims[1] if len(dims) > 1 else dims[0], dims[-1])
+    g = len(xs)
+    dims = [len(m) for m in _induced_members(ctx, g, [c for v in xs for c in v])] or [g]
+    return RankProfile(dims[0], dims[-1])
 
 
 def tuple_from_code(ctx: FiniteField, g: int, code: int) -> VectorTuple:
@@ -115,12 +107,12 @@ def tuple_code(ctx: FiniteField, xs) -> int:
 # the correspondence
 #
 # A matrix code's digit i*g+j is the entry A[i][j], and a tuple code's digit
-# j*g+i is coordinate i of entry j; so both are read as g rows of g digits,
-# the rows of A^T (row j = column j of A = F(e_j)) and the tuple entries.
+# j*g+i is coordinate i of entry j; so a tuple's digits, read as g rows of g,
+# are X^T (row j = entry j), and the rows of A^T are the images F(e_j).
 # With P the adapted vectors as columns, encoding computes X^T = tau(P)^T A^T
 # by `inner_products` and decoding solves that system by one elimination.
-# The two cores work on these digit lists; the code functions and the
-# Matrix functions only convert at the ends.
+# The two cores map digit lists to digit lists, A row-major one way and
+# X^T row-major the other; every caller converts at most once.
 
 
 def _echelon(ctx: FiniteField, rows: list[list[int]]) -> list[list[int]]:
@@ -130,63 +122,69 @@ def _echelon(ctx: FiniteField, rows: list[list[int]]) -> list[list[int]]:
     return rows[:len(_eliminate(ctx, rows, reduce_up=False))]
 
 
-def _encode(ctx: FiniteField, g: int, tau: int, entries) -> tuple[list[int], int, int]:
-    """(X^T flat, r, s) of the map with twist tau whose matrix has the
-    row-major `entries`.  Unchecked."""
-    at = [entries[i * g + j] for j in range(g) for i in range(g)]  # A^T, flat
+def _induced_members(ctx: FiniteField, g: int, x: list[int]) -> list[list[list[int]]]:
+    """Bases of the proper members of the flag induced by the tuple with
+    digits `x`, largest first; none when the tuple spans the whole space."""
+    members, n = [], g
+    while True:
+        basis = _echelon(ctx, [x[j * g: (j + 1) * g] for j in range(g - n, g)])
+        if len(basis) == n:
+            return members
+        members.append(basis)
+        n = len(basis)
+
+
+def _encode(ctx: FiniteField, g: int, tau: int, a) -> tuple[list[int], int, int]:
+    """(tuple digits, r, s) of the map with twist tau whose matrix has the
+    row-major entries `a`.  Unchecked."""
+    at = [a[i * g + j] for j in range(g) for i in range(g)]  # A^T, flat
     frob = ctx.frobenius_table(tau)
     # image chain: F(v) is the row tau(v)·A^T, so the images of a member's
     # basis are the rows of tau(basis)·A^T; F(e_j) is row j of A^T
-    members = []
+    members, n = [], g
     rows = [at[j * g: (j + 1) * g] for j in range(g)]
-    n = g
     while True:
         basis = _echelon(ctx, rows)
         if len(basis) == n:
             break
         members.append(basis)
         n = len(basis)
-        flat = ctx.inner_products([frob[x] for v in basis for x in v], n, g, at, g)
+        flat = ctx.inner_products([frob[c] for v in basis for c in v], n, g, at, g)
         rows = [flat[t * g: (t + 1) * g] for t in range(n)]
     # with no proper member the adapted basis is the standard one
-    xt = at
+    x = at
     if members:
         adapted = _adapt(ctx, g, members).vectors
-        xt = ctx.inner_products([frob[x] for v in adapted for x in v], g, g, at, g)
-    return xt, len(members[0]) if members else g, n
+        x = ctx.inner_products([frob[c] for v in adapted for c in v], g, g, at, g)
+    return x, len(members[0]) if members else g, n
 
 
-def _decode(ctx: FiniteField, g: int, tau: int,
-            xs: list[list[int]]) -> tuple[list[list[int]], int, int]:
-    """(rows of A^T, r, s) of the map with twist tau that the tuple entries
-    `xs` decode to; the tuple's profile, read off its induced flag.
-    Unchecked.
+def _decode(ctx: FiniteField, g: int, tau: int, x: list[int]) -> tuple[list[int], int, int]:
+    """(matrix entries row-major, r, s) of the map with twist tau that the
+    tuple with digits `x` decodes to; the tuple's profile, read off its
+    induced flag.  Unchecked.
 
     tau(P)^T A^T = X^T is solved by reducing [tau(P)^T | X^T] to
     [I | A^T]; tau(P)^T is invertible, so every pivot is on the left.
     """
-    members = []  # the induced flag's proper members
-    n = g
-    while True:
-        basis = _echelon(ctx, [list(v) for v in xs[g - n:]])
-        if len(basis) == n:
-            break
-        members.append(basis)
-        n = len(basis)
-    if not members:  # the adapted basis is the standard one
-        return xs, g, g
-    adapted = _adapt(ctx, g, members).vectors
-    frob = ctx.frobenius_table(tau)
-    rows = [[frob[x] for x in v] + x for v, x in zip(adapted, xs)]
-    _eliminate(ctx, rows, reduce_up=True)
-    return [row[g:] for row in rows], len(members[0]), n
+    members = _induced_members(ctx, g, x)
+    # with no proper member the adapted basis is the standard one
+    at = x
+    if members:
+        adapted = _adapt(ctx, g, members).vectors
+        frob = ctx.frobenius_table(tau)
+        rows = [[frob[c] for c in v] + x[j * g: (j + 1) * g] for j, v in enumerate(adapted)]
+        _eliminate(ctx, rows, reduce_up=True)
+        at = [c for row in rows for c in row[g:]]
+    r, s = (len(members[0]), len(members[-1])) if members else (g, g)
+    return [at[j * g + i] for i in range(g) for j in range(g)], r, s
 
 
 def map_to_tuple(F: SemilinearMap) -> VectorTuple:
     """Encode a map as the images of the basis adapted to its image flag."""
     g = F.g
-    xt = _encode(F.ctx, g, F.tau, F.mat.entries)[0]
-    return tuple(tuple(xt[j * g: (j + 1) * g]) for j in range(g))
+    x = _encode(F.ctx, g, F.tau, F.mat.entries)[0]
+    return tuple(tuple(x[j * g: (j + 1) * g]) for j in range(g))
 
 
 def tuple_to_map(ctx: FiniteField, xs, tau: int) -> SemilinearMap:
@@ -194,23 +192,8 @@ def tuple_to_map(ctx: FiniteField, xs, tau: int) -> SemilinearMap:
     the induced flag to the tuple, entry by entry."""
     xs = _check_tuple(ctx, xs)
     g = len(xs)
-    at = _decode(ctx, g, tau, [list(v) for v in xs])[0]
-    return SemilinearMap(Matrix(ctx, g, g, tuple(x for row in zip(*at) for x in row)), tau)
-
-
-def encode_code(ctx: FiniteField, g: int, tau: int, code: int) -> tuple[int, int, int]:
-    """(tuple code, r, s) of the map with matrix code `code` and twist tau.
-    Unchecked."""
-    xt, r, s = _encode(ctx, g, tau, _digits(code, ctx.q, g * g))
-    return _from_digits(xt, ctx.q), r, s
-
-
-def decode_code(ctx: FiniteField, g: int, tau: int, code: int) -> tuple[int, int, int]:
-    """(matrix code, r, s) of the map with twist tau that the tuple with
-    code `code` decodes to.  Unchecked."""
-    digits = _digits(code, ctx.q, g * g)
-    at, r, s = _decode(ctx, g, tau, [digits[j * g: (j + 1) * g] for j in range(g)])
-    return _from_digits([at[j][i] for i in range(g) for j in range(g)], ctx.q), r, s
+    a = _decode(ctx, g, tau, [c for v in xs for c in v])[0]
+    return SemilinearMap(Matrix(ctx, g, g, tuple(a)), tau)
 
 
 def enumerate_vector_tuples(ctx: FiniteField, g: int):
@@ -230,18 +213,19 @@ def _roundtrip_codes(ctx: FiniteField, g: int, tau: int,
                      codes) -> tuple[dict[tuple[int, int], int], list[int]]:
     """Check both directions on a batch of codes; the job of `roundtrip_check`.
 
-    Each code is read twice: as a matrix code (encode, then decode must
-    give it back) and as a tuple code (decode, then encode must give it
-    back).  Returns per-profile tallies of the maps checked, read off
+    Each code is split into digits once, and the digits are read twice:
+    as a matrix code (encode, then decode must give them back) and as a
+    tuple code (decode, then encode must give them back).  Returns per-profile tallies of the maps checked, read off
     their encodings, and the codes that failed either direction.
     """
     tallies: dict[tuple[int, int], int] = {}
     failures: list[int] = []
     for code in codes:
-        xcode, r, s = encode_code(ctx, g, tau, code)
+        digits = _digits(code, ctx.q, g * g)
+        x, r, s = _encode(ctx, g, tau, digits)
         tallies[(r, s)] = tallies.get((r, s), 0) + 1
-        if (decode_code(ctx, g, tau, xcode)[0] != code
-                or encode_code(ctx, g, tau, decode_code(ctx, g, tau, code)[0])[0] != code):
+        if (_decode(ctx, g, tau, x)[0] != digits
+                or _encode(ctx, g, tau, _decode(ctx, g, tau, digits)[0])[0] != digits):
             failures.append(code)
     return tallies, failures
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from semicount.bijection import (
-    decode_code,
-    encode_code,
+    _decode,
+    _encode,
     enumerate_vector_tuples,
     induced_flag,
     map_to_tuple,
@@ -35,7 +35,6 @@ from semicount.semilinear import (
     apply,
     enumerate_maps,
     identity_map,
-    matrix_code,
     matrix_from_code,
     profile,
 )
@@ -196,19 +195,19 @@ def _reference_tuple_to_map(ctx, xs, tau):
 
 
 def _assert_coded_equals_reference(ctx, g, tau, codes):
-    """encode_code/decode_code and the Matrix functions against the
+    """The two cores on code digits, and the Matrix functions, against the
     reference functions and profile, code by code."""
     for code in codes:
         F = SemilinearMap(matrix_from_code(ctx, g, code), tau)
         xs = _reference_map_to_tuple(F)
         assert map_to_tuple(F) == xs, (ctx.spec, tau, code)
-        assert encode_code(ctx, g, tau, code) == (tuple_code(ctx, xs), *profile(F)), \
-            (ctx.spec, tau, code)
+        assert _encode(ctx, g, tau, list(F.mat.entries)) == (
+            [c for v in xs for c in v], *profile(F)), (ctx.spec, tau, code)
         xs = tuple_from_code(ctx, g, code)
         G = _reference_tuple_to_map(ctx, xs, tau)
         assert tuple_to_map(ctx, xs, tau) == G, (ctx.spec, tau, code)
-        assert decode_code(ctx, g, tau, code) == (matrix_code(G.mat), *profile(G)), \
-            (ctx.spec, tau, code)
+        assert _decode(ctx, g, tau, [c for v in xs for c in v]) == (
+            list(G.mat.entries), *profile(G)), (ctx.spec, tau, code)
 
 
 @pytest.mark.parametrize("p,d,g,tau", [(2, 1, 3, 0), (3, 2, 2, 1), (5, 1, 2, 0), (2, 3, 2, 2)])
@@ -270,6 +269,39 @@ def test_every_entry_point_runs_the_two_cores(capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         assert counts_of(lambda: main(argv)) == expected, argv
         assert capsys.readouterr().err == ""
+
+
+def test_each_code_is_converted_once(capsys, monkeypatch):
+    import collections
+    import io
+    import sys
+    import semicount.bijection as bijection
+    from semicount.cli import main
+    calls = collections.Counter()
+    for name in ("_digits", "_from_digits"):
+        def counted(*args, real=getattr(bijection, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(bijection, name, counted)
+
+    # the round trip splits each code into digits once and compares digits
+    report, ok = roundtrip_check(GF2, 2, 0)
+    assert ok and report["maps_checked"] == 16 and dict(calls) == {"_digits": 16}
+    # mu and nu run the cores on the block's entries, with no code at all
+    for argv, text, out in [
+        (["mu"], "tau 0\n3 3 3^1\n0 1 2\n0 0 1\n0 0 0\n",
+         '{"field": "3^1/0,1", "g": 3, "tau": 0, "profile": {"r": 2, "s": 0}, '
+         '"tuple": [[2, 1, 0], [1, 0, 0], [0, 0, 0]], '
+         '"block": "3 3 3^1/0,1\\n2 1 0\\n1 0 0\\n0 0 0"}\n'),
+        (["nu", "--tau", "1"], "3 3 2^2\n0 0 0\n1 0 3\n2 0 1\n",
+         '{"field": "2^2/1,1,1", "g": 3, "tau": 1, "profile": {"r": 1, "s": 1}, '
+         '"matrix": [[0, 0, 1], [0, 0, 0], [0, 0, 3]], '
+         '"block": "tau 1\\n3 3 2^2/1,1,1\\n0 0 1\\n0 0 0\\n0 0 3"}\n'),
+    ]:
+        calls.clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(argv) == 0 and not calls, argv
+        assert capsys.readouterr() == (out, ""), argv
 
 
 def test_roundtrip_check_builds_no_matrix(monkeypatch):

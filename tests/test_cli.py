@@ -336,6 +336,30 @@ def test_adapt_rejects_a_singular_basis(capsys, monkeypatch):
     assert code == 2 and "e_basis is not a basis" in err
 
 
+def _g48_blocks() -> tuple[str, str]:
+    """A map block and a tuple block at g = 48 over GF(2^8), tau = 1, both
+    of profile (47, 32), from a seeded generator.  M is a strictly upper
+    triangular 16x16 block beside a random 32x32 block, and P a random
+    change of basis: the map is P^(-1)·M·tau(P), whose image flag has 17
+    members, and the tuple is the rows of M·P, whose induced flag does."""
+    import random
+    from semicount.gf import make_field
+    from semicount.linalg import Matrix, map_entries, mat_inverse, mat_mul
+    ctx = make_field(2, 8)
+    rng = random.Random("mu nu g=48")
+    g, k = 48, 16
+
+    def entry(i, j):
+        if i < k and j < k:
+            return rng.randrange(1 if j == i + 1 else 0, 256) if j > i else 0
+        return rng.randrange(256) if i >= k and j >= k else 0
+
+    M = Matrix(ctx, g, g, tuple(entry(i, j) for i in range(g) for j in range(g)))
+    P = Matrix(ctx, g, g, tuple(rng.randrange(256) for _ in range(g * g)))
+    A = mat_mul(mat_inverse(P), mat_mul(M, map_entries(P, 1)))
+    return (f"tau 1\n{g} {g} 2^8\n{A}\n", f"{g} {g} 2^8\n{mat_mul(M, P)}\n")
+
+
 def test_golden_outputs(capsys, monkeypatch):
     # stdout pinned byte for byte; a refactor of the bijection path must
     # leave every one of these unchanged
@@ -375,6 +399,10 @@ def test_golden_outputs(capsys, monkeypatch):
     ]:
         for tau, digest in zip(("0", "1", "-1"), digests):
             blocks["nu", "--tau", tau, text] = digest
+    map_48, tuple_48 = _g48_blocks()
+    blocks["mu", map_48] = "fb059876754a2cb574303a5e972a991fff029722f08352518866903e47c67396"
+    blocks["nu", "--tau", "1", tuple_48] = (
+        "96b6fd7531a18020c1ff53149d9a23771d026fe6ce45ca5ec2d4bf093141a09a")
     for (*argv, text), digest in blocks.items():
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, _ = run(capsys, *argv)
