@@ -24,8 +24,8 @@ EXIT_BAD_ARGS = 2
 EXIT_BUDGET = 3
 
 
-# Largest g that count, verify and roundtrip accept; a sampled round trip
-# on GF(2) takes about 100 s at g = 64.
+# Largest g of count, verify and roundtrip, and of a block's rows and cols;
+# a sampled round trip on GF(2) takes about 100 s at g = 64.
 G_LIMIT = 64
 
 # Largest --budget of verify and roundtrip: a sweep of 2^30 codes cuts
@@ -75,6 +75,8 @@ def parse_matrix_block(lines: list[str], field=None) -> tuple[FiniteField, Matri
         nrows, ncols = int(header[0]), int(header[1])
     except ValueError:
         raise ValueError(f"non-integer dimensions in header {lines[0]!r}")
+    _require(max(nrows, ncols) <= G_LIMIT,
+             f"block rows and cols must be at most G_LIMIT = {G_LIMIT}, got {lines[0]!r}")
     spec = parse_buildable_spec(header[2])
     if len(lines) - 1 != nrows:
         raise ValueError(f"expected {nrows} rows after header, got {len(lines) - 1}")

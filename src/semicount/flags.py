@@ -20,10 +20,10 @@ The result is adapted to every member at once, and it is unique.
 
 The chosen vectors span the previous member W, so the reduced generators
 of a member U span U modulo W, and U gains dim U - dim(U ∩ W) new pivots.
-That is dim U - dim W exactly when W lies in U, and more otherwise; so
-one integer comparison per member catches a chain that is not nested.
-Only the public wrappers change coordinates and check their input;
-`bijection` calls the core directly, in standard coordinates.
+That is dim U - dim W exactly when W lies in U, and more otherwise; so one
+integer comparison per member catches a chain that is not nested, and is
+the only nesting check `make_flag` makes.  Only the public wrappers change
+coordinates and check their input; `bijection` calls the core directly.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ from .linalg import (
     Vector,
     _eliminate,
     _row_basis,
-    in_span,
     mat_apply,
     mat_inverse,
     matrix_from_cols,
     matrix_from_rows,
     rank,
-    rref_basis,
     standard_basis,
 )
 from .semilinear import SemilinearMap, apply
@@ -77,19 +75,16 @@ def make_flag(ctx: FiniteField, g: int, members) -> Flag:
         basis = [tuple(v) for v in basis]
         if any(len(v) != g for v in basis):
             raise ValueError("flag member vector of wrong length")
-        normal = rref_basis(ctx, basis)
+        normal = _row_basis(ctx, matrix_from_rows(ctx, basis, g).row_list())
         if len(normal) != len(basis):
             raise ValueError("flag member basis is linearly dependent")
         canon.append(normal)
-    full = tuple(standard_basis(g))
     if not canon or len(canon[0]) < g:
-        canon.insert(0, full)
+        canon.insert(0, standard_basis(g))
     dims = [len(m) for m in canon]
     if any(d2 >= d1 for d1, d2 in zip(dims, dims[1:])):
         raise ValueError(f"flag dimensions must strictly decrease, got {dims}")
-    for upper, lower in zip(canon, canon[1:]):
-        if any(not in_span(ctx, list(upper), v) for v in lower):
-            raise ValueError("flag members are not nested")
+    _adapt(ctx, g, canon[1:])
     return Flag(ctx, g, tuple(canon))
 
 
@@ -132,7 +127,7 @@ def _adapt(ctx: FiniteField, g: int, members) -> AdaptedBasis:
                     sub_scaled(w, c, u)
         pivots = _eliminate(ctx, rows, reduce_up=True)
         if len(pivots) != len(member) - prev_dim:
-            raise ValueError("subspaces are not nested")
+            raise ValueError("flag members are not nested")
         pivot_sets.append(tuple(unused.index(j) for j in pivots)
                           + tuple(range(g - prev_dim, g)))
         chosen += zip(pivots, rows)

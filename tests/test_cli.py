@@ -360,6 +360,28 @@ def _g48_blocks() -> tuple[str, str]:
     return (f"tau 1\n{g} {g} 2^8\n{A}\n", f"{g} {g} 2^8\n{mat_mul(M, P)}\n")
 
 
+def _g48_flag_input() -> str:
+    """An adapt input at g = 48 over GF(2^8) from a seeded generator: a
+    random basis, then 16 members, each spanned by a suffix C[k:] of the
+    rows of a random matrix C and given as a random combination of it."""
+    import random
+    from semicount.gf import make_field
+    from semicount.linalg import Matrix, mat_mul
+    ctx = make_field(2, 8)
+    rng = random.Random("adapt g=48")
+    g = 48
+
+    def random_matrix(rows, cols):
+        return Matrix(ctx, rows, cols, tuple(rng.randrange(256) for _ in range(rows * cols)))
+
+    blocks = [f"{g} {g} 2^8\n{random_matrix(g, g)}"]
+    C = random_matrix(g, g)
+    for k in range(1, g, 3):
+        suffix = Matrix(ctx, g - k, g, C.entries[k * g:])
+        blocks.append(f"{g - k} {g} 2^8\n{mat_mul(random_matrix(g - k, g - k), suffix)}")
+    return "\n\n".join(blocks) + "\n"
+
+
 def test_golden_outputs(capsys, monkeypatch):
     # stdout pinned byte for byte; a refactor of the bijection path must
     # leave every one of these unchanged
@@ -403,6 +425,8 @@ def test_golden_outputs(capsys, monkeypatch):
     blocks["mu", map_48] = "fb059876754a2cb574303a5e972a991fff029722f08352518866903e47c67396"
     blocks["nu", "--tau", "1", tuple_48] = (
         "96b6fd7531a18020c1ff53149d9a23771d026fe6ce45ca5ec2d4bf093141a09a")
+    blocks["adapt", _g48_flag_input()] = (
+        "915f813c3cb31e9019b09219c9ce4139b8bb3ccd95fc7cecd79223b69c665708")
     for (*argv, text), digest in blocks.items():
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, _ = run(capsys, *argv)
@@ -675,6 +699,29 @@ def test_adapt_builds_its_field_once(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     payload = run_json(capsys, "adapt")
     assert builds == [4] and payload["field"] == "2^2/1,1,1" and payload["dims"] == [3, 2, 1]
+
+
+@pytest.mark.parametrize("command", ["mu", "nu", "adapt"])
+def test_block_dimensions_are_bounded(capsys, monkeypatch, command):
+    tau = "tau 0\n" if command == "mu" else ""
+
+    def rows(n, g):
+        return "".join(" ".join("1" if i == j else "0" for j in range(g)) + "\n"
+                       for i in range(n))
+
+    def member(g):
+        return f"\n1 {g} 2^1\n{rows(1, g)}" if command == "adapt" else ""
+
+    # refused from the header, before its field spec or any row is read
+    for text in (f"65 65 2^1\n{rows(65, 65)}", "65 1 x\n", "1 65 x\n"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(tau + text + member(65)))
+        header = text.split("\n")[0]
+        assert run(capsys, command) == (
+            2, "", f"error: block rows and cols must be at most G_LIMIT = 64, got {header!r}\n")
+    g = cli.G_LIMIT
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{tau}{g} {g} 2^1\n{rows(g, g)}{member(g)}"))
+    code, out, err = run(capsys, command)
+    assert code == 0 and json.loads(out)["g"] == g, err
 
 
 @pytest.mark.parametrize("member, message", [

@@ -1,5 +1,6 @@
 """Flags and the canonical adapted-basis construction."""
 
+import itertools
 import random
 
 import pytest
@@ -62,6 +63,10 @@ def test_adapt_errors():
         adapt_to_subspace(GF2, e, [], frozen_tail=1)           # e2 not in U = 0
     with pytest.raises(ValueError):
         adapt_to_subspace(GF2, e, [(5, 0)])                    # code out of range
+    with pytest.raises(ValueError, match="linearly dependent"):
+        # a dependent U basis whose frozen tail lies outside U passes the
+        # pivot count, so the rank check in _in_basis must catch it
+        adapt_to_subspace(GF2, standard_basis(3), [(1, 0, 0), (1, 0, 0)], frozen_tail=1)
 
 
 def test_frozen_tail_keeps_tail():
@@ -116,6 +121,53 @@ def test_make_flag_canonicalizes_and_validates():
         make_flag(GF2, 2, [[(1, 0)], [(1, 0)]])          # dims not decreasing
     with pytest.raises(ValueError):
         make_flag(GF2, 2, [[(1, 0, 0)]])                 # wrong length
+
+
+@pytest.mark.parametrize("ctx, g", [(GF2, 3), (GF3, 2), (GF4, 2)])
+def test_nesting_rule_matches_a_set_oracle(ctx, g):
+    # every pair and triple of subspaces, given by independent generators
+    subspaces = helpers.all_subspaces(ctx.p, ctx.modulus, g)
+    full = frozenset(helpers.to_vec(i, ctx.q, g) for i in range(ctx.q ** g))
+    for n in (2, 3):
+        for chain in itertools.product(subspaces, repeat=n):
+            sets = [S for S, _ in chain]
+            if len(sets[0]) < len(full):
+                sets.insert(0, full)
+            dims = [helpers.set_dim(S, ctx.q) for S in sets]
+            if any(d2 >= d1 for d1, d2 in zip(dims, dims[1:])):
+                expected = f"flag dimensions must strictly decrease, got {dims}"
+            elif not all(lower <= upper for upper, lower in zip(sets, sets[1:])):
+                expected = "flag members are not nested"
+            else:
+                expected = None
+            try:
+                flag = make_flag(ctx, g, [gens for _, gens in chain])
+            except ValueError as exc:
+                assert str(exc) == expected, chain
+                continue
+            assert expected is None, chain
+            assert [helpers.span_set(ctx.p, ctx.modulus, m, g) for m in flag.subspaces] == sets
+
+
+def test_make_flag_validates_each_member_once(monkeypatch):
+    import semicount.flags
+    import semicount.linalg
+    rng, g = random.Random(6), 6
+    rows = [tuple(rng.randrange(3) for _ in range(g)) for _ in range(g)]
+    while span_dim(GF3, rows) < g:
+        rows[rng.randrange(g)] = tuple(rng.randrange(3) for _ in range(g))
+    calls = []
+    real = semicount.linalg.matrix_from_rows
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    for module in (semicount.flags, semicount.linalg):
+        monkeypatch.setattr(module, "matrix_from_rows", counted)
+    flag = make_flag(GF3, g, [rows[k:] for k in range(g + 1)])
+    assert flag.dims == (6, 5, 4, 3, 2, 1, 0)
+    assert calls == [6, 5, 4, 3, 2, 1, 0]
 
 
 def test_flag_equality_is_subspace_equality():
