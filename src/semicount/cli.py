@@ -8,6 +8,7 @@ to stdout (or --out); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -65,8 +66,10 @@ def split_blocks(text: str) -> list[list[str]]:
     return blocks
 
 
-def parse_matrix_block(lines: list[str], field=None) -> tuple[FiniteField, Matrix]:
-    """The block's field, `field` itself when the block names it, and matrix."""
+def parse_matrix_block(lines: list[str], field=None,
+                       read_spec=parse_buildable_spec) -> tuple[FiniteField, Matrix]:
+    """The block's field, `field` itself when the block names it, and matrix;
+    `read_spec` turns the header's spec text into (p, d, modulus)."""
     _require(bool(lines), "missing matrix block: expected a 'rows cols fieldspec' header")
     header = lines[0].split()
     if len(header) != 3:
@@ -77,7 +80,8 @@ def parse_matrix_block(lines: list[str], field=None) -> tuple[FiniteField, Matri
         raise ValueError(f"non-integer dimensions in header {lines[0]!r}")
     _require(max(nrows, ncols) <= G_LIMIT,
              f"block rows and cols must be at most G_LIMIT = {G_LIMIT}, got {lines[0]!r}")
-    spec = parse_buildable_spec(header[2])
+    _require(min(nrows, ncols) >= 0, f"block rows and cols must be >= 0, got {lines[0]!r}")
+    spec = read_spec(header[2])
     if len(lines) - 1 != nrows:
         raise ValueError(f"expected {nrows} rows after header, got {len(lines) - 1}")
     rows = []
@@ -195,12 +199,14 @@ def cmd_adapt(args: argparse.Namespace):
     blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) >= 2,
              "adapt needs a basis block followed by at least one flag-member block")
-    ctx, basis_mat = parse_matrix_block(blocks[0])
+    # each distinct spec text is parsed once: a default modulus is a search
+    read_spec = functools.cache(parse_buildable_spec)
+    ctx, basis_mat = parse_matrix_block(blocks[0], read_spec=read_spec)
     g = basis_mat.cols
     _require(basis_mat.rows == g, "basis block must be square: one row per basis vector")
     members = []
     for block in blocks[1:]:
-        mctx, member = parse_matrix_block(block, ctx)
+        mctx, member = parse_matrix_block(block, ctx, read_spec=read_spec)
         _require(mctx == ctx, "all blocks must use the same field")
         _require(member.cols == g, "flag member vectors must have length g")
         members.append(member.row_list())

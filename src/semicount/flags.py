@@ -22,8 +22,11 @@ The chosen vectors span the previous member W, so the reduced generators
 of a member U span U modulo W, and U gains dim U - dim(U ∩ W) new pivots.
 That is dim U - dim W exactly when W lies in U, and more otherwise; so one
 integer comparison per member catches a chain that is not nested, and is
-the only nesting check `make_flag` makes.  Only the public wrappers change
-coordinates and check their input; `bijection` calls the core directly.
+the only nesting check `make_flag` makes.  `make_flag` is also the one
+check of a member basis (lengths, entry range, independence); `_in_basis`
+checks only that e is a basis.  The wrappers change coordinates with one
+product per member and one for the result; `bijection` calls the core
+directly.
 """
 
 from __future__ import annotations
@@ -32,14 +35,13 @@ from dataclasses import dataclass
 
 from .gf import FiniteField
 from .linalg import (
+    Matrix,
     Vector,
     _eliminate,
     _row_basis,
-    mat_apply,
     mat_inverse,
-    matrix_from_cols,
+    mat_mul,
     matrix_from_rows,
-    rank,
     standard_basis,
 )
 from .semilinear import SemilinearMap, apply
@@ -52,7 +54,9 @@ class Flag:
     Members are stored as canonical rref bases (the zero subspace is the
     empty tuple), so flags compare equal iff the subspace chains agree.
     The last member may be nonzero: image flags stabilize at the terminal
-    image of the map that produced them.
+    image of the map that produced them.  A Flag is checked where it is
+    made, by `make_flag`, `image_flag` or `bijection.induced_flag`, and
+    not again where it is used.
     """
 
     ctx: FiniteField
@@ -139,49 +143,44 @@ def _adapt(ctx: FiniteField, g: int, members) -> AdaptedBasis:
     return AdaptedBasis(tuple(vectors), tuple(reversed(pivot_sets)))
 
 
-def _in_basis(ctx: FiniteField, e_basis, members):
-    """(E, coordinate bases of the members in e); checks that e is a basis
-    and that every member basis is valid and independent."""
-    E = matrix_from_cols(ctx, e_basis)
+def _in_basis(ctx: FiniteField, e_basis, g: int) -> tuple[Matrix, Matrix]:
+    """(B, B^-1) for the matrix B whose rows are e_basis, checking that e
+    is a basis of the g-space; a row vector u has e-coordinates u·B^-1."""
+    B = matrix_from_rows(ctx, e_basis, g)
     try:
-        E_inv = mat_inverse(E)
+        return B, mat_inverse(B)
     except ValueError:
         raise ValueError("e_basis is not a basis") from None
-    coords = []
-    for member in members:
-        U = matrix_from_rows(ctx, member, E.rows)  # checks lengths and entry range
-        if rank(U) != U.rows:
-            raise ValueError("subspace basis is linearly dependent")
-        coords.append([mat_apply(E_inv, u) for u in U.row_list()])
-    return E, coords
 
 
-def adapt_to_subspace(
-    ctx: FiniteField,
-    e_basis,
-    u_basis,
-    frozen_tail: int = 0,
-) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+def _times(vectors, M: Matrix) -> tuple[Vector, ...]:
+    """The row vectors v·M, for vectors v of length M.rows."""
+    P = mat_mul(Matrix(M.ctx, len(vectors), M.rows, tuple(x for v in vectors for x in v)), M)
+    return tuple(P.row(i) for i in range(P.rows))
+
+
+def adapt_to_subspace(ctx: FiniteField, e_basis, u_basis, frozen_tail: int = 0
+                      ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Adapt an ordered basis of V to the subspace U = span(u_basis).
 
     Returns the new ordered basis and the pivot index set J (0-based,
     relative to positions in `e_basis`).  With `frozen_tail = n`, the last
     n vectors of `e_basis` must already lie in U and come back unchanged.
     """
-    E, (coords,) = _in_basis(ctx, e_basis, [u_basis])
-    g = E.rows
-    if frozen_tail > len(coords):
-        raise ValueError("frozen tail longer than dim U")
-    tail = standard_basis(g)[g - frozen_tail:] if frozen_tail > 0 else ()
-    adapted = _adapt(ctx, g, [coords, tail])
-    return tuple(mat_apply(E, v) for v in adapted.vectors), adapted.pivot_sets[0]
+    g = len(e_basis)
+    B, B_inv = _in_basis(ctx, e_basis, g)
+    u_basis = make_flag(ctx, g, [u_basis]).subspaces[-1]
+    if not 0 <= frozen_tail <= len(u_basis):
+        raise ValueError(f"frozen tail {frozen_tail} outside [0, dim U] = [0, {len(u_basis)}]")
+    adapted = _adapt(ctx, g, [_times(u_basis, B_inv), standard_basis(g)[g - frozen_tail:]])
+    return _times(adapted.vectors, B), adapted.pivot_sets[0]
 
 
 def adapt_to_flag(ctx: FiniteField, e_basis, flag: Flag) -> AdaptedBasis:
     """Canonical basis simultaneously adapted to every member of the flag."""
-    E, coords = _in_basis(ctx, e_basis, flag.subspaces[1:])
-    adapted = _adapt(ctx, E.rows, coords)
-    return AdaptedBasis(tuple(mat_apply(E, v) for v in adapted.vectors), adapted.pivot_sets)
+    B, B_inv = _in_basis(ctx, e_basis, flag.g)
+    adapted = _adapt(ctx, flag.g, [_times(m, B_inv) for m in flag.subspaces[1:]])
+    return AdaptedBasis(_times(adapted.vectors, B), adapted.pivot_sets)
 
 
 def image_flag(F: SemilinearMap) -> Flag:

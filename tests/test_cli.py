@@ -114,6 +114,12 @@ def test_adapt_from_stdin(capsys, monkeypatch):
     assert payload["basis"] == [[0, 1], [1, 0]]
 
 
+def test_adapt_at_g_zero(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 0 2^1\n\n0 0 2^1\n"))
+    assert run(capsys, "adapt") == (0, '{"field": "2^1/0,1", "g": 0, "dims": [0], '
+                                       '"basis": [], "pivot_sets": []}\n', "")
+
+
 def test_adapt_rejects_mixed_fields(capsys, tmp_path):
     src = tmp_path / "bad.txt"
     src.write_text("2 2 2^1\n1 0\n0 1\n\n1 2 3^1\n1 0\n", encoding="utf-8")
@@ -360,23 +366,23 @@ def _g48_blocks() -> tuple[str, str]:
     return (f"tau 1\n{g} {g} 2^8\n{A}\n", f"{g} {g} 2^8\n{mat_mul(M, P)}\n")
 
 
-def _g48_flag_input() -> str:
-    """An adapt input at g = 48 over GF(2^8) from a seeded generator: a
-    random basis, then 16 members, each spanned by a suffix C[k:] of the
-    rows of a random matrix C and given as a random combination of it."""
+def _flag_input(g: int, step: int) -> str:
+    """An adapt input over GF(2^8) from a seeded generator: a random basis,
+    then one member for each k in range(1, g, step), spanned by the suffix
+    C[k:] of the rows of a random matrix C and given as a random
+    combination of it.  With step 1 the flag is full: dimensions g-1..1."""
     import random
     from semicount.gf import make_field
     from semicount.linalg import Matrix, mat_mul
     ctx = make_field(2, 8)
-    rng = random.Random("adapt g=48")
-    g = 48
+    rng = random.Random(f"adapt g={g}")
 
     def random_matrix(rows, cols):
         return Matrix(ctx, rows, cols, tuple(rng.randrange(256) for _ in range(rows * cols)))
 
     blocks = [f"{g} {g} 2^8\n{random_matrix(g, g)}"]
     C = random_matrix(g, g)
-    for k in range(1, g, 3):
+    for k in range(1, g, step):
         suffix = Matrix(ctx, g - k, g, C.entries[k * g:])
         blocks.append(f"{g - k} {g} 2^8\n{mat_mul(random_matrix(g - k, g - k), suffix)}")
     return "\n\n".join(blocks) + "\n"
@@ -425,8 +431,10 @@ def test_golden_outputs(capsys, monkeypatch):
     blocks["mu", map_48] = "fb059876754a2cb574303a5e972a991fff029722f08352518866903e47c67396"
     blocks["nu", "--tau", "1", tuple_48] = (
         "96b6fd7531a18020c1ff53149d9a23771d026fe6ce45ca5ec2d4bf093141a09a")
-    blocks["adapt", _g48_flag_input()] = (
+    blocks["adapt", _flag_input(48, 3)] = (
         "915f813c3cb31e9019b09219c9ce4139b8bb3ccd95fc7cecd79223b69c665708")
+    blocks["adapt", _flag_input(32, 1)] = (
+        "66e1639b34274fbe8b22fe16661d9287d80e2e274e258c0230fac161cc8bf66d")
     for (*argv, text), digest in blocks.items():
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, _ = run(capsys, *argv)
@@ -722,6 +730,29 @@ def test_block_dimensions_are_bounded(capsys, monkeypatch, command):
     monkeypatch.setattr(sys, "stdin", io.StringIO(f"{tau}{g} {g} 2^1\n{rows(g, g)}{member(g)}"))
     code, out, err = run(capsys, command)
     assert code == 0 and json.loads(out)["g"] == g, err
+
+
+@pytest.mark.parametrize("command", ["mu", "nu", "adapt"])
+@pytest.mark.parametrize("header, rows", [("-1 2 2^1", ""), ("2 -2 2^1", "1 0\n0 1\n"),
+                                          ("0 -1 2^1", "")])
+def test_negative_block_dimensions_exit_2(capsys, monkeypatch, command, header, rows):
+    tau = "tau 0\n" if command == "mu" else ""
+    member = "\n1 2 2^1\n1 0\n" if command == "adapt" else ""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{tau}{header}\n{rows}{member}"))
+    assert run(capsys, command) == (
+        2, "", f"error: block rows and cols must be >= 0, got {header!r}\n")
+
+
+def test_adapt_parses_each_spec_text_once(capsys, monkeypatch):
+    import semicount.gf as gf
+    searches = []
+    least_irreducible = gf._least_irreducible
+    monkeypatch.setattr(gf, "_least_irreducible",
+                        lambda p, d: searches.append((p, d)) or least_irreducible(p, d))
+    text = "2 2 2^8\n1 0\n0 1\n\n1 2 2^8\n1 2\n\n0 2 2^8\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run_json(capsys, "adapt")["dims"] == [2, 1, 0]
+    assert searches == [(2, 8)]
 
 
 @pytest.mark.parametrize("member, message", [

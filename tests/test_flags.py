@@ -53,7 +53,7 @@ def test_adapt_output_tail_spans_u():
 
 def test_adapt_errors():
     e = standard_basis(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^flag member basis is linearly dependent$"):
         adapt_to_subspace(GF2, e, [(1, 0), (1, 0)])            # dependent U basis
     with pytest.raises(ValueError):
         adapt_to_subspace(GF2, [(1, 0), (1, 0)], [(1, 1)])     # e not a basis
@@ -63,10 +63,18 @@ def test_adapt_errors():
         adapt_to_subspace(GF2, e, [], frozen_tail=1)           # e2 not in U = 0
     with pytest.raises(ValueError):
         adapt_to_subspace(GF2, e, [(5, 0)])                    # code out of range
+    with pytest.raises(ValueError, match="frozen tail -1"):
+        adapt_to_subspace(GF2, e, [(1, 1)], frozen_tail=-1)
     with pytest.raises(ValueError, match="linearly dependent"):
         # a dependent U basis whose frozen tail lies outside U passes the
-        # pivot count, so the rank check in _in_basis must catch it
+        # pivot count, so make_flag must catch it before the core runs
         adapt_to_subspace(GF2, standard_basis(3), [(1, 0, 0), (1, 0, 0)], frozen_tail=1)
+
+
+def test_adapt_at_g_zero():
+    assert adapt_to_subspace(GF2, [], []) == ((), ())
+    out = adapt_to_flag(GF2, [], make_flag(GF2, 0, [[]]))
+    assert out.vectors == () and out.pivot_sets == ()
 
 
 def test_frozen_tail_keeps_tail():
@@ -170,6 +178,36 @@ def test_make_flag_validates_each_member_once(monkeypatch):
     assert calls == [6, 5, 4, 3, 2, 1, 0]
 
 
+def test_adapt_to_flag_checks_only_its_basis(monkeypatch):
+    import semicount.flags
+    import semicount.gf
+    import semicount.linalg
+    rng, g = random.Random(7), 8
+    ctx = make_field(2, 3)
+
+    def random_basis():
+        rows = [tuple(rng.randrange(ctx.q) for _ in range(g)) for _ in range(g)]
+        return rows if span_dim(ctx, rows) == g else random_basis()
+
+    e, C = random_basis(), random_basis()
+    flag = make_flag(ctx, g, [C[k:] for k in range(1, g + 1)])
+    expected = adapt_to_flag(ctx, e, flag)
+    calls = []
+
+    def counted(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for module in (semicount.flags, semicount.linalg):
+        monkeypatch.setattr(module, "matrix_from_rows",
+                            counted("matrix_from_rows", semicount.linalg.matrix_from_rows))
+    monkeypatch.setattr(semicount.linalg, "rank", counted("rank", semicount.linalg.rank))
+    monkeypatch.setattr(semicount.gf.FiniteField, "inner_products", counted(
+        "inner_products", semicount.gf.FiniteField.inner_products))
+    assert adapt_to_flag(ctx, e, flag) == expected
+    # the basis once; one product per proper member (g of them) and one back
+    assert sorted(calls) == ["inner_products"] * (g + 1) + ["matrix_from_rows"]
+
+
 def test_flag_equality_is_subspace_equality():
     a = make_flag(GF3, 2, [[(1, 2)]])
     b = make_flag(GF3, 2, [[(2, 1)]])                    # same line, scaled
@@ -181,6 +219,12 @@ def test_adapt_to_flag_trivial():
     out = adapt_to_flag(GF2, standard_basis(2), fl)
     assert out.vectors == standard_basis(2)
     assert out.pivot_sets == ((),)
+
+
+def test_adapt_to_flag_refuses_a_flag_of_another_dimension():
+    for g in (1, 3):                                     # no member vector to catch it
+        with pytest.raises(ValueError, match="ragged rows"):
+            adapt_to_flag(GF2, standard_basis(2), make_flag(GF2, g, [[]]))
 
 
 def test_adapt_to_flag_line_examples():
