@@ -22,29 +22,17 @@ import random
 from . import counting
 from .gf import FiniteField, _digits
 from .flags import Flag, _adapt
-from .linalg import (
-    Matrix,
-    Vector,
-    _eliminate,
-    _row_basis,
-    in_span,
-    span_dim,
-    standard_basis,
-)
-from .semilinear import DEFAULT_BUDGET, RankProfile, SemilinearMap, _from_digits
+from .linalg import Matrix, Vector, _eliminate, _row_basis, matrix_from_rows, standard_basis
+from .semilinear import DEFAULT_BUDGET, RankProfile, SemilinearMap, _from_digits, matrix_from_code
 
 VectorTuple = tuple[Vector, ...]
 
 
-def _check_tuple(ctx: FiniteField, xs) -> VectorTuple:
-    xs = tuple(tuple(v) for v in xs)
-    g = len(xs)
-    for v in xs:
-        if len(v) != g:
-            raise ValueError("tuple entries must be vectors of length g")
-        if any(not 0 <= c < ctx.q for c in v):
-            raise ValueError("vector coordinate out of field range")
-    return xs
+def _block(ctx: FiniteField, xs) -> Matrix:
+    """The tuple as the square block whose row j is entry j; its one check
+    is `matrix_from_rows`."""
+    xs = list(xs)
+    return matrix_from_rows(ctx, xs, len(xs))
 
 
 def tuple_has_profile(ctx: FiniteField, xs, r: int, s: int) -> bool:
@@ -52,29 +40,27 @@ def tuple_has_profile(ctx: FiniteField, xs, r: int, s: int) -> bool:
 
     With s = g the third condition is vacuous; with s = 0 the second is
     vacuous and the third degenerates to "the last entry is zero".  The
-    twist exponent plays no role here.
+    twist exponent plays no role here.  Each condition is the dimension
+    of a trailing slice: dim span(xs) = r, dim span(xs[g-s:]) = s, and an
+    entry lies in a span exactly when adding it keeps the dimension, so
+    the third reads dim span(xs[g-s-1:]) = s.
     """
-    xs = _check_tuple(ctx, xs)
-    g = len(xs)
-    if not 0 <= s <= r <= g:
-        raise ValueError(f"profile out of range: r={r}, s={s}, g={g}")
-    if span_dim(ctx, list(xs)) != r:
-        return False
-    if s > 0 and span_dim(ctx, list(xs[g - s:])) != s:
-        return False
-    if s < g and not in_span(ctx, list(xs[g - s:]), xs[g - s - 1]):
-        return False
-    return True
+    X = _block(ctx, xs)
+    g = X.rows
+    counting._check_profile(g, r, s)
+    # `_echelon` works in place, so each slice gets fresh rows
+    def dim(start: int) -> int:
+        return len(_echelon(ctx, [list(X.row(j)) for j in range(start, g)]))
+    return dim(0) == r and (s == g or dim(g - s) == s and dim(g - s - 1) == s)
 
 
 def induced_flag(ctx: FiniteField, xs) -> Flag:
     """Flag read off a tuple: each member is spanned by as many trailing
     entries as the previous member's dimension, iterated to stabilization.
     """
-    xs = _check_tuple(ctx, xs)
-    g = len(xs)
-    members = _induced_members(ctx, g, [c for v in xs for c in v])
-    return Flag(ctx, g, (standard_basis(g), *(_row_basis(ctx, m) for m in members)))
+    X = _block(ctx, xs)
+    members = _induced_members(ctx, X.rows, list(X.entries))
+    return Flag(ctx, X.rows, (standard_basis(X.rows), *(_row_basis(ctx, m) for m in members)))
 
 
 def tuple_profile(ctx: FiniteField, xs) -> RankProfile:
@@ -83,24 +69,21 @@ def tuple_profile(ctx: FiniteField, xs) -> RankProfile:
     The first proper member of the induced flag is the span of the whole
     tuple, so its dimension is r; there is none when r = g.
     """
-    xs = _check_tuple(ctx, xs)
-    g = len(xs)
-    dims = [len(m) for m in _induced_members(ctx, g, [c for v in xs for c in v])] or [g]
+    X = _block(ctx, xs)
+    dims = [len(m) for m in _induced_members(ctx, X.rows, list(X.entries))] or [X.rows]
     return RankProfile(dims[0], dims[-1])
 
 
 def tuple_from_code(ctx: FiniteField, g: int, code: int) -> VectorTuple:
     """Tuple numbered by little-endian base-q digits; entry j owns digits
-    j*g through j*g+g-1 as its coordinates."""
-    if not 0 <= code < ctx.q ** (g * g):
-        raise ValueError("tuple code out of range")
-    digits = _digits(code, ctx.q, g * g)
-    return tuple(tuple(digits[j * g: (j + 1) * g]) for j in range(g))
+    j*g through j*g+g-1 as its coordinates, so the entries are the rows of
+    `matrix_from_code`."""
+    X = matrix_from_code(ctx, g, code)
+    return tuple(X.row(j) for j in range(g))
 
 
 def tuple_code(ctx: FiniteField, xs) -> int:
-    xs = _check_tuple(ctx, xs)
-    return _from_digits([c for v in xs for c in v], ctx.q)
+    return _from_digits(_block(ctx, xs).entries, ctx.q)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +173,9 @@ def map_to_tuple(F: SemilinearMap) -> VectorTuple:
 def tuple_to_map(ctx: FiniteField, xs, tau: int) -> SemilinearMap:
     """Decode: the unique map with twist tau sending the basis adapted to
     the induced flag to the tuple, entry by entry."""
-    xs = _check_tuple(ctx, xs)
-    g = len(xs)
-    a = _decode(ctx, g, tau, [c for v in xs for c in v])[0]
-    return SemilinearMap(Matrix(ctx, g, g, tuple(a)), tau)
+    X = _block(ctx, xs)
+    a = _decode(ctx, X.rows, tau, list(X.entries))[0]
+    return SemilinearMap(Matrix(ctx, X.rows, X.rows, tuple(a)), tau)
 
 
 def enumerate_vector_tuples(ctx: FiniteField, g: int):

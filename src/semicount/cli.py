@@ -127,12 +127,12 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _check_g(g: int, q: int, least: int = 0) -> None:
-    """Refuse g outside [least, G_LIMIT], and a census whose total q^(g^2)
+def _check_g(g: int, q: int) -> None:
+    """Refuse g outside [0, G_LIMIT], and a census whose total q^(g^2)
     has more decimal digits than Python will print, before any q^(g^2)
     arithmetic."""
-    _require(least <= g <= G_LIMIT, f"--g must lie in [{least}, {G_LIMIT}], the bound "
-                                     f"G_LIMIT = {G_LIMIT}; got {g}")
+    _require(0 <= g <= G_LIMIT, f"--g must lie in [0, {G_LIMIT}], the bound "
+                                f"G_LIMIT = {G_LIMIT}; got {g}")
     # Python before 3.10.7 has no such limit (0 means none)
     n, limit = g * g, getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # the estimate decides unless it lies within one digit of the limit
@@ -142,14 +142,14 @@ def _check_g(g: int, q: int, least: int = 0) -> None:
                          f"sys.get_int_max_str_digits() = {limit} on printed integers")
 
 
-def _run_field(args: argparse.Namespace, least: int = 0) -> FiniteField:
+def _run_field(args: argparse.Namespace) -> FiniteField:
     """The field of verify or roundtrip: --threads and --budget are checked
     before it is built, --g after."""
     _require(args.threads >= 1, "--threads must be >= 1")
     _require(0 <= args.budget <= BUDGET_LIMIT, f"--budget must lie in [0, {BUDGET_LIMIT}], "
                                                 f"the bound BUDGET_LIMIT = 2^30; got {args.budget}")
     ctx = parse_field_spec(args.field)
-    _check_g(args.g, ctx.q, least)
+    _check_g(args.g, ctx.q)
     return ctx
 
 
@@ -261,7 +261,7 @@ def cmd_nu(args: argparse.Namespace):
 
 def cmd_roundtrip(args: argparse.Namespace):
     from .bijection import roundtrip_check
-    ctx = _run_field(args, least=1)
+    ctx = _run_field(args)
     report, ok = roundtrip_check(
         ctx, args.g, args.tau,
         budget=args.budget, threads=args.threads, seed=args.seed)

@@ -23,10 +23,11 @@ of a member U span U modulo W, and U gains dim U - dim(U ∩ W) new pivots.
 That is dim U - dim W exactly when W lies in U, and more otherwise; so one
 integer comparison per member catches a chain that is not nested, and is
 the only nesting check `make_flag` makes.  `make_flag` is also the one
-check of a member basis (lengths, entry range, independence); `_in_basis`
-checks only that e is a basis.  The wrappers change coordinates with one
-product per member and one for the result; `bijection` calls the core
-directly.
+check of a member basis: `linalg.matrix_from_rows` checks it as a block
+(lengths, entry range), and its echelon form checks independence;
+`_in_basis` checks only that e is a basis.  The wrappers change
+coordinates with one product per member and one for the result;
+`bijection` calls the core directly.
 """
 
 from __future__ import annotations
@@ -71,16 +72,16 @@ class Flag:
 def make_flag(ctx: FiniteField, g: int, members) -> Flag:
     """Validate and canonicalize a chain of subspace bases into a Flag.
 
-    The full space is prepended when absent.  Dimensions must be strictly
-    decreasing and each member must contain the next.
+    The full space is prepended when absent.  Each member is checked as a
+    block of g columns by `matrix_from_rows`, so a vector of another length
+    is a ragged row.  Dimensions must be strictly decreasing and each
+    member must contain the next.
     """
     canon = []
     for basis in members:
-        basis = [tuple(v) for v in basis]
-        if any(len(v) != g for v in basis):
-            raise ValueError("flag member vector of wrong length")
-        normal = _row_basis(ctx, matrix_from_rows(ctx, basis, g).row_list())
-        if len(normal) != len(basis):
+        M = matrix_from_rows(ctx, basis, g)
+        normal = _row_basis(ctx, M.row_list())
+        if len(normal) != M.rows:
             raise ValueError("flag member basis is linearly dependent")
         canon.append(normal)
     if not canon or len(canon[0]) < g:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 
 from .gf import FiniteField
 
@@ -62,8 +63,8 @@ def matrix_from_rows(ctx: FiniteField, rows, cols: int | None = None) -> Matrix:
         cols = len(rows[0])
     if any(len(r) != cols for r in rows):
         raise ValueError("ragged rows")
-    flat = tuple(x for r in rows for x in r)
-    if any(not 0 <= x < ctx.q for x in flat):
+    flat, q = tuple(chain.from_iterable(rows)), ctx.q
+    if any(not 0 <= x < q for x in flat):
         raise ValueError("entry code out of field range")
     return Matrix(ctx, len(rows), cols, flat)
 

@@ -169,7 +169,9 @@ def _from_digits(digits, q: int) -> int:
 
 def matrix_from_code(ctx: FiniteField, g: int, code: int) -> Matrix:
     """Decode a matrix index in [0, q^(g^2)): base-q digits, little-endian,
-    fill the entries row-major."""
+    fill the entries row-major.  The one check of a code's range."""
+    if not 0 <= code < ctx.q ** (g * g):
+        raise ValueError(f"matrix code outside [0, q^(g^2)) = [0, {ctx.q}^{g * g})")
     return Matrix(ctx, g, g, tuple(_digits(code, ctx.q, g * g)))
 
 

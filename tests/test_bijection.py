@@ -56,26 +56,47 @@ def test_membership_examples():
 
 
 def test_membership_argument_errors():
-    with pytest.raises(ValueError):
+    # the profile by `counting._check_profile`, the tuple by `matrix_from_rows`
+    with pytest.raises(ValueError, match="need 0 <= s <= r <= g"):
         tuple_has_profile(GF2, E1_ZERO, 2, 3)          # s > r
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 0 <= s <= r <= g"):
         tuple_has_profile(GF2, E1_ZERO, 3, 0)          # r > g
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="must be integers"):
+        tuple_has_profile(GF2, E1_ZERO, 1.0, 0)
+    with pytest.raises(ValueError, match="ragged rows"):
         tuple_has_profile(GF2, ((1, 0), (0,)), 1, 0)   # ragged entry
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entry code out of field range"):
         tuple_has_profile(GF2, ((2, 0), (0, 0)), 1, 0)  # coordinate out of range
+
+
+def test_membership_checks_the_tuple_once(monkeypatch):
+    # one block check, then dimensions of trailing slices: no `span_dim` or
+    # `in_span`, each of which builds its own block
+    import semicount.bijection
+    import semicount.linalg
+    calls = []
+    real = semicount.linalg.matrix_from_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for module in (semicount.bijection, semicount.linalg):
+        monkeypatch.setattr(module, "matrix_from_rows", counted, raising=False)
+    assert tuple_has_profile(GF2, ((0, 0), (1, 0)), 1, 1)
+    assert len(calls) == 1
 
 
 def test_classes_partition_all_tuples():
     # every tuple satisfies the conditions for exactly one profile
-    for ctx, g in [(GF2, 2), (GF3, 2), (GF2, 3)]:
+    for ctx, g in [(GF2, 2), (GF3, 2), (GF4, 2), (GF2, 3)]:
         for xs in enumerate_vector_tuples(ctx, g):
             hits = [(r, s) for r, s in profiles(g) if tuple_has_profile(ctx, xs, r, s)]
             assert hits == [tuple_profile(ctx, xs)]
 
 
 def test_class_sizes_match_staged_product():
-    for ctx, g in [(GF2, 2), (GF3, 2), (GF2, 3)]:
+    for ctx, g in [(GF2, 2), (GF3, 2), (GF4, 2), (GF2, 3)]:
         sizes = {prof: 0 for prof in profiles(g)}
         for xs in enumerate_vector_tuples(ctx, g):
             sizes[tuple_profile(ctx, xs)] += 1
@@ -170,10 +191,10 @@ def test_tuple_code_layout():
 def test_tuple_code_roundtrip_and_range():
     for code in range(3 ** 4):
         assert tuple_code(GF3, tuple_from_code(GF3, 2, code)) == code
-    with pytest.raises(ValueError):
-        tuple_from_code(GF3, 2, 3 ** 4)
-    with pytest.raises(ValueError):
-        tuple_from_code(GF3, 2, -1)
+    # `matrix_from_code` is the one range check
+    for code in (3 ** 4, -1):
+        with pytest.raises(ValueError, match=r"matrix code outside .* = \[0, 3\^4\)"):
+            tuple_from_code(GF3, 2, code)
 
 
 # --- the coded core against the Matrix reference -------------------------------------

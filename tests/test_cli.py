@@ -566,12 +566,19 @@ def test_count_at_the_g_bound(capsys, q):
     ("count", "--field", "2^1", "--g", "65"),
     ("verify", "--field", "2^1", "--g", "65"),
     ("count", "--field", "2^1", "--g", "-1"),
-    ("roundtrip", "--field", "2^1", "--g", "0"),
+    ("roundtrip", "--field", "2^1", "--g", "-1"),
 ])
 def test_g_outside_its_bounds_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and f"G_LIMIT = {cli.G_LIMIT}" in err
     assert cli.G_LIMIT == 64
+
+
+def test_roundtrip_at_g_zero(capsys):
+    # like count, verify, mu, nu and adapt: the one map of the 0-space
+    payload = run_json(capsys, "roundtrip", "--field", "2^1", "--g", "0")
+    assert payload["maps_checked"] == 1 and payload["failures"] == 0
+    assert payload["per_profile"] == [{"r": 0, "s": 0, "checked": 1}]
 
 
 @pytest.mark.parametrize("argv, power", [

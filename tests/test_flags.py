@@ -127,7 +127,7 @@ def test_make_flag_canonicalizes_and_validates():
         make_flag(GF2, 2, [[(1, 0), (0, 1)], [(1, 0), (1, 0)]])   # dependent
     with pytest.raises(ValueError):
         make_flag(GF2, 2, [[(1, 0)], [(1, 0)]])          # dims not decreasing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ragged rows"):
         make_flag(GF2, 2, [[(1, 0, 0)]])                 # wrong length
 
 

@@ -232,6 +232,13 @@ def test_enumeration_counts_and_codes():
         assert matrix_code(matrix_from_code(GF4, 2, code)) == code
 
 
+def test_matrix_from_code_refuses_codes_out_of_range():
+    # -1 read as all-ones digits and 16 as all zeros before the check
+    for code in (-1, 2 ** 4):
+        with pytest.raises(ValueError, match=r"matrix code outside .* = \[0, 2\^4\)"):
+            matrix_from_code(GF2, 2, code)
+
+
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_maps(GF4, 3, 0, budget=1000))
