@@ -221,14 +221,14 @@ def roundtrip_check(
     g: int,
     tau: int,
     *,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     threads: int = 1,
     seed: int = 0,
-    samples: int = SPOT_CHECK_SAMPLES,
 ) -> tuple[dict, bool]:
-    """Decode-encode round trips over the whole space, or a seeded sample
-    of it when q^(g*g) exceeds the budget.  Returns (report, ok); the
-    report is JSON-ready and independent of the thread count.
+    """Decode-encode round trips over the whole space, or over a seeded
+    sample of SPOT_CHECK_SAMPLES codes when q^(g*g) exceeds the budget.
+    Returns (report, ok); the report is JSON-ready and independent of the
+    thread count.
 
     A sweep of the whole space also holds its per-profile tallies to
     `counting.formula_table`; profiles that disagree are listed under
@@ -236,12 +236,12 @@ def roundtrip_check(
     """
     tau %= ctx.d
     total = ctx.q ** (g * g)
-    exhaustive = budget is None or total <= budget
+    exhaustive = total <= budget
     if exhaustive:
         codes = range(total)
     else:
         rng = random.Random(seed)
-        codes = [rng.randrange(total) for _ in range(samples)]
+        codes = [rng.randrange(total) for _ in range(SPOT_CHECK_SAMPLES)]
     parts = counting.run_chunks(_roundtrip_job, ctx, g, tau, codes, threads)
     tallies = counting.merge_tallies(g, [tally for tally, _ in parts])
     failures = [code for _, part in parts for code in part]

@@ -66,10 +66,10 @@ def split_blocks(text: str) -> list[list[str]]:
     return blocks
 
 
-def parse_matrix_block(lines: list[str], field=None,
-                       read_spec=parse_buildable_spec) -> tuple[FiniteField, Matrix]:
-    """The block's field, `field` itself when the block names it, and matrix;
-    `read_spec` turns the header's spec text into (p, d, modulus)."""
+def parse_matrix_block(lines: list[str],
+                       read_field=parse_field_spec) -> tuple[FiniteField, Matrix]:
+    """The block's field and matrix; `read_field` turns the header's spec
+    text into the field."""
     _require(bool(lines), "missing matrix block: expected a 'rows cols fieldspec' header")
     header = lines[0].split()
     if len(header) != 3:
@@ -81,7 +81,7 @@ def parse_matrix_block(lines: list[str], field=None,
     _require(max(nrows, ncols) <= G_LIMIT,
              f"block rows and cols must be at most G_LIMIT = {G_LIMIT}, got {lines[0]!r}")
     _require(min(nrows, ncols) >= 0, f"block rows and cols must be >= 0, got {lines[0]!r}")
-    spec = read_spec(header[2])
+    field = read_field(header[2])
     if len(lines) - 1 != nrows:
         raise ValueError(f"expected {nrows} rows after header, got {len(lines) - 1}")
     rows = []
@@ -93,8 +93,6 @@ def parse_matrix_block(lines: list[str], field=None,
         if len(row) != ncols:
             raise ValueError(f"row {line!r} has {len(row)} entries, expected {ncols}")
         rows.append(row)
-    if field is None or spec != (field.p, field.d, field.modulus):
-        field = FiniteField(*spec)
     return field, matrix_from_rows(field, rows, ncols)
 
 
@@ -111,8 +109,8 @@ def parse_map_block(lines: list[str]) -> SemilinearMap:
     return SemilinearMap(A, tau)
 
 
-def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
+def _read_text(path: str) -> str:
+    if path == "-":
         return sys.stdin.read()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -199,14 +197,15 @@ def cmd_adapt(args: argparse.Namespace):
     blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) >= 2,
              "adapt needs a basis block followed by at least one flag-member block")
-    # each distinct spec text is parsed once: a default modulus is a search
-    read_spec = functools.cache(parse_buildable_spec)
-    ctx, basis_mat = parse_matrix_block(blocks[0], read_spec=read_spec)
+    # one parse per spec text (a default modulus is a search), one build per field
+    read_spec, build = functools.cache(parse_buildable_spec), functools.cache(FiniteField)
+    read_field = lambda text: build(*read_spec(text))
+    ctx, basis_mat = parse_matrix_block(blocks[0], read_field)
     g = basis_mat.cols
     _require(basis_mat.rows == g, "basis block must be square: one row per basis vector")
     members = []
     for block in blocks[1:]:
-        mctx, member = parse_matrix_block(block, ctx, read_spec=read_spec)
+        mctx, member = parse_matrix_block(block, read_field)
         _require(mctx == ctx, "all blocks must use the same field")
         _require(member.cols == g, "flag member vectors must have length g")
         members.append(member.row_list())

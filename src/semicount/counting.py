@@ -2,8 +2,9 @@
 
 Three independent routes to the same numbers:
 
-* `closed_form_count` evaluates a single product formula with exact
-  rational arithmetic and raises unless the result clears to an integer.
+* `closed_form_count` evaluates a single product formula in integers,
+  with one exact division, and raises unless that division leaves no
+  remainder.
 * `staged_count` multiplies the sizes of the stages that build a tuple
   with the given profile (choices for the trailing block, lifts, choices
   for the leading block); integers only.
@@ -133,7 +134,7 @@ def _closed_form(N: list[int], g: int, r: int, s: int, q: int) -> int:
 
 
 def closed_form_count(g: int, r: int, s: int, q: int) -> int:
-    """The single-formula route, evaluated with exact rationals.
+    """The single-formula route, evaluated in integers with one exact division.
 
     q^{g^2 - (g-r)^2 - (r-s)} times a ratio of four descending products
     in q^-1.  The value is always an integer; a fractional result would
@@ -149,18 +150,14 @@ def closed_form_count(g: int, r: int, s: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Counts per profile, tagged with how they were obtained.
+    """Counts per profile.
 
     `entries` covers every profile 0 <= s <= r <= g, zeros included, so
     tables from different routes compare with plain equality of dicts.
-    `tau` is meaningful only for the enumeration route (the formula routes
-    are twist-independent) and is None otherwise.
     """
 
     q: int
     g: int
-    route: str
-    tau: int | None
     entries: dict[tuple[int, int], int]
 
     @property
@@ -208,7 +205,7 @@ def formula_table(g: int, q: int) -> CountTable:
                 f"count routes disagree at g={g}, r={r}, s={s}, q={q}: "
                 f"{via_formula} vs {via_stages}")
         entries[(r, s)] = via_formula
-    table = CountTable(q, g, "theorem", None, entries)
+    table = CountTable(q, g, entries)
     if table.total != q ** (g * g):
         raise ArithmeticError(f"counts at g={g}, q={q} sum to {table.total}, not q^(g^2)")
     return table
@@ -269,7 +266,7 @@ def bruteforce_table(
     g: int,
     tau: int,
     *,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> CountTable:
     """Tally the profile of every one of the q^(g^2) maps.
@@ -279,9 +276,8 @@ def bruteforce_table(
     on a process pool of any size.
     """
     total = check_budget(ctx.q, g, budget)
-    tau %= ctx.d
     entries = merge_tallies(g, run_chunks(_tally_job, ctx, g, tau, range(total), threads))
-    table = CountTable(ctx.q, g, "enumeration", tau, entries)
+    table = CountTable(ctx.q, g, entries)
     if table.total != total:
         raise ArithmeticError(f"chunks tallied {table.total} of the {total} maps")
     return table
@@ -292,7 +288,7 @@ def verify_counts(
     g: int,
     tau: int,
     *,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> tuple[dict, bool]:
     """Compare all routes cell by cell and check the corollary identities.

@@ -32,6 +32,8 @@ class Matrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError(f"matrix rows and cols must be >= 0, got {self.rows}x{self.cols}")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "

@@ -48,10 +48,10 @@ class BudgetExceeded(RuntimeError):
     """Raised when an exhaustive enumeration would exceed its budget."""
 
 
-def check_budget(q: int, g: int, budget: int | None) -> int:
-    """q^(g^2) maps to enumerate, or BudgetExceeded past `budget` (None: no cap)."""
+def check_budget(q: int, g: int, budget: int) -> int:
+    """q^(g^2) maps to enumerate, or BudgetExceeded past `budget`."""
     total = q ** (g * g)
-    if budget is not None and total > budget:
+    if total > budget:
         raise BudgetExceeded(f"q^(g^2) = {q}^{g * g} exceeds budget {budget}")
     return total
 
@@ -184,7 +184,7 @@ def enumerate_maps(
     g: int,
     tau: int,
     *,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[SemilinearMap]:
     """All q^(g^2) endomorphisms with the given twist, in matrix-code order."""
     total = check_budget(ctx.q, g, budget)

@@ -73,7 +73,7 @@ def test_criterion_2_route_equivalence_and_integrality():
     cells = 0
     for q, g in itertools.product(FORMULA_GRID_Q, FORMULA_GRID_G):
         for r, s in profiles(g):
-            # the rational route raises if it ever fails to clear denominators
+            # the closed form raises if its exact division ever leaves a remainder
             assert closed_form_count(g, r, s, q) == staged_count(g, r, s, q)
             cells += 1
     assert cells == 9 * 455

@@ -195,6 +195,8 @@ def test_tuple_code_roundtrip_and_range():
     for code in (3 ** 4, -1):
         with pytest.raises(ValueError, match=r"matrix code outside .* = \[0, 3\^4\)"):
             tuple_from_code(GF3, 2, code)
+    with pytest.raises(ValueError, match="^matrix rows and cols must be >= 0, got -1x-1$"):
+        tuple_from_code(GF2, -1, 1)
 
 
 # --- the coded core against the Matrix reference -------------------------------------
@@ -366,14 +368,16 @@ def test_roundtrip_check_gf4_profile_tallies():
                           (2, 0): 0, (2, 1): 0, (2, 2): 180}
 
 
-def test_roundtrip_check_sampled_mode_is_seeded():
-    report, ok = roundtrip_check(GF3, 2, 0, budget=10, samples=40, seed=7)
+def test_roundtrip_check_sampled_mode_is_seeded(monkeypatch):
+    import semicount.bijection as bijection
+    monkeypatch.setattr(bijection, "SPOT_CHECK_SAMPLES", 40)
+    report, ok = roundtrip_check(GF3, 2, 0, budget=10, seed=7)
     assert ok
     assert report["mode"] == "sampled" and report["seed"] == 7
     assert report["maps_checked"] == 40
-    again, _ = roundtrip_check(GF3, 2, 0, budget=10, samples=40, seed=7)
+    again, _ = roundtrip_check(GF3, 2, 0, budget=10, seed=7)
     assert again == report
-    other, _ = roundtrip_check(GF3, 2, 0, budget=10, samples=40, seed=8)
+    other, _ = roundtrip_check(GF3, 2, 0, budget=10, seed=8)
     assert other != report
 
 

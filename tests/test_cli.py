@@ -210,7 +210,7 @@ def test_roundtrip_fails_when_tallies_disagree_with_the_formula(capsys, monkeypa
         table = real(g, q)
         entries = dict(table.entries)
         entries[(1, 0)] += 1
-        return counting.CountTable(q, g, table.route, None, entries)
+        return counting.CountTable(q, g, entries)
 
     monkeypatch.setattr(counting, "formula_table", off_by_one)
     code, out, _ = run(capsys, "roundtrip", "--field", "2^1", "--g", "2")
@@ -220,6 +220,27 @@ def test_roundtrip_fails_when_tallies_disagree_with_the_formula(capsys, monkeypa
     # a sample is not a census, so it is not compared
     code, out, _ = run(capsys, "roundtrip", "--field", "2^1", "--g", "2", "--budget", "10")
     assert code == 0 and "formula_mismatch" not in json.loads(out)
+
+
+def test_roundtrip_reports_the_codes_a_faulty_decoder_breaks(capsys, monkeypatch):
+    # every rank-1 decode adds 1 to the last entry of its matrix; one worker
+    # keeps the sweep in this process, where the patch holds
+    import semicount.bijection as bijection
+    real = bijection._decode
+
+    def faulty(ctx, g, tau, x):
+        a, r, s = real(ctx, g, tau, x)
+        if r == 1:
+            a[-1] = ctx.add(a[-1], 1)
+        return a, r, s
+
+    monkeypatch.setattr(bijection, "_decode", faulty)
+    code, out, _ = run(capsys, "roundtrip", "--field", "2^1", "--g", "3", "--threads", "1")
+    payload = json.loads(out)
+    assert code == 1 and payload["maps_checked"] == 512 and payload["failures"] == 49
+    assert payload["failing_codes"] == [str(c) for c in (
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 18, 24, 27, 32, 36, 40, 45, 48, 54, 56)]
+    assert "formula_mismatch" not in payload
 
 
 # --- misc plumbing ---------------------------------------------------------------
@@ -297,9 +318,10 @@ def test_count_builds_no_field_tables(capsys, monkeypatch):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "611b6488148ca06044532bb41674cd5a0292ff270c27c134affee4d3dd028f52")
-    for spec in ["9^1", "2^2/1,0,1"]:                    # not prime; x^2+1 = (x+1)^2
-        code, _, err = run(capsys, "count", "--field", spec, "--g", "2")
-        assert code == 2 and "error" in err
+    for spec, message in [("9^1", "p = 9 is not prime"),
+                          ("2^2/1,0,1", "modulus [1, 0, 1] is reducible over GF(2)"),
+                          ("2^2/1,2,1", "modulus coefficients must lie in [0, p)")]:
+        assert run(capsys, "count", "--field", spec, "--g", "2") == (2, "", f"error: {message}\n")
 
 
 def test_field_size_bound_exits_2_without_building_a_field(capsys, monkeypatch):
@@ -499,6 +521,22 @@ def test_count_exits_1_when_the_census_misses_its_total(capsys, monkeypatch):
     payload = json.loads(out)
     assert code == 1 and payload["total"] == "17"
     assert all(c["match"] for c in payload["cells"])
+
+
+def test_a_fractional_subspace_count_exits_1(capsys, monkeypatch):
+    # entry 1 of every staged row n >= 2 off by one: [3 1]_3 reads 27/2
+    import semicount.counting as counting
+    real = counting._falling_row
+
+    def faulty(q, n):
+        row = real(q, n)
+        if n >= 2:
+            row[1] += 1
+        return row
+
+    monkeypatch.setattr(counting, "_falling_row", faulty)
+    assert run(capsys, "count", "--field", "3^1", "--g", "3") == (
+        1, "", "mismatch: subspace count is not an integer at n=3, d=1\n")
 
 
 def test_closed_form_refusing_to_round_exits_1(capsys, monkeypatch):

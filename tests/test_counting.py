@@ -132,10 +132,19 @@ def test_routes_agree_on_spot_grid():
                 assert closed_form_count(g, r, s, q) == staged_count(g, r, s, q)
 
 
+def test_formula_table_refuses_counts_that_miss_the_total(monkeypatch):
+    # both routes agree cell by cell, each at twice the true count
+    real = counting.route_cells
+    monkeypatch.setattr(counting, "route_cells",
+                        lambda g, q: [(r, s, 2 * a, 2 * b) for r, s, a, b in real(g, q)])
+    with pytest.raises(ArithmeticError) as exc:
+        formula_table(3, 2)
+    assert str(exc.value) == "counts at g=3, q=2 sum to 1024, not q^(g^2)"
+
+
 def test_formula_table_totals_and_corollaries():
     for g, q in [(1, 2), (2, 2), (2, 3), (3, 2), (4, 3), (5, 2)]:
         table = formula_table(g, q)
-        assert table.route == "theorem" and table.tau is None
         assert table.total == q ** (g * g)
         assert table.entries[(g, g)] == gl_order(g, q)
         nilpotent = sum(table.entries[(r, 0)] for r in range(g + 1))
@@ -228,8 +237,8 @@ def test_bruteforce_twist_independent():
 def test_bruteforce_budget():
     with pytest.raises(BudgetExceeded):
         bruteforce_table(GF9, 2, 0, budget=100)
-    # budget=None disables the cap
-    assert bruteforce_table(GF2, 2, 0, budget=None).total == 16
+    # a budget of exactly q^(g^2) is enough
+    assert bruteforce_table(GF2, 2, 0, budget=16).total == 16
 
 
 def test_bruteforce_chunking_is_invisible(monkeypatch):
@@ -344,12 +353,14 @@ def test_pools_match_serial_under_start_method(method):
     script = f"""
 import multiprocessing
 multiprocessing.set_start_method({method!r})
+from semicount import counting
 from semicount.bijection import roundtrip_check
 from semicount.counting import bruteforce_table
 from semicount.gf import make_field
 ctx = make_field(3, 1)
 assert bruteforce_table(ctx, 3, 0, threads=2) == bruteforce_table(ctx, 3, 0)
-sampled = dict(budget=10, samples=5000, seed=3)  # two chunks
+counting.CHUNK_CODES = 512  # the 1000 sampled codes make two chunks
+sampled = dict(budget=10, seed=3)
 assert roundtrip_check(ctx, 3, 0, threads=2, **sampled) == roundtrip_check(ctx, 3, 0, **sampled)
 print(multiprocessing.get_start_method())
 """

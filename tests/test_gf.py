@@ -338,6 +338,8 @@ def test_division_and_errors():
         gf9.inv(0)
     with pytest.raises(ZeroDivisionError):
         gf9.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        gf9.pow(0, -1)
 
 
 def test_pow():

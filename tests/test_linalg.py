@@ -108,6 +108,17 @@ def test_dimension_mismatch_errors():
         mat_apply(A, (1, 0, 1))
     with pytest.raises(ValueError):
         mat_mul(A, matrix_from_rows(GF3, [(1,), (0,)]))
+    with pytest.raises(ValueError, match=r"^2x2 matrix needs 4 entries, got 3$"):
+        Matrix(GF2, 2, 2, (0, 0, 0))
+    with pytest.raises(ValueError, match="^only square matrices are invertible$"):
+        mat_inverse(A)
+
+
+def test_matrix_refuses_negative_dimensions():
+    # rows * cols alone would let a -2x-3 matrix hold six entries and a -1x0 one none
+    for rows, cols in [(-2, -3), (-1, -1), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match=f"^matrix rows and cols must be >= 0, got {rows}x{cols}$"):
+            Matrix(GF2, rows, cols, (0,) * (rows * cols))
 
 
 # --- rank / rref ---------------------------------------------------------------

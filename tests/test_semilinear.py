@@ -117,6 +117,8 @@ def test_compose_twist_exponents_add():
 
 
 def test_power_known_values():
+    with pytest.raises(ValueError, match="^negative powers are not defined$"):
+        power(NILP, -1)
     assert power(NILP, 0) == identity_map(GF2, 2)
     assert power(NILP, 1) == NILP
     assert power(NILP, 2).mat == zero_matrix(GF2, 2, 2)
@@ -237,6 +239,9 @@ def test_matrix_from_code_refuses_codes_out_of_range():
     for code in (-1, 2 ** 4):
         with pytest.raises(ValueError, match=r"matrix code outside .* = \[0, 2\^4\)"):
             matrix_from_code(GF2, 2, code)
+    # g = -1 passes the range check, q^((-1)^2) = 2, so the Matrix must refuse it
+    with pytest.raises(ValueError, match="^matrix rows and cols must be >= 0, got -1x-1$"):
+        matrix_from_code(GF2, -1, 1)
 
 
 def test_enumeration_budget():
