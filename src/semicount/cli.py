@@ -30,8 +30,9 @@ EXIT_BUDGET = 3
 G_LIMIT = 64
 
 # Largest --budget of verify and roundtrip: a sweep of 2^30 codes cuts
-# into 262,144 chunk tasks, range slices of 4,096 codes made up front,
-# which take 38.2 MiB (tracemalloc, Python 3.11).
+# into 262,144 chunks, range slices of 4,096 codes that run_chunks makes
+# up front and deals out to its processes, which take 38.2 MiB
+# (tracemalloc, Python 3.11).
 BUDGET_LIMIT = 1 << 30
 
 

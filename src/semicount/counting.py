@@ -211,40 +211,77 @@ def formula_table(g: int, q: int) -> CountTable:
     return table
 
 
-# the job of a pool worker, set once by _start_worker when the worker starts
-_worker_job = None
-
-
-def _start_worker(make_job, ctx: FiniteField, g: int, tau: int) -> None:
-    global _worker_job
-    _worker_job = make_job(ctx, g, tau)
-
-
-def _run_worker_job(chunk):
-    return _worker_job(chunk)
+def _run_stride(send, make_job, ctx: FiniteField, g: int, tau: int, chunks: list) -> None:
+    """A child's share of `run_chunks`: one job over its chunks, and one
+    message back, (True, results) or (False, (exception, its traceback))."""
+    try:
+        job = make_job(ctx, g, tau)
+        message = (True, [job(chunk) for chunk in chunks])
+    except Exception as exc:
+        import traceback
+        message = (False, (exc, traceback.format_exc()))
+    send.send(message)
+    send.close()
 
 
 def run_chunks(make_job, ctx: FiniteField, g: int, tau: int, codes, threads: int) -> list:
     """job(chunk) for each CHUNK_CODES-long slice of `codes` (a range or a
-    list), job = make_job(ctx, g, tau), on a process pool when threads > 1.
+    list), job = make_job(ctx, g, tau), in chunk order.
 
-    The job is made once per call, or once per pool worker by the pool's
-    initializer, and is dropped with the call or the pool.  `spawn` and
-    `forkserver` pickle `make_job` and ctx, so `make_job` must be a
-    module-level function; the job itself need not pickle.  The pool gets
-    at most one worker per chunk and per core.  Results come back in
-    chunk order.
+    w = min(threads, chunks, CPUs) processes share the chunks, the calling
+    one included; CPUs counts those `os.sched_getaffinity` lets this
+    process run on, or `os.cpu_count()` where that is missing.  Process i
+    runs chunks i, i + w, i + 2w, ... with one job of its own, made when
+    it starts and dropped when the call returns.  The w - 1 children come
+    from `multiprocessing.get_context()` as daemons and each sends its
+    results back once, over a one-way pipe.  `spawn` and `forkserver`
+    pickle `make_job`, ctx and the chunks, so `make_job` must be a
+    module-level function; the job itself need not pickle.  An exception
+    a child's job raises is raised here, caused by one that holds the
+    child's traceback; a child that dies without sending raises
+    RuntimeError; whatever the call raises, it first terminates and joins
+    every child.
     """
     chunks = [codes[lo: lo + CHUNK_CODES] for lo in range(0, len(codes), CHUNK_CODES)]
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, len(chunks), cpus)
     if workers <= 1:
         job = make_job(ctx, g, tau)
         return [job(chunk) for chunk in chunks]
-    # imported here, so a process that starts no pool never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                             initargs=(make_job, ctx, g, tau)) as pool:
-        return list(pool.map(_run_worker_job, chunks))
+    # imported here, so a process that starts no child never loads multiprocessing
+    import multiprocessing
+    mp = multiprocessing.get_context()
+    children = []  # (process, read end of its pipe)
+    try:
+        for i in range(1, workers):
+            recv, send = mp.Pipe(duplex=False)
+            child = mp.Process(target=_run_stride, daemon=True,
+                               args=(send, make_job, ctx, g, tau, chunks[i::workers]))
+            children.append((child, recv))
+            with send:  # closed once the child has its copy, so the child's exit ends the pipe
+                child.start()
+        results = [None] * len(chunks)
+        job = make_job(ctx, g, tau)
+        results[::workers] = [job(chunk) for chunk in chunks[::workers]]
+        for i, (child, recv) in enumerate(children, 1):
+            try:
+                ok, part = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"worker process exited with code {child.exitcode} "
+                                   "before sending its results") from None
+            if not ok:
+                exc, trace = part
+                raise exc from RuntimeError(f"in a worker process:\n{trace}")
+            results[i::workers] = part
+        return results
+    finally:
+        for child, recv in children:
+            recv.close()
+            if child.pid is not None:  # started; one that has sent its results has no work left
+                child.terminate()
+                child.join()
 
 
 def merge_tallies(g: int, parts) -> dict[tuple[int, int], int]:
@@ -272,8 +309,8 @@ def bruteforce_table(
     """Tally the profile of every one of the q^(g^2) maps.
 
     The code range is cut into fixed-size chunks and the per-chunk tallies
-    are summed, so the result is identical whether chunks run serially or
-    on a process pool of any size.
+    are summed, so the result is identical whether chunks run in one
+    process or are shared among any number of them.
     """
     total = check_budget(ctx.q, g, budget)
     entries = merge_tallies(g, run_chunks(_tally_job, ctx, g, tau, range(total), threads))

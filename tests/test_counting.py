@@ -1,8 +1,8 @@
 """Counting formulas, the enumeration oracle, and the verification report."""
 
-import concurrent.futures
 import gc
 import itertools
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import semicount.cli as cli
 import semicount.counting as counting
 from semicount.counting import (
     CountTable,
@@ -263,57 +264,85 @@ def test_bruteforce_unaligned_chunks_match_profile(monkeypatch, chunk, ctx, g, t
 
 
 def test_run_chunks_caps_workers(monkeypatch):
-    made, jobs = [], []
+    children, jobs = [], []
 
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, starts
-        each worker with the initializer, runs inline."""
+    class InlineProcess:
+        """Stands in for a child process: runs its target when started."""
 
-        def __init__(self, max_workers, initializer, initargs):
-            made.append(max_workers)
-            for _ in range(max_workers):
-                initializer(*initargs)
+        pid = None
 
-        def __enter__(self):
-            return self
+        def __init__(self, target, args, daemon):
+            assert daemon
+            self.target, self.args = target, args
 
-        def __exit__(self, *exc):
-            return False
+        def start(self):
+            children.append(self)
+            self.pid = -1
+            self.target(*self.args)  # its one message fits in the pipe's buffer
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    class InlineContext:
+        Pipe = staticmethod(multiprocessing.Pipe)
+        Process = InlineProcess
 
     def make_job(ctx, g, tau):
         jobs.append((ctx, g, tau))
-        return lambda chunk: chunk
+        n = len(jobs)  # children make jobs 1..w-1 as they start, the caller job w
+        return lambda chunk: (n, chunk)
 
     def run(codes, threads):
+        children.clear()
         jobs.clear()
-        return counting.run_chunks(make_job, GF3, 2, 0, codes, threads)
+        out = counting.run_chunks(make_job, GF3, 2, 0, codes, threads)
+        assert jobs == [(GF3, 2, 0)] * (len(children) + 1)  # one job per process
+        return [n for n, _ in out], [chunk for _, chunk in out]
 
-    # run_chunks imports the pool from concurrent.futures when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(counting, "_worker_job", None)  # the inline workers set it
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: InlineContext)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # read only without sched_getaffinity
     chunk = counting.CHUNK_CODES
     monkeypatch.setattr(counting, "CHUNK_CODES", 2)
-    # chunk tasks are bare slices of the codes
-    assert run(range(6), 64) == [range(0, 2), range(2, 4), range(4, 6)]
-    assert jobs == [(GF3, 2, 0)] * 2  # one job per pool worker
-    assert run([5, 4, 3, 2, 1], 1) == [[5, 4], [3, 2], [1]]
-    assert jobs == [(GF3, 2, 0)]  # one job per serial call
-    assert run(range(2), 64) == [range(2)]
-    assert len(jobs) == 1
-    assert run([], 64) == []
-    assert made == [2]  # one worker per core; serial with one thread or one chunk
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
-    assert len(run(range(5), 64)) == 3
-    assert made == [2, 3]  # never more workers than chunks
-    assert len(jobs) == 3
+    # chunks are bare slices of the codes, back in chunk order; the caller
+    # runs chunks 0, w, 2w, ... and child i chunks i, i + w, ...
+    assert run(range(6), 64) == ([2, 1, 2], [range(0, 2), range(2, 4), range(4, 6)])
+    assert len(children) == 1  # one process per usable CPU, the caller included
+    assert run([9, 8, 7, 6, 5, 4, 3], 2) == ([2, 1, 2, 1], [[9, 8], [7, 6], [5, 4], [3]])
+    assert run([5, 4, 3, 2, 1], 1) == ([1, 1, 1], [[5, 4], [3, 2], [1]])
+    assert run(range(2), 64) == ([1], [range(2)])  # serial with one thread or one chunk
+    assert run([], 64) == ([], [])
+    assert children == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert run(range(5), 64)[0] == [3, 1, 2]  # never more processes than chunks
+    assert run(range(14), 4)[0] == [4, 1, 2, 3, 4, 1, 2]  # nor than threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert run(range(14), 4)[0] == [1] * 7  # nor than usable CPUs
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run(range(14), 4)[0] == [3, 1, 2, 3, 1, 2, 3]  # else os.cpu_count() caps
     monkeypatch.setattr(counting, "CHUNK_CODES", chunk)
-    # 9^4 maps make two chunks of CHUNK_CODES
+    # 9^4 maps make two chunks of CHUNK_CODES, their tallies pickled through the pipe
+    children.clear()
     assert bruteforce_table(GF9, 2, 1, threads=1000).entries == formula_table(2, 9).entries
-    assert made == [2, 3, 2]
+    assert len(children) == 1
+
+
+def test_threads_are_capped_by_cpu_affinity(monkeypatch, capsys):
+    def no_child():
+        raise AssertionError("a child process was started")
+
+    argv = ["verify", "--field", "3^1", "--g", "3", "--threads"]  # five chunks
+    assert cli.main(argv + ["1"]) == 0
+    serial = capsys.readouterr()
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_context", no_child)
+    assert cli.main(argv + ["2"]) == 0
+    assert capsys.readouterr() == serial
 
 
 def test_no_kernel_or_field_outlives_a_call(monkeypatch):
@@ -340,11 +369,12 @@ def test_no_kernel_or_field_outlives_a_call(monkeypatch):
     assert field() is None  # no module, cache or job holds the caller's field
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     src = str(Path(counting.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -383,12 +413,64 @@ verify = ("verify", "--field", "3^1", "--g", "3", "--threads")  # five chunks
 one = run(*verify, "1")
 print(one[0], pooled())
 print(run(*verify, "2") == one, pooled())
+import multiprocessing
+print(multiprocessing.active_children())
 """
     proc = _run_python("-c", script)
-    # two workers start only where there are two cores
-    pool = "['concurrent.futures.process', 'multiprocessing']"
-    pool = pool if (os.cpu_count() or 1) > 1 else "[]"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0 []\n0 []\nTrue {pool}\n", "")
+    # a child starts only where the process may run on two CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = "['multiprocessing']" if (cpus or 1) > 1 else "[]"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0 []\n0 []\nTrue {pool}\n[]\n", "")
+
+
+# faults in run_chunks' two processes: (the caller's job on chunk 0, the
+# child's job on chunk 1, what run_chunks raises and the last line of its cause)
+RUN_CHUNKS_FAULTS = {
+    "child raises": ("pass", "raise ValueError(f'bad chunk {chunk.start}')",
+                     "ValueError bad chunk 2\nValueError: bad chunk 2"),
+    "child exits": ("pass", "os._exit(3)", "RuntimeError worker process exited with "
+                    "code 3 before sending its results"),
+    "caller raises": ("raise KeyError('caller')", "time.sleep(60)", "KeyError 'caller'"),
+}
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+@pytest.mark.parametrize("fault", sorted(RUN_CHUNKS_FAULTS))
+def test_run_chunks_faults_reach_the_caller(tmp_path, method, fault):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    caller, child, raised = RUN_CHUNKS_FAULTS[fault]
+    # a file, not -c, so that spawn and forkserver children can import make_job
+    script = tmp_path / "faults.py"
+    script.write_text(f"""
+import multiprocessing, os, time
+from semicount import counting
+
+def job(chunk):
+    if chunk.start == 0:
+        {caller}
+    else:
+        {child}
+    return chunk
+
+def make_job(ctx, g, tau):
+    return job
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method({method!r})
+    counting.CHUNK_CODES = 2
+    os.sched_getaffinity = lambda pid: {{0, 1}}  # two CPUs, so one child starts
+    try:
+        counting.run_chunks(make_job, None, 0, 0, range(4), 2)
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+        if exc.__cause__:  # the traceback in the child
+            print(str(exc.__cause__).splitlines()[-1])
+    print(multiprocessing.active_children())
+""")
+    # the child of "caller raises" sleeps for 60 s unless it is terminated
+    proc = _run_python(str(script), timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{raised}\n[]\n", "")
 
 
 # each exactness check in counting, faced with a fault that breaks it
