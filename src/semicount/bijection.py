@@ -22,7 +22,7 @@ import random
 from . import counting
 from .gf import FiniteField, _digits
 from .flags import Flag, _adapt
-from .linalg import Matrix, Vector, _eliminate, _row_basis, matrix_from_rows, standard_basis
+from .linalg import Matrix, Vector, _row_basis, matrix_from_rows, standard_basis
 from .semilinear import DEFAULT_BUDGET, RankProfile, SemilinearMap, _from_digits, matrix_from_code
 
 VectorTuple = tuple[Vector, ...]
@@ -99,10 +99,11 @@ def tuple_code(ctx: FiniteField, xs) -> int:
 
 
 def _echelon(ctx: FiniteField, rows: list[list[int]]) -> list[list[int]]:
-    """A basis of the span of the rows, by forward elimination in place.
-    `_adapt` reduces whatever basis of a member it is given, so the
-    upward pass of `_row_basis` would be wasted here."""
-    return rows[:len(_eliminate(ctx, rows, reduce_up=False))]
+    """A basis of the span of the rows by forward elimination in place, its
+    leading entries unscaled: every forward-pass caller counts the pivots
+    (`rank`, `tuple_has_profile`) or reduces the rows again (`_adapt`, and
+    the image chain after `inner_products`)."""
+    return rows[:len(ctx.eliminate(rows, reduce_up=False))]
 
 
 def _induced_members(ctx: FiniteField, g: int, x: list[int]) -> list[list[list[int]]]:
@@ -120,12 +121,12 @@ def _induced_members(ctx: FiniteField, g: int, x: list[int]) -> list[list[list[i
 def _encode(ctx: FiniteField, g: int, tau: int, a) -> tuple[list[int], int, int]:
     """(tuple digits, r, s) of the map with twist tau whose matrix has the
     row-major entries `a`.  Unchecked."""
-    at = [a[i * g + j] for j in range(g) for i in range(g)]  # A^T, flat
+    rows = [list(a[j::g]) for j in range(g)]  # A^T: row j is column j of A
+    at = [c for row in rows for c in row]  # A^T, flat
     frob = ctx.frobenius_table(tau)
     # image chain: F(v) is the row tau(v)·A^T, so the images of a member's
     # basis are the rows of tau(basis)·A^T; F(e_j) is row j of A^T
     members, n = [], g
-    rows = [at[j * g: (j + 1) * g] for j in range(g)]
     while True:
         basis = _echelon(ctx, rows)
         if len(basis) == n:
@@ -157,10 +158,10 @@ def _decode(ctx: FiniteField, g: int, tau: int, x: list[int]) -> tuple[list[int]
         adapted = _adapt(ctx, g, members).vectors
         frob = ctx.frobenius_table(tau)
         rows = [[frob[c] for c in v] + x[j * g: (j + 1) * g] for j, v in enumerate(adapted)]
-        _eliminate(ctx, rows, reduce_up=True)
+        ctx.eliminate(rows, reduce_up=True)
         at = [c for row in rows for c in row[g:]]
     r, s = (len(members[0]), len(members[-1])) if members else (g, g)
-    return [at[j * g + i] for i in range(g) for j in range(g)], r, s
+    return [c for i in range(g) for c in at[i::g]], r, s
 
 
 def map_to_tuple(F: SemilinearMap) -> VectorTuple:

@@ -15,7 +15,7 @@ Adapting to a whole flag does this for every member, smallest first, in
 one coordinate system, that of e.  Each member's generators are reduced
 by the vectors already chosen, at their pivot columns; what is left is a
 combination of the still-unused e_j, and its echelon form (leftmost
-pivot, `linalg._eliminate`) gives the member's new vectors and pivots.
+pivot, `FiniteField.eliminate`) gives the member's new vectors and pivots.
 The result is adapted to every member at once, and it is unique.
 
 The chosen vectors span the previous member W, so the reduced generators
@@ -38,7 +38,6 @@ from .gf import FiniteField
 from .linalg import (
     Matrix,
     Vector,
-    _eliminate,
     _row_basis,
     mat_inverse,
     mat_mul,
@@ -130,7 +129,7 @@ def _adapt(ctx: FiniteField, g: int, members) -> AdaptedBasis:
                 c = w[col]
                 if c:
                     sub_scaled(w, c, u)
-        pivots = _eliminate(ctx, rows, reduce_up=True)
+        pivots = ctx.eliminate(rows, reduce_up=True)
         if len(pivots) != len(member) - prev_dim:
             raise ValueError("flag members are not nested")
         pivot_sets.append(tuple(unused.index(j) for j in pivots)

@@ -406,12 +406,6 @@ class FiniteField:
                 out.append(s)
         return out
 
-    def scaled(self, c: int, v) -> list[int]:
-        """[c·x for x in v], for c != 0; the tables are bound once per call."""
-        exp, log = self._exp, self._log
-        lc = log[c]
-        return [exp[lc + log[x]] if x else 0 for x in v]
-
     def sub_scaled(self, w: list[int], c: int, u, start: int = 0) -> None:
         """The row update w[j] <- w[j] - c·u[j] for every j >= start, in
         place, for c != 0; the tables are bound once per call."""
@@ -436,6 +430,40 @@ class FiniteField:
                     w[j] = 0 if z is None else exp[lx + z]
                 else:
                     w[j] = exp[t]
+
+    def eliminate(self, rows: list[list[int]], reduce_up: bool) -> list[int]:
+        """Gaussian elimination on equal-length rows in place, taking the
+        first nonzero entry of the leftmost column that has one as pivot;
+        returns the pivot columns.  With `reduce_up` the rows end in reduced
+        row echelon form.  Without it (the forward pass) a pivot row keeps
+        its leading entry `lead` and only the rows below are cleared, each
+        by c/lead; the first len(pivots) rows then span the input and the
+        rest are zero.  The tables are bound once per call; `exp` repeats
+        with period q - 1, so a negative index into it is right too."""
+        exp, log, sub_scaled = self._exp, self._log, self.sub_scaled
+        n, m = len(rows), len(rows[0]) if rows else 0
+        pivots, r = [], 0
+        for col in range(m):
+            for i in range(r, n):
+                if rows[i][col]:
+                    break
+            else:
+                continue
+            src = rows[i]
+            rows[i], rows[r] = rows[r], src
+            ll = log[src[col]]  # log lead
+            if reduce_up and ll:  # divide the pivot row by lead, which becomes 1
+                rows[r] = src = [exp[log[x] - ll] if x else 0 for x in src]
+                ll = 0
+            for i in range(n) if reduce_up else range(r + 1, n):
+                c = rows[i][col]
+                if c and i != r:
+                    sub_scaled(rows[i], exp[log[c] - ll], src, col)
+            pivots.append(col)
+            r += 1
+            if r == n:
+                break
+        return pivots
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -5,10 +5,10 @@ to one fixed ordered basis of the ambient space.  Matrices store a flat
 row-major tuple of codes plus their field; all operations are pure and all
 values immutable, so everything is safe to share between workers.
 
-Gaussian elimination uses the leftmost-nonzero pivot convention scanning
-rows top-down; the reduced row echelon form it produces is the unique
-Schubert-style normal form of a row space, which is exactly what the
-basis-adaptation machinery in `flags` relies on.
+Gaussian elimination is `FiniteField.eliminate`, which takes the
+leftmost-nonzero pivot scanning rows top-down; the reduced row echelon
+form it produces is the unique Schubert-style normal form of a row space,
+which is exactly what the basis-adaptation machinery in `flags` relies on.
 """
 
 from __future__ import annotations
@@ -131,40 +131,8 @@ def frobenius_vector(ctx: FiniteField, v: Vector, exponent: int) -> Vector:
     return tuple(table[x] for x in v)
 
 
-def _eliminate(ctx: FiniteField, rows: list[list[int]], reduce_up: bool):
-    """In-place Gaussian elimination; returns pivot column indices."""
-    if not rows:
-        return []
-    n, m = len(rows), len(rows[0])
-    inv, scaled, sub_scaled = ctx.inv, ctx.scaled, ctx.sub_scaled
-    pivots = []
-    r = 0
-    for col in range(m):
-        for i in range(r, n):
-            if rows[i][col]:
-                break
-        else:
-            continue
-        src = rows[i]
-        rows[i] = rows[r]
-        lead = src[col]
-        if lead != 1:
-            src = scaled(inv(lead), src)
-        rows[r] = src
-        for i in range(n) if reduce_up else range(r + 1, n):
-            factor = rows[i][col]
-            if factor and i != r:
-                sub_scaled(rows[i], factor, src, col)
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    return pivots
-
-
 def rank(A: Matrix) -> int:
-    rows = A.row_list()
-    return len(_eliminate(A.ctx, rows, reduce_up=False))
+    return len(A.ctx.eliminate(A.row_list(), reduce_up=False))
 
 
 def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -174,7 +142,7 @@ def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     indices strictly increasing by row, zero rows last.
     """
     rows = A.row_list()
-    pivots = _eliminate(A.ctx, rows, reduce_up=True)
+    pivots = A.ctx.eliminate(rows, reduce_up=True)
     flat = tuple(x for row in rows for x in row)
     return Matrix(A.ctx, A.rows, A.cols, flat), tuple(pivots)
 
@@ -194,7 +162,7 @@ def rref_basis(ctx: FiniteField, vectors) -> tuple[Vector, ...]:
 def _row_basis(ctx: FiniteField, rows) -> tuple[Vector, ...]:
     """`rref_basis` without input checks, for rows of equal length g."""
     rows = [list(r) for r in rows]
-    pivots = _eliminate(ctx, rows, reduce_up=True)
+    pivots = ctx.eliminate(rows, reduce_up=True)
     return tuple(tuple(r) for r in rows[:len(pivots)])
 
 
@@ -237,7 +205,7 @@ def mat_inverse(A: Matrix) -> Matrix:
     ctx = A.ctx
     g = A.rows
     aug = [list(A.row(i)) + [1 if j == i else 0 for j in range(g)] for i in range(g)]
-    pivots = _eliminate(ctx, aug, reduce_up=True)
+    pivots = ctx.eliminate(aug, reduce_up=True)
     if len(pivots) != g or any(p >= g for p in pivots):
         raise ValueError("matrix is singular")
     flat = tuple(x for row in aug for x in row[g:])

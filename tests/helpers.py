@@ -80,6 +80,32 @@ def f_inv(p: int, modulus: tuple[int, ...], a: int) -> int:
     return f_pow(p, modulus, a, q - 2)
 
 
+def rref(p: int, modulus: tuple[int, ...], rows) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form and its pivot columns, by Gauss-Jordan on
+    digit arithmetic: for each column left to right, the first nonzero row
+    at or below the current one is swapped up and scaled by the inverse of
+    its leading entry, and a multiple of it is subtracted from every other
+    row with a nonzero entry in that column."""
+    d = len(modulus) - 1
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        below = [i for i in range(r, len(rows)) if rows[i][col]]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        inv = f_inv(p, modulus, rows[r][col])
+        rows[r] = [f_mul(p, modulus, inv, x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                minus_c = f_neg(p, d, row[col])
+                rows[i] = [f_add(p, d, x, f_mul(p, modulus, minus_c, y))
+                           for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
 # --- primes and irreducible polynomials, by trial division ----------------
 
 def trial_division_prime(n: int) -> bool:

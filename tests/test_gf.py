@@ -407,6 +407,62 @@ def test_element_str_is_the_polynomial_form(fields):
     assert fields[(2, 3)].element_str(6) == "x+x^2"
 
 
+# --- row reduction -------------------------------------------------------------
+
+def _check_eliminate(ctx, rows):
+    """Both modes of `eliminate` against the digit-arithmetic rref: the
+    upward pass gives its rows and pivots; the forward pass gives its
+    pivots, echelon rows spanning the input, and zero rows after them."""
+    p, mod = ctx.p, ctx.modulus
+    want, pivots = helpers.rref(p, mod, rows)
+    reduced = [list(r) for r in rows]
+    assert (ctx.eliminate(reduced, reduce_up=True), reduced) == (pivots, want)
+    forward = [list(r) for r in rows]
+    assert ctx.eliminate(forward, reduce_up=False) == pivots
+    k = len(pivots)
+    assert [next(j for j, x in enumerate(r) if x) for r in forward[:k]] == pivots
+    assert not any(x for r in forward[k:] for x in r)
+    if rows:
+        m = len(rows[0])
+        assert helpers.span_set(p, mod, forward[:k], m) == helpers.span_set(p, mod, rows, m)
+
+
+@pytest.mark.parametrize("p,n,m", [(3, 2, 3), (2, 3, 3)])
+def test_eliminate_matches_the_oracle_on_every_matrix(p, n, m):
+    ctx = make_field(p, 1)
+    for code in range(p ** (n * m)):
+        digits = helpers.to_digits(code, p, n * m)
+        _check_eliminate(ctx, [list(digits[i * m:(i + 1) * m]) for i in range(n)])
+
+
+def test_eliminate_takes_no_rows():
+    ctx = make_field(3, 2)
+    assert ctx.eliminate([], reduce_up=True) == ctx.eliminate([], reduce_up=False) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]), st.data())
+def test_property_eliminate_matches_the_oracle(params, data):
+    ctx = make_field(*params)
+    q, mod = ctx.q, ctx.modulus
+    elem = st.integers(0, q - 1)
+    # up to 4 rows (tall) or 4 columns (wide), with at most q^n <= 729
+    # combinations for each span the check enumerates
+    n = data.draw(st.integers(1, max(k for k in range(1, 5) if q ** k <= 729)), label="n")
+    m = data.draw(st.integers(1, 4), label="m")
+    rows: list[list[int]] = []
+    for _ in range(n):
+        fresh = st.lists(elem, min_size=m, max_size=m)
+        zero = st.just([0] * m)
+        if rows:  # a repeated row, as it is or times a scalar
+            repeat = st.tuples(st.sampled_from(rows), elem).map(
+                lambda t: list(helpers.vec_scale(ctx.p, mod, t[1], t[0])))
+            rows.append(data.draw(st.one_of(fresh, zero, st.sampled_from(rows), repeat)))
+        else:
+            rows.append(data.draw(st.one_of(fresh, zero)))
+    _check_eliminate(ctx, rows)
+
+
 # --- hypothesis properties -----------------------------------------------------
 
 field_params = st.sampled_from(SMALL_FIELDS)

@@ -24,7 +24,9 @@ def _env(**extra: str) -> dict:
     [sys.executable, str(SCRIPTS / "kernel_runs.py"), "--field", "2^1", "--g", "3",
      "--runs", "50"],
     CLI_COST,
-], ids=["count_sweep", "kernel_runs", "cli_cost"])
+    [sys.executable, str(SCRIPTS / "roundtrip_cost.py"), "--field", "3^2", "--g", "2",
+     "--tau", "1", "--codes", "200", "--repeats", "1"],
+], ids=["count_sweep", "kernel_runs", "cli_cost", "roundtrip_cost"])
 def test_script_runs(argv):
     proc = subprocess.run(argv, capture_output=True, text=True, env=_env())
     assert proc.returncode == 0 and proc.stdout, proc.stderr
