@@ -4,16 +4,27 @@
 A run is the Q = q^g matrix codes that share rows 1..g-1.  The kernel
 treats a run by the rank of those rows:
 
-    g-1   hyperplane  row 0 in W: one Jordan chain; outside W: counted
-    g-2   corank 1    row 0 outside W: one Jordan chain; in W: echelon chain
+    g-1   hyperplane  row 0 in W: one Jordan chain each; outside W: counted
+    g-2   corank 1    row 0 outside W: the chain's steps inside W once per
+                      run, then one chain each for the row 0s of F*·k + W,
+                      the rest counted; row 0 in W: echelon chain
     <g-2  echelon     every map with 0 < r < g takes the echelon chain
 
 A seeded sample of runs is tallied one run per call, and the table gives
 each type's share of the runs, its mean µs per run and its share of the
 time.  Each call builds the layer of rows 2..g-1 that a whole-cell tally
 builds once per Q runs, so the figures overstate that layer's share.
+echelons/run is the mean number of `RowKernel._echelon` calls per run
+beyond the kept layer's one, counted in a second, untimed tally: one per
+step of the echelon chain, which every map it serves takes at least
+once.  What is left of that chain (ROADMAP item 3) reads off the last
+two columns:
 
     python3 scripts/kernel_runs.py --field 2^1 --g 5 --runs 4000
+
+On a 2-core VM with Python 3.11 that gave corank-1 runs 56% of the time
+at 14.6 echelons per run (the q^(g-2) = 8 row 0s in W), and runs of rank
+2 9% at 57; GF(3) g=4 gave corank-1 runs 37% at 12.4.
 """
 
 import argparse
@@ -27,18 +38,29 @@ from semicount.semilinear import DEFAULT_BUDGET, RowKernel
 BRANCHES = {1: "hyperplane", 2: "corank 1"}
 
 
-def sample_runs(kernel: RowKernel, runs: int, seed: int) -> dict[int, list[float]]:
-    """{rank of rows 1..g-1: seconds per sampled run}."""
+def sample_runs(kernel: RowKernel, runs: int, seed: int) -> dict[int, list[tuple[float, int]]]:
+    """{rank of rows 1..g-1: (seconds, chain echelons) per sampled run}."""
     g, Q = kernel.g, kernel.Q
     rng = random.Random(seed)
-    times: dict[int, list[float]] = {}
+    echelon, calls = kernel._echelon, []
+
+    def counted(vectors):
+        calls.append(None)
+        return echelon(vectors)
+
+    out: dict[int, list[tuple[float, int]]] = {}
     for _ in range(runs):
         prefix = rng.randrange(Q ** (g - 1))
-        rank = len(kernel._echelon([prefix // Q**i % Q for i in range(g - 1)]))
+        rank = len(echelon([prefix // Q**i % Q for i in range(g - 1)]))
         begin = time.perf_counter()
         kernel.tally(prefix * Q, (prefix + 1) * Q)
-        times.setdefault(rank, []).append(time.perf_counter() - begin)
-    return times
+        seconds = time.perf_counter() - begin
+        kernel._echelon = counted  # a second, untimed tally counts the echelons
+        calls.clear()
+        kernel.tally(prefix * Q, (prefix + 1) * Q)
+        del kernel._echelon
+        out.setdefault(rank, []).append((seconds, len(calls) - 1))  # less the kept layer's
+    return out
 
 
 def main(argv=None) -> int:
@@ -56,15 +78,18 @@ def main(argv=None) -> int:
     if ctx.q ** (args.g + 1) > DEFAULT_BUDGET:  # the size of the kernel's largest table
         parser.error(f"q^(g+1) = {ctx.q}^{args.g + 1} exceeds {DEFAULT_BUDGET}")
     times = sample_runs(RowKernel(ctx, args.g, args.tau), args.runs, args.seed)
-    total = sum(sum(ts) for ts in times.values())
+    total = sum(seconds for rows in times.values() for seconds, _ in rows)
     print(f"field {ctx.spec}  g={args.g}  tau={args.tau}  runs={args.runs}  seed={args.seed}")
-    print("| rank of rows 1..g-1 | branch | share of runs | µs/run | share of time |")
-    print("|---|---|---|---|---|")
+    print("| rank of rows 1..g-1 | branch | share of runs | µs/run | share of time "
+          "| echelons/run |")
+    print("|---|---|---|---|---|---|")
     for rank in sorted(times, reverse=True):
-        ts = times[rank]
+        seconds = [t for t, _ in times[rank]]
+        chain = sum(n for _, n in times[rank]) / len(seconds)
         branch = BRANCHES.get(args.g - rank, "echelon")
-        print(f"| {rank} | {branch} | {len(ts) / args.runs:.0%} | "
-              f"{1e6 * sum(ts) / len(ts):.1f} | {sum(ts) / total:.0%} |")
+        print(f"| {rank} | {branch} | {len(seconds) / args.runs:.0%} | "
+              f"{1e6 * sum(seconds) / len(seconds):.1f} | {sum(seconds) / total:.0%} | "
+              f"{chain:.1f} |")
     return 0
 
 

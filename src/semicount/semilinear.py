@@ -234,12 +234,22 @@ class RowKernel:
       hyperplane.  A row 0 outside W gives a bijective map, r = s = g,
       and those codes are only counted.  A row 0 = images[y] has im L = W,
       k_1 = tau((-1, y)) and k_(j+1) = tau((0, coord[k_j])), where coord
-      inverts images on W.
+      inverts images on W.  The slice twist[neg_one::q], neg_one the code
+      of -1, lists k_1 in y order, as images lists row 0; it is taken once
+      per call, and each row 0 in [start, stop) walks its chain from it.
     - corank-1 runs, where dim W = g-2, with a row 0 outside W.  Then
       im L = W + <row 0>, and k_1 = tau((0, y0)) for every such row 0,
-      where images[y0] = 0 with y0 != 0.  A step takes the first scalar
-      x_0 with k_j - x_0·row 0 in W, at most q lookups, and then
-      k_(j+1) = tau((x_0, coord[k_j - x_0·row 0])).
+      where images[y0] = 0 with y0 != 0.  While k_j is in W the step is
+      x_0 = 0, k_(j+1) = tau((0, coord[k_j])), the same for every such
+      row 0, so these steps are taken once per run.  The k_j they reach
+      are independent and in W, so there are at most g-2 of them, and the
+      shared chain stops at some k outside W with m <= g-1.  A row 0 goes
+      on exactly when k - x_0·row 0 is in W for some x_0: k outside W
+      forces x_0 != 0 and row 0 = x_0^-1·(k - w), so these row 0s are the
+      (q-1)·q^(g-2) vectors of F*·k + W.  Each of them takes the first
+      scalar x_0 with k_j - x_0·row 0 in W, at most q lookups, and then
+      k_(j+1) = tau((x_0, coord[k_j - x_0·row 0])); every other row 0
+      outside W is counted at the shared m.
 
     Only the other maps with 0 < r < g take the echelon chain: a row 0 in
     W of a corank-1 run, and every row 0 of a run of lower rank.
@@ -331,6 +341,7 @@ class RowKernel:
         add, echelon, neg_one = self.add, self._echelon, self.neg_one
         counts = [0] * (g + 1) ** 2
         corank1 = (g - 1) * (g + 1) + g  # counts[corank1 - m] is the cell (g-1, g-m)
+        firsts = twist[neg_one::q]  # tau((-1, y)) in y order, as images lists y·rows
         top = None  # rows 2..g-1 as one code, with their layer, basis and span
         for prefix in range(start // Q, -(-stop // Q)):
             if prefix // Q != top:
@@ -349,33 +360,39 @@ class RowKernel:
             first = prefix * Q
             lo, hi = max(start - first, 0), min(stop - first, Q)
             if len(base) == g - 1:
-                # hyperplane run: a row 0 = images[y] gives ker L = <tau((-1, y))>
+                # hyperplane run: a row 0 = images[y] gives ker L = <k_1>, k_1 = tau((-1, y))
                 inside = 0
-                for y, row0 in enumerate(images):
+                for k, row0 in zip(firsts, images):
                     if lo <= row0 < hi:
                         inside += 1
-                        k, m = twist[neg_one + q * y], 1
+                        m = 1
                         while k in coord:
                             k, m = twist[q * coord[k]], m + 1
                         counts[corank1 - m] += 1
                 counts[-1] += hi - lo - inside  # row 0 outside W: bijective
                 continue
-            # corank 1: a row 0 outside W gives ker L = <tau((0, y0))>
-            y0 = images.index(0, 1) if len(base) == g - 2 else None
-            for row0 in range(lo, hi):
-                if y0 is not None and row0 not in coord:
-                    minus = scale[neg_one * Q + row0]
-                    k, m = twist[q * y0], 1
-                    while m < g:  # solve L(x) = k as x = tau((x0, y)), k - x0·row0 = y·rows
+            walk = range(lo, hi)
+            if len(base) == g - 2:
+                # corank 1: ker L = <tau((0, y0))>; the steps with x0 = 0 are shared
+                k, m = twist[q * images.index(0, 1)], 1
+                while k in coord:
+                    k, m = twist[q * coord[k]], m + 1
+                walk = [w for w in coord if lo <= w < hi]  # row 0 in W
+                going = [add(scale[x * Q + k], w) for x in range(1, q) for w in coord]
+                going = [v for v in going if lo <= v < hi]
+                counts[corank1 - m] += hi - lo - len(walk) - len(going)
+                for row0 in going:  # row 0 in F*·k + W: k - x0·row 0 in W for one x0
+                    minus, kj, mj = scale[neg_one * Q + row0], k, m
+                    while mj < g:  # solve L(x) = kj as x = tau((x0, y)), kj - x0·row0 = y·rows
                         for x0 in range(q):
-                            w = add(k, scale[x0 * Q + minus])
+                            w = add(kj, scale[x0 * Q + minus])
                             if w in coord:
                                 break
                         else:
-                            break  # k is outside im L = W + <row 0>
-                        k, m = twist[x0 + q * coord[w]], m + 1
-                    counts[corank1 - m] += 1
-                    continue
+                            break  # kj is outside im L = W + <row 0>
+                        kj, mj = twist[x0 + q * coord[w]], mj + 1
+                    counts[corank1 - mj] += 1
+            for row0 in walk:
                 basis = base if row0 in coord else base + [row0]
                 r = n = len(basis)
                 while 0 < n < g:

@@ -1,6 +1,7 @@
 """Twisted endomorphisms: action, composition, rank invariants."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -272,7 +273,7 @@ def test_row_kernel_matches_profile_exhaustive(ctx, g, tau):
     _kernel_agrees_with_profile(ctx, g, tau, range(ctx.q ** (g * g)))
 
 
-@pytest.mark.parametrize("ctx, g, tau", [(GF2, 4, 0), (GF4, 3, 1)])
+@pytest.mark.parametrize("ctx, g, tau", [(GF2, 4, 0), (GF4, 3, 1), (GF3, 4, 0), (GF2, 5, 0)])
 def test_row_kernel_matches_profile_sampled(ctx, g, tau):
     rng = random.Random(f"kernel/{ctx.q}/{g}/{tau}")
     _kernel_agrees_with_profile(ctx, g, tau, [rng.randrange(ctx.q ** (g * g)) for _ in range(400)])
@@ -504,3 +505,96 @@ def test_row_kernel_chunk_crosses_a_change_of_rows_2_to_g_minus_1(ctx, g, tau):
     lo = random.Random(f"chunk/{ctx.q}/{g}/{tau}").choice(chunks)
     hi = lo + CHUNK_CODES
     assert RowKernel(ctx, g, tau).tally(lo, hi) == _reference_tally(ctx, g, tau, lo, hi)
+
+
+# --- rank g-1 runs: the shared corank-1 chain, F*·k + W, cuts at chain row 0s ------
+
+
+def _run_profiles(ctx, g, tau, prefix):
+    """profile of the code prefix·Q + row 0, for each row 0 in [0, Q)."""
+    Q = ctx.q ** g
+    return [tuple(profile(SemilinearMap(matrix_from_code(ctx, g, prefix * Q + row0), tau)))
+            for row0 in range(Q)]
+
+
+def _corank1_runs_by_shared_length(ctx, g, tau):
+    """{mu: (prefix, profiles)}, one corank-1 run for each mu in 1..g-1.
+
+    mu is the smallest m = g - s over the row 0s outside W (r = g-1).  A
+    few seeded row 0s give a guess of mu, so only runs that may have a
+    new mu are profiled whole."""
+    rng = random.Random(f"corank1-shared/{ctx.q}/{g}/{tau}")
+    Q, found = ctx.q ** g, {}
+    for _ in range(5000):
+        if len(found) == g - 1:
+            break
+        prefix = _corank1_prefix(ctx, g, rng)
+        codes = [prefix * Q + rng.randrange(Q) for _ in range(8)]
+        guess = [profile(SemilinearMap(matrix_from_code(ctx, g, code), tau)) for code in codes]
+        if min(g - s for r, s in guess if r == g - 1) in found:
+            continue
+        profiles = _run_profiles(ctx, g, tau, prefix)
+        found.setdefault(min(g - s for r, s in profiles if r == g - 1), (prefix, profiles))
+    return found
+
+
+@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
+def test_row_kernel_corank1_whole_runs_by_shared_chain_length(ctx, g, tau):
+    # in a run whose rows 1..g-1 have rank g-2, every row 0 outside W takes
+    # the same chain steps while k_j is in W; those k_j are independent, so
+    # the shared chain ends at some k outside W with mu <= g-1.  Only the
+    # (q-1)·q^(g-2) row 0s of F*·k + W go on, so Q - q^(g-1) codes stop at
+    # mu, and at mu = g-1, the longest shared chain, the others reach m = g
+    found = _corank1_runs_by_shared_length(ctx, g, tau)
+    assert sorted(found) == list(range(1, g)), sorted(found)
+    kernel = RowKernel(ctx, g, tau)
+    q, Q = ctx.q, ctx.q ** g
+    for mu, (prefix, profiles) in found.items():
+        lengths = [g - s for r, s in profiles if r == g - 1]
+        assert len(lengths) == Q - q ** (g - 2)  # row 0 outside W
+        assert lengths.count(mu) == Q - q ** (g - 1)
+        going = [m for m in lengths if m != mu]
+        assert len(going) == (q - 1) * q ** (g - 2) and min(going) > mu
+        if mu == g - 1:
+            assert set(going) == {g}
+        assert kernel.tally(prefix * Q, (prefix + 1) * Q) == Counter(profiles), (mu, prefix)
+
+
+@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
+def test_row_kernel_corank1_ranges_cut_inside_f_star_k_plus_w(ctx, g, tau):
+    # the F*·k + W row 0s of a corank-1 run are its row 0s outside W with
+    # m > mu; ranges start or end on them, between them and at the run's ends
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    for mu, (prefix, profiles) in _corank1_runs_by_shared_length(ctx, g, tau).items():
+        rng = random.Random(f"f-star-k/{ctx.q}/{g}/{tau}/{mu}")
+        going = sorted(row0 for row0, (r, s) in enumerate(profiles) if r == g - 1 and g - s > mu)
+        first = prefix * Q
+        for _ in range(3):
+            a, b = sorted(rng.sample(going, 2))
+            for lo, hi in [(a, b), (a + 1, b), (a, b + 1), (a, a + 1), (0, b), (a, Q), (a + 1, Q)]:
+                expected = Counter(profiles[lo:hi])
+                assert kernel.tally(first + lo, first + hi) == expected, (mu, lo, hi)
+
+
+@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
+def test_row_kernel_hyperplane_ranges_cut_at_row_0s_in_w(ctx, g, tau):
+    # in a hyperplane run only the row 0s in W (r = g-1) walk a chain, and
+    # only those inside the range; ranges start or end on them and next to them
+    rng = random.Random(f"cut-in-w/{ctx.q}/{g}/{tau}")
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    checked = 0
+    while checked < 2:
+        prefix = rng.randrange(Q ** (g - 1))
+        if _rank_of_run(ctx, g, prefix) != g - 1:
+            continue
+        profiles = _run_profiles(ctx, g, tau, prefix)
+        inside = [row0 for row0, (r, s) in enumerate(profiles) if r == g - 1]
+        assert len(inside) == Q // ctx.q
+        first = prefix * Q
+        for _ in range(3):
+            a, b = sorted(rng.sample(inside[1:], 2))  # row 0 = 0 is the first
+            for lo, hi in [(a, b), (a + 1, b), (a, b + 1), (a, a + 1), (a - 1, a), (0, b), (a, Q)]:
+                assert kernel.tally(first + lo, first + hi) == Counter(profiles[lo:hi]), (lo, hi)
+        checked += 1
