@@ -4,10 +4,14 @@
 A run is the Q = q^g matrix codes that share rows 1..g-1.  The kernel
 treats a run by the rank of those rows:
 
-    g-1   hyperplane  row 0 in W: one Jordan chain each; outside W: counted
+    g-1   hyperplane  row 0 in W: one Jordan chain each for the few whose
+                      k_1 is in W, the rest counted at m = 1; outside W:
+                      counted
     g-2   corank 1    row 0 outside W: the chain's steps inside W once per
                       run, then one chain each for the row 0s of F*·k + W,
-                      the rest counted; row 0 in W: echelon chain
+                      the rest counted; row 0 in W: its own chain beside
+                      the stored shared one while both stay in W, then
+                      one chain of combinations
     <g-2  echelon     every map with 0 < r < g takes the echelon chain
 
 A seeded sample of runs is tallied one run per call, and the table gives
@@ -22,9 +26,11 @@ two columns:
 
     python3 scripts/kernel_runs.py --field 2^1 --g 5 --runs 4000
 
-On a 2-core VM with Python 3.11 that gave corank-1 runs 56% of the time
-at 14.6 echelons per run (the q^(g-2) = 8 row 0s in W), and runs of rank
-2 9% at 57; GF(3) g=4 gave corank-1 runs 37% at 12.4.
+On a 2-core VM with Python 3.11 that gave corank-1 runs 47% of the time
+at 39 µs and 0 echelons per run, hyperplane runs 43% at 22 µs, and runs
+of rank 2 9% at 57 echelons per run; GF(3) g=4 gave hyperplane runs 66%
+at 31 µs and corank-1 runs 33% at 84 µs, and rank 1 runs 1% at 114
+echelons per run.
 """
 
 import argparse

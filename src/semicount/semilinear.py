@@ -236,7 +236,9 @@ class RowKernel:
       k_1 = tau((-1, y)) and k_(j+1) = tau((0, coord[k_j])), where coord
       inverts images on W.  The slice twist[neg_one::q], neg_one the code
       of -1, lists k_1 in y order, as images lists row 0; it is taken once
-      per call, and each row 0 in [start, stop) walks its chain from it.
+      per call.  Most k_1 are outside W, m = 1: only the k_1 in coord and
+      in the set of k_1 of the row 0s in [start, stop) walk on (one set
+      intersection), and the rest are counted at m = 1 in bulk.
     - corank-1 runs, where dim W = g-2, with a row 0 outside W.  Then
       im L = W + <row 0>, and k_1 = tau((0, y0)) for every such row 0,
       where images[y0] = 0 with y0 != 0.  While k_j is in W the step is
@@ -251,8 +253,20 @@ class RowKernel:
       k_(j+1) = tau((x_0, coord[k_j - x_0·row 0])); every other row 0
       outside W is counted at the shared m.
 
-    Only the other maps with 0 < r < g take the echelon chain: a row 0 in
-    W of a corank-1 run, and every row 0 of a run of lower rank.
+    A row 0 in W of a corank-1 run gives r = g-2, im L = W and
+    ker L = <a_1, b_1>: a_1 is the shared chain's first k and
+    b_1 = tau((-1, coord[row 0])).  As dim L^-1(U) = 2 + dim(U ∩ W),
+    dim ker L^(j+1) = 2 + dim(ker L^j ∩ W), so the nilpotent part has two
+    Jordan blocks: lambda_2, the first j with ker L^j outside W, and
+    lambda_1, the first with ker L^j + W = V; s = g - lambda_1 - lambda_2.
+    b's chain steps b_(j+1) = tau((0, coord[b_j])) beside the stored
+    shared one while both are in W, and a_j, b_j (j <= lambda_2) span
+    ker L^j.  At lambda_2 the two are independent modulo W, and
+    lambda_1 = lambda_2, unless one of them, or some b - x·a, is in W.
+    Then ker L^j + W stays <gen> + W, gen the one that left, and one
+    chain c_(j+1) = tau((0, coord[c_j - x·gen])) goes on, x the first
+    scalar with c_j - x·gen in W; lambda_1 is the first j with none.
+    Only the runs of rank <= g-3 take the echelon chain.
     Tables are built for g >= 2 only, and none has more than q^(g+1)
     entries: the q scalings of every row code, tau and tau^-1 digit by
     digit, and for odd p the sums of the lower and the upper halves of two
@@ -331,8 +345,11 @@ class RowKernel:
         return [P for P in piv if P]
 
     def tally(self, start: int, stop: int) -> dict[tuple[int, int], int]:
-        """{(r, s): number of maps} over the codes in [start, stop)."""
+        """{(r, s): number of maps} over the codes in [start, stop), which
+        must lie in [0, q^(g^2)): the one check of a call's range."""
         g, q, Q = self.g, self.q, self.Q
+        if not 0 <= start <= stop <= Q**g:
+            raise ValueError(f"codes [{start}, {stop}) not inside [0, q^(g^2)) = [0, {q}^{g * g})")
         if g < 2:  # one entry at most: r = s = 1 exactly when it is nonzero
             zero = int(start <= 0 < stop)
             return {cell: n for cell, n in [((0, 0), zero), ((g, g), stop - start - zero)] if n}
@@ -341,7 +358,9 @@ class RowKernel:
         add, echelon, neg_one = self.add, self._echelon, self.neg_one
         counts = [0] * (g + 1) ** 2
         corank1 = (g - 1) * (g + 1) + g  # counts[corank1 - m] is the cell (g-1, g-m)
+        corank2 = corank1 - g - 1  # counts[corank2 - l1 - l2] is the cell (g-2, g-l1-l2)
         firsts = twist[neg_one::q]  # tau((-1, y)) in y order, as images lists y·rows
+        every_start = set(firsts)
         top = None  # rows 2..g-1 as one code, with their layer, basis and span
         for prefix in range(start // Q, -(-stop // Q)):
             if prefix // Q != top:
@@ -352,35 +371,38 @@ class RowKernel:
                 for v in reversed(rows):
                     upper = [add(u, w) for w in upper for u in scale[v::Q]]
                 kept, span = echelon(rows), set(upper)
+                spread = [w for w in upper for _ in range(q)]  # upper[y // q] at y
             # images[y] = y·(rows 1..g-1) for y in [0, Q/q); digit 0 weighs row 1
             row1 = prefix % Q
-            images = [add(u, w) for w in upper for u in scale[row1::Q]]
+            images = list(map(add, scale[row1::Q] * len(upper), spread))
             base = kept if row1 in span else kept + [row1]
-            coord = {w: y for y, w in enumerate(images)}  # inverts images on W
+            coord = dict(zip(images, range(Q // q)))  # inverts images on W
             first = prefix * Q
             lo, hi = max(start - first, 0), min(stop - first, Q)
             if len(base) == g - 1:
-                # hyperplane run: a row 0 = images[y] gives ker L = <k_1>, k_1 = tau((-1, y))
-                inside = 0
-                for k, row0 in zip(firsts, images):
-                    if lo <= row0 < hi:
-                        inside += 1
-                        m = 1
-                        while k in coord:
-                            k, m = twist[q * coord[k]], m + 1
-                        counts[corank1 - m] += 1
-                counts[-1] += hi - lo - inside  # row 0 outside W: bijective
+                # hyperplane run: a row 0 = images[y] gives ker L = <k_1>, k_1 = tau((-1, y)),
+                # and m = 1 unless k_1 is in W
+                starts = every_start if hi - lo == Q else {
+                    k for k, row0 in zip(firsts, images) if lo <= row0 < hi}
+                going = coord.keys() & starts
+                counts[corank1 - 1] += len(starts) - len(going)
+                for k in going:
+                    m = 1
+                    while k in coord:
+                        k, m = twist[q * coord[k]], m + 1
+                    counts[corank1 - m] += 1
+                counts[-1] += hi - lo - len(starts)  # row 0 outside W: bijective
                 continue
-            walk = range(lo, hi)
             if len(base) == g - 2:
                 # corank 1: ker L = <tau((0, y0))>; the steps with x0 = 0 are shared
-                k, m = twist[q * images.index(0, 1)], 1
-                while k in coord:
-                    k, m = twist[q * coord[k]], m + 1
-                walk = [w for w in coord if lo <= w < hi]  # row 0 in W
+                shared = [twist[q * images.index(0, 1)]]
+                while shared[-1] in coord:
+                    shared.append(twist[q * coord[shared[-1]]])
+                k, m = shared[-1], len(shared)
+                inside = [w for w in coord if lo <= w < hi]  # row 0 in W
                 going = [add(scale[x * Q + k], w) for x in range(1, q) for w in coord]
                 going = [v for v in going if lo <= v < hi]
-                counts[corank1 - m] += hi - lo - len(walk) - len(going)
+                counts[corank1 - m] += hi - lo - len(inside) - len(going)
                 for row0 in going:  # row 0 in F*·k + W: k - x0·row 0 in W for one x0
                     minus, kj, mj = scale[neg_one * Q + row0], k, m
                     while mj < g:  # solve L(x) = kj as x = tau((x0, y)), kj - x0·row0 = y·rows
@@ -392,7 +414,24 @@ class RowKernel:
                             break  # kj is outside im L = W + <row 0>
                         kj, mj = twist[x0 + q * coord[w]], mj + 1
                     counts[corank1 - mj] += 1
-            for row0 in walk:
+                for row0 in inside:  # ker L = <shared[0], tau((-1, coord[row 0]))>, im L = W
+                    kb, j = twist[neg_one + q * coord[row0]], 0
+                    while j < m - 1 and kb in coord:  # both chains still in W
+                        kb, j = twist[q * coord[kb]], j + 1
+                    # level j+1 = lambda_2 leaves W; c in W once a multiple of gen is taken off
+                    c, gen = (shared[j], kb) if j < m - 1 else (kb, shared[j])
+                    minus, level = scale[neg_one * Q + gen], j + 1
+                    while True:
+                        for x in range(q):
+                            w = add(c, scale[x * Q + minus])
+                            if w in coord:
+                                break
+                        else:
+                            break  # ker L^level spans V/W: lambda_1 = level
+                        c, level = twist[q * coord[w]], level + 1
+                    counts[corank2 - j - 1 - level] += 1
+                continue
+            for row0 in range(lo, hi):  # rank <= g-3
                 basis = base if row0 in coord else base + [row0]
                 r = n = len(basis)
                 while 0 < n < g:

@@ -9,6 +9,7 @@ import helpers
 from semicount.counting import CHUNK_CODES
 from semicount.gf import make_field
 from semicount.linalg import (
+    frobenius_vector,
     identity_matrix,
     in_span,
     mat_mul,
@@ -448,33 +449,29 @@ def test_row_kernel_corank1_ranges_inside_one_run(ctx, g, tau):
 
 @pytest.mark.parametrize("ctx, g, tau", NO_CHAIN_CELLS)
 def test_row_kernel_corank1_runs_skip_the_echelon_chain(monkeypatch, ctx, g, tau):
-    # code by code over a run whose rows 1..g-1 have rank g-2: a row 0
-    # outside their span may echelon only the kept rows 2..g-1; a row 0
-    # inside it (r <= g-2) still takes the echelon chain
+    # code by code over a run whose rows 1..g-1 have rank g-2, no row 0
+    # takes the echelon chain: one outside their span follows one Jordan
+    # chain and one inside it (r = g-2) two, so each call echelons only
+    # the kept rows 2..g-1
     rng = random.Random(f"corank1-no-chain/{ctx.q}/{g}/{tau}")
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
     prefix = _corank1_prefix(ctx, g, rng)
     kept = tuple(_run_rows(ctx, g, prefix)[1:])
-    rows = [helpers.to_vec(v, ctx.q, g) for v in _run_rows(ctx, g, prefix)]
     echelon = RowKernel._echelon
-    outside, chain_steps = False, []
+    calls = []
 
-    def no_chain_outside(self, vectors):
-        vectors = tuple(vectors)
-        if vectors != kept:
-            if outside:
-                raise AssertionError(f"echelon chain ran for a row 0 outside W: {vectors}")
-            chain_steps.append(vectors)
+    def kept_rows_only(self, vectors):
+        calls.append(tuple(vectors))
+        if calls[-1] != kept:
+            raise AssertionError(f"echelon chain ran in a corank-1 run: {calls[-1]}")
         return echelon(self, vectors)
 
-    monkeypatch.setattr(RowKernel, "_echelon", no_chain_outside)
+    monkeypatch.setattr(RowKernel, "_echelon", kept_rows_only)
     for code in range(prefix * Q, (prefix + 1) * Q):
-        outside = rank(matrix_from_rows(ctx, [helpers.to_vec(code % Q, ctx.q, g)] + rows)) == g - 1
         expected = {tuple(profile(SemilinearMap(matrix_from_code(ctx, g, code), tau))): 1}
         assert kernel.tally(code, code + 1) == expected, code
-    # at g = 2 the span is 0, and a row 0 in it gives the zero map
-    assert bool(chain_steps) == (g > 2)
+    assert calls == [kept] * Q
 
 
 # --- kept rows 2..g-1: one layer per block of Q runs ---------------------------------
@@ -598,3 +595,112 @@ def test_row_kernel_hyperplane_ranges_cut_at_row_0s_in_w(ctx, g, tau):
             for lo, hi in [(a, b), (a + 1, b), (a, b + 1), (a, a + 1), (a - 1, a), (0, b), (a, Q)]:
                 assert kernel.tally(first + lo, first + hi) == Counter(profiles[lo:hi]), (lo, hi)
         checked += 1
+
+
+# --- corank-1 runs, row 0 in W: two Jordan chains, r = g-2 ---------------------------
+
+
+def _lambda2_exits(ctx, g, tau, prefix):
+    """{row 0: how ker L^j first leaves W} over the row 0s in W of a corank-1 run.
+
+    ker L = <a_1, b_1> with a_1 = tau((0, y0)), y0·(rows 1..g-1) = 0, and
+    b_1 = tau((-1, y)), y the last with y·(rows 1..g-1) = row 0, which is
+    the one the kernel reads (only whether b or a combination is in W
+    depends on that choice).  Both chains step v -> tau((0, y)) with
+    y·(rows 1..g-1) = v while both stay in W; at the first level where one
+    leaves, either a or b is still in W, or a combination of the two is,
+    or they are independent modulo W (lambda_1 = lambda_2)."""
+    q, Q = ctx.q, ctx.q ** g
+    rows = [helpers.to_vec(v, q, g) for v in _run_rows(ctx, g, prefix)]
+    pre, y0 = {}, None
+    for y in range(Q // q):
+        ys = helpers.to_vec(y, q, g - 1)
+        v = (0,) * g
+        for c, row in zip(ys, rows):
+            v = tuple(ctx.add(a, ctx.mul(c, b)) for a, b in zip(v, row))
+        if y0 is None and y and not any(v):
+            y0 = ys
+        pre[v] = ys  # the last y wins
+
+    def step(x0, ys):
+        return frobenius_vector(ctx, (x0,) + ys, tau)
+
+    exits = {}
+    for w in pre:
+        a, b = step(0, y0), step(ctx.neg(1), pre[w])
+        while a in pre and b in pre:
+            a, b = step(0, pre[a]), step(0, pre[b])
+        if a in pre or b in pre:
+            how = "a in W" if a in pre else "b in W"
+        else:
+            how = "combination in W" if span_dim(ctx, rows + [a, b]) == g - 1 else "independent"
+        exits[sum(x * q ** i for i, x in enumerate(w))] = how
+    return exits
+
+
+LAMBDA2_EXITS = ["a in W", "b in W", "combination in W", "independent"]
+
+
+def _corank1_runs_by_lambda2_exit(ctx, g, tau):
+    """{exit: (prefix, exits)}, one corank-1 run with a row 0 in W for each exit."""
+    rng = random.Random(f"corank2-exits/{ctx.q}/{g}/{tau}")
+    found = {}
+    for _ in range(2000):
+        if len(found) == len(LAMBDA2_EXITS):
+            break
+        prefix = _corank1_prefix(ctx, g, rng)
+        exits = _lambda2_exits(ctx, g, tau, prefix)
+        for how in sorted(set(exits.values()) - set(found)):
+            found[how] = (prefix, exits)
+    return found
+
+
+@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
+def test_row_kernel_corank1_whole_runs_by_lambda2_exit(ctx, g, tau):
+    # a row 0 in W of a corank-1 run has r = g-2 and a 2-dimensional ker L;
+    # lambda_2 is the first level where ker L^j leaves W, lambda_1 the
+    # first where it spans V/W, and s = g - lambda_1 - lambda_2
+    found = _corank1_runs_by_lambda2_exit(ctx, g, tau)
+    assert sorted(found) == LAMBDA2_EXITS, sorted(found)
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    for how, (prefix, exits) in found.items():
+        profiles = _run_profiles(ctx, g, tau, prefix)
+        assert len(exits) == ctx.q ** (g - 2)
+        assert {profiles[row0][0] for row0 in exits} == {g - 2}
+        assert kernel.tally(prefix * Q, (prefix + 1) * Q) == Counter(profiles), (how, prefix)
+
+
+@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
+def test_row_kernel_corank1_ranges_cut_at_row_0s_in_w(ctx, g, tau):
+    # the row 0s in W of a corank-1 run are walked one by one, only those
+    # inside the range; ranges start or end on them, next to them and
+    # between them.  Reading b_1 as tau((1, y)) walks -row 0's chains for
+    # row 0, which only a range holding one of the two can see (odd q)
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    for how, (prefix, exits) in _corank1_runs_by_lambda2_exit(ctx, g, tau).items():
+        rng = random.Random(f"cut-corank1-in-w/{ctx.q}/{g}/{tau}/{how}")
+        profiles = _run_profiles(ctx, g, tau, prefix)
+        inside = sorted(exits)[1:]  # row 0 = 0 is the first
+        first = prefix * Q
+        for _ in range(2):
+            a, b = sorted(rng.sample(inside, 2))
+            for lo, hi in [(a, b), (a + 1, b + 1), (a, a + 1), (a - 1, a), (0, b), (a, Q)]:
+                expected = Counter(profiles[lo:hi])
+                assert kernel.tally(first + lo, first + hi) == expected, (how, lo, hi)
+
+
+@pytest.mark.parametrize("ctx, g, start, stop", [
+    (GF2, 0, 0, 2), (GF2, 0, 1, 0), (GF2, 1, 3, 1), (GF2, 1, -1, 1), (GF2, 1, 0, 3),
+    (GF2, 3, -5, 3), (GF2, 3, 500, 600), (GF2, 3, 3, 1), (GF3, 2, 0, 3 ** 4 + 1),
+])
+def test_row_kernel_refuses_a_range_outside_the_codes(ctx, g, start, stop):
+    # counting past either end of [0, q^(g^2)) or backwards used to give
+    # wrong counts silently, negative ones among them; both ends of the
+    # codes, and empty ranges, stay valid
+    kernel, total = RowKernel(ctx, g, 0), ctx.q ** (g * g)
+    with pytest.raises(ValueError, match="not inside"):
+        kernel.tally(start, stop)
+    assert sum(kernel.tally(0, total).values()) == total
+    assert kernel.tally(total, total) == kernel.tally(0, 0) == {}
