@@ -21,7 +21,7 @@ builds once per Q runs, so the figures overstate that layer's share.
 echelons/run is the mean number of `RowKernel._echelon` calls per run
 beyond the kept layer's one, counted in a second, untimed tally: one per
 step of the echelon chain, which every map it serves takes at least
-once.  What is left of that chain (ROADMAP item 3) reads off the last
+once.  What is left of that chain (ROADMAP item 2) reads off the last
 two columns:
 
     python3 scripts/kernel_runs.py --field 2^1 --g 5 --runs 4000

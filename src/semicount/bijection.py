@@ -23,7 +23,7 @@ from . import counting
 from .gf import FiniteField, _digits
 from .flags import Flag, _adapt
 from .linalg import Matrix, Vector, _row_basis, matrix_from_rows, standard_basis
-from .semilinear import DEFAULT_BUDGET, RankProfile, SemilinearMap, _from_digits, matrix_from_code
+from .semilinear import DEFAULT_BUDGET, RankProfile, SemilinearMap, matrix_from_code
 
 VectorTuple = tuple[Vector, ...]
 
@@ -80,10 +80,6 @@ def tuple_from_code(ctx: FiniteField, g: int, code: int) -> VectorTuple:
     `matrix_from_code`."""
     X = matrix_from_code(ctx, g, code)
     return tuple(X.row(j) for j in range(g))
-
-
-def tuple_code(ctx: FiniteField, xs) -> int:
-    return _from_digits(_block(ctx, xs).entries, ctx.q)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +173,6 @@ def tuple_to_map(ctx: FiniteField, xs, tau: int) -> SemilinearMap:
     X = _block(ctx, xs)
     a = _decode(ctx, X.rows, tau, list(X.entries))[0]
     return SemilinearMap(Matrix(ctx, X.rows, X.rows, tuple(a)), tau)
-
-
-def enumerate_vector_tuples(ctx: FiniteField, g: int):
-    """All q^(g*g) tuples in code order."""
-    for code in range(ctx.q ** (g * g)):
-        yield tuple_from_code(ctx, g, code)
 
 
 # ---------------------------------------------------------------------------

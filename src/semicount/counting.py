@@ -89,18 +89,12 @@ def surjection_count(m: int, d: int, q: int) -> int:
     return _surjections({m: _falling_row(q, m)}, m, d)
 
 
-def spanning_tuple_count(n: int, d: int, q: int) -> int:
-    """Number of (n-1)-tuples in an n-dimensional space whose entries span
-    dimension exactly d: choose the subspace, then a surjection onto it.
-    The n-th block entry in the staged count is pinned by the span
-    conditions, so it contributes no factor here."""
-    return gaussian_binomial(n, d, q) * surjection_count(n - 1, d, q)
-
-
 def staged_count(g: int, r: int, s: int, q: int) -> int:
     """Stage-by-stage product for the number of maps with profile (r, s):
     independent choices for the last s tuple entries, q^{s(g-s)} lifts,
-    then the leading-block count with n = g-s and d = r-s."""
+    then the leading block's (n-1)-tuples spanning a d-subspace of k^n,
+    n = g-s and d = r-s: a subspace, then a surjection onto it.  The
+    block's n-th entry is pinned by the span conditions: no factor."""
     _check_profile(g, r, s)
     return _staged({n: _falling_row(q, n) for n in (g, g - s, r - s, g - s - 1)}, g, r, s, q)
 

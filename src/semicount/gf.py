@@ -134,9 +134,6 @@ def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
     db = len(b) - 1
     inv_lead = pow(b[-1], -1, p)
     while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
         factor = (a[-1] * inv_lead) % p
         shift = len(a) - 1 - db
         for j, bj in enumerate(b):
@@ -249,7 +246,11 @@ def _least_primitive(p: int, d: int, modulus: tuple[int, ...]) -> int:
         a = _poly_trim(_digits(c, p, d))
         if all(_poly_powmod(a, n // l, modulus, p) != [1] for l in primes):
             return c
-    raise AssertionError(f"modulus {modulus} over GF({p}) has no primitive element")
+    raise _not_a_field(p, d, modulus)
+
+
+def _not_a_field(p: int, d: int, modulus) -> ValueError:
+    return ValueError(f"GF({p})[x] modulo {modulus} is not a field of {p}^{d} elements")
 
 
 def poly_str(coeffs) -> str:
@@ -298,6 +299,8 @@ class FiniteField:
 
     def _build_tables(self) -> None:
         p, d, q, modulus = self.p, self.d, self.q, self.modulus
+        if len(modulus) != d + 1 or modulus[-1] != 1 or not all(0 <= x < p for x in modulus):
+            raise _not_a_field(p, d, modulus)
         n = q - 1
         c = _least_primitive(p, d, modulus)
         exp, log = [0] * (2 * n), [0] * q  # log[0] is never read
@@ -339,6 +342,8 @@ class FiniteField:
                 log[a] = k
                 s = lo[a % H] + hi[a // H]
                 a = low[s % Wh] + H * high[s // Wh]
+        if a != 1:  # no proper divisor of q - 1 is c's order, so 1 here means a field
+            raise _not_a_field(p, d, modulus)
         self._exp, self._log, self._zech = exp, log, None
         if p == 2:
             return
@@ -470,9 +475,6 @@ class FiniteField:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._exp[-self._log[a]]  # c^(q-1 - log a): exp repeats with period q-1
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         """a**n for any integer n; 0 has no negative powers."""
         if a == 0:
@@ -504,10 +506,6 @@ class FiniteField:
     def spec(self) -> str:
         """Canonical field spec string "p^d/c_0,c_1,...,c_d" (little-endian)."""
         return spec_str(self.p, self.d, self.modulus)
-
-    def element_str(self, a: int) -> str:
-        """Human-readable polynomial form of an element code."""
-        return poly_str(_digits(a, self.p, self.d))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteField):
@@ -551,9 +549,16 @@ def validate_field(p: int, d: int, modulus=None) -> tuple[int, int, tuple[int, .
     return p, d, modulus
 
 
+def _validate_buildable(p: int, d: int, modulus=None) -> tuple[int, int, tuple[int, ...]]:
+    """`validate_field`, with the size held to FIELD_LIMIT before the modulus is sought."""
+    if 1 <= d <= DEGREE_LIMIT:
+        _check_field_size(p, d)
+    return validate_field(p, d, modulus)
+
+
 def make_field(p: int, d: int, modulus=None) -> FiniteField:
-    """Construct GF(p^d) on the modulus `validate_field` validates or chooses."""
-    return FiniteField(*validate_field(p, d, modulus))
+    """Construct GF(p^d) on the modulus `_validate_buildable` validates or chooses."""
+    return FiniteField(*_validate_buildable(p, d, modulus))
 
 
 def _split_spec(spec: str) -> tuple[int, int, tuple[int, ...] | None]:
@@ -584,10 +589,7 @@ def parse_spec(spec: str) -> tuple[int, int, tuple[int, ...]]:
 
 def parse_buildable_spec(spec: str) -> tuple[int, int, tuple[int, ...]]:
     """`parse_spec`, with the size held to FIELD_LIMIT before the modulus is sought."""
-    p, d, modulus = _split_spec(spec)
-    if 1 <= d <= DEGREE_LIMIT:
-        _check_field_size(p, d)
-    return validate_field(p, d, modulus)
+    return _validate_buildable(*_split_spec(spec))
 
 
 def parse_field_spec(spec: str) -> FiniteField:

@@ -79,10 +79,6 @@ def identity_matrix(ctx: FiniteField, g: int) -> Matrix:
     return Matrix(ctx, g, g, tuple(1 if i == j else 0 for i in range(g) for j in range(g)))
 
 
-def zero_matrix(ctx: FiniteField, rows: int, cols: int) -> Matrix:
-    return Matrix(ctx, rows, cols, (0,) * (rows * cols))
-
-
 @cache
 def standard_basis(g: int) -> tuple[Vector, ...]:
     """Unit coordinate vectors; codes 0/1 are valid in every field.
@@ -176,8 +172,6 @@ def span_dim(ctx: FiniteField, vectors) -> int:
 
 def in_span(ctx: FiniteField, vectors, v: Vector) -> bool:
     vectors = [tuple(v_) for v_ in vectors]
-    if not vectors:
-        return all(x == 0 for x in v)
     base = span_dim(ctx, vectors)
     return span_dim(ctx, vectors + [tuple(v)]) == base
 

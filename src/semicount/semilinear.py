@@ -124,16 +124,6 @@ def _terminal_matrix(F: SemilinearMap) -> Matrix:
     return product
 
 
-def sl_rank(F: SemilinearMap) -> int:
-    """dim im(F) = rank of the matrix (tau is bijective)."""
-    return rank(F.mat)
-
-
-def sl_inf_rank(F: SemilinearMap) -> int:
-    """dim of the terminal image; equals rank(F^g) in dimension g."""
-    return profile(F).s
-
-
 def profile(F: SemilinearMap) -> RankProfile:
     """(rank, infinity rank) of F."""
     r = rank(F.mat)
@@ -160,23 +150,12 @@ def nil_part(F: SemilinearMap) -> tuple[Vector, ...]:
     return rref_basis(ctx, vs)
 
 
-def _from_digits(digits, q: int) -> int:
-    code = 0
-    for x in reversed(digits):
-        code = code * q + x
-    return code
-
-
 def matrix_from_code(ctx: FiniteField, g: int, code: int) -> Matrix:
     """Decode a matrix index in [0, q^(g^2)): base-q digits, little-endian,
     fill the entries row-major.  The one check of a code's range."""
     if not 0 <= code < ctx.q ** (g * g):
         raise ValueError(f"matrix code outside [0, q^(g^2)) = [0, {ctx.q}^{g * g})")
     return Matrix(ctx, g, g, tuple(_digits(code, ctx.q, g * g)))
-
-
-def matrix_code(A: Matrix) -> int:
-    return _from_digits(A.entries, A.ctx.q)
 
 
 def enumerate_maps(

@@ -160,9 +160,14 @@ def test_mu_then_nu_recovers_map_via_blocks(capsys, tmp_path):
 
 def test_mu_rejects_malformed_block(capsys, tmp_path):
     src = tmp_path / "junk.txt"
-    src.write_text("2 2 2^1\n1 0\n0 1\n", encoding="utf-8")  # matrix, not a map
-    code, _, err = run(capsys, "mu", str(src))
-    assert code == 2 and "tau" in err
+    for text, message in [
+        ("2 2 2^1\n1 0\n0 1\n",  # matrix, not a map
+         "map block must start with 'tau <i>', got '2 2 2^1'"),
+        ("tau x\n2 2 2^1\n1 0\n0 1\n", "non-integer tau in 'tau x'"),
+    ]:
+        src.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "mu", str(src))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_nu_rejects_wrong_row_count(capsys, tmp_path):

@@ -24,7 +24,6 @@ from semicount.counting import (
     gl_order,
     profiles,
     route_cells,
-    spanning_tuple_count,
     staged_count,
     surjection_count,
     verify_counts,
@@ -83,10 +82,12 @@ def test_surjection_count_examples():
 
 
 def test_spanning_tuple_count_examples():
-    assert spanning_tuple_count(3, 0, 2) == 1
-    assert spanning_tuple_count(2, 1, 2) == 3
-    assert spanning_tuple_count(3, 2, 2) == 42
-    assert spanning_tuple_count(1, 1, 2) == 0  # zero-length tuples span nothing
+    # (n-1)-tuples spanning dimension d: a d-subspace, then a surjection onto it
+    assert gaussian_binomial(3, 0, 2) * surjection_count(2, 0, 2) == 1
+    assert gaussian_binomial(2, 1, 2) * surjection_count(1, 1, 2) == 3
+    assert gaussian_binomial(3, 2, 2) * surjection_count(2, 2, 2) == 42
+    # zero-length tuples span nothing
+    assert gaussian_binomial(1, 1, 2) * surjection_count(0, 1, 2) == 0
 
 
 def test_spanning_tuple_count_by_direct_enumeration():
@@ -97,7 +98,7 @@ def test_spanning_tuple_count_by_direct_enumeration():
         S = helpers.span_set(2, [0, 1], [w1, w2], 3)
         seen[helpers.set_dim(S, 2)] += 1
     for d, n in seen.items():
-        assert spanning_tuple_count(3, d, 2) == n
+        assert gaussian_binomial(3, d, 2) * surjection_count(2, d, 2) == n
 
 
 # --- the two formula routes ------------------------------------------------------
@@ -115,7 +116,7 @@ def test_single_cells_take_q_beyond_float_range():
     # s = g and n = 0 read no row n - 1 = -1: building one must not compute q^-1
     q = 2**1100
     assert staged_count(1, 1, 1, q) == closed_form_count(1, 1, 1, q) == q - 1
-    assert spanning_tuple_count(0, 0, q) == surjection_count(-1, 0, q) == 1
+    assert gaussian_binomial(0, 0, q) == surjection_count(-1, 0, q) == 1
 
 
 def test_closed_form_examples():

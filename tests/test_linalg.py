@@ -24,7 +24,6 @@ from semicount.linalg import (
     span_dim,
     standard_basis,
     transpose,
-    zero_matrix,
 )
 
 GF2 = make_field(2, 1)
@@ -47,7 +46,7 @@ def test_identity_times_A():
 
 def test_nilpotent_square_is_zero():
     N = matrix_from_rows(GF2, [(0, 1), (0, 0)])
-    assert mat_mul(N, N) == zero_matrix(GF2, 2, 2)
+    assert mat_mul(N, N) == Matrix(GF2, 2, 2, (0,) * 4)
 
 
 def test_map_entries_frobenius():
@@ -124,7 +123,7 @@ def test_matrix_refuses_negative_dimensions():
 # --- rank / rref ---------------------------------------------------------------
 
 def test_rank_known_values():
-    assert rank(zero_matrix(GF2, 3, 2)) == 0
+    assert rank(Matrix(GF2, 3, 2, (0,) * 6)) == 0
     assert rank(identity_matrix(GF4, 3)) == 3
     assert rank(matrix_from_rows(GF2, [(1, 1), (1, 1)])) == 1
 
@@ -132,7 +131,7 @@ def test_rank_known_values():
 def test_rref_known_values():
     I = identity_matrix(GF3, 3)
     assert rref(I) == (I, (0, 1, 2))
-    Z = zero_matrix(GF3, 2, 2)
+    Z = Matrix(GF3, 2, 2, (0,) * 4)
     assert rref(Z) == (Z, ())
     R, piv = rref(matrix_from_rows(GF2, [(1, 1), (1, 1)]))
     assert R == matrix_from_rows(GF2, [(1, 1), (0, 0)]) and piv == (0,)
@@ -223,6 +222,8 @@ def test_in_span_and_canonical_basis():
     vs = [(1, 1, 0), (0, 1, 1)]
     assert in_span(GF2, vs, (1, 0, 1))
     assert not in_span(GF2, vs, (0, 0, 1))
+    # the span of no vectors is {0}
+    assert in_span(GF2, [], (0, 0, 0)) and not in_span(GF2, [], (0, 1, 0))
     basis = rref_basis(GF2, vs + [(1, 0, 1)])
     assert len(basis) == 2
     # canonical: same subspace, any generating set, same basis
