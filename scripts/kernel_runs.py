@@ -18,19 +18,20 @@ A seeded sample of runs is tallied one run per call, and the table gives
 each type's share of the runs, its mean µs per run and its share of the
 time.  Each call builds the layer of rows 2..g-1 that a whole-cell tally
 builds once per Q runs, so the figures overstate that layer's share.
-echelons/run is the mean number of `RowKernel._echelon` calls per run
-beyond the kept layer's one, counted in a second, untimed tally: one per
-step of the echelon chain, which every map it serves takes at least
+echelons/run is the mean number of `RowKernel._echelon` calls per run,
+counted in a second, untimed tally: none in a hyperplane or corank-1
+run, and in a run of lower rank one for its basis of rows 1..g-1 and one
+per step of the echelon chain, which every map it serves takes at least
 once.  What is left of that chain (ROADMAP item 2) reads off the last
 two columns:
 
     python3 scripts/kernel_runs.py --field 2^1 --g 5 --runs 4000
 
-On a 2-core VM with Python 3.11 that gave corank-1 runs 47% of the time
-at 39 µs and 0 echelons per run, hyperplane runs 43% at 22 µs, and runs
-of rank 2 9% at 57 echelons per run; GF(3) g=4 gave hyperplane runs 66%
-at 31 µs and corank-1 runs 33% at 84 µs, and rank 1 runs 1% at 114
-echelons per run.
+On a 2-core VM with Python 3.11 that gave corank-1 runs 48% of the time
+at 69 µs, hyperplane runs 41% at 36 µs, both at 0 echelons per run, and
+runs of rank 2 10% at 58 echelons per run; GF(3) g=4 gave hyperplane
+runs 64% at 54 µs and corank-1 runs 35% at 162 µs, and rank 1 runs 2%
+at 115 echelons per run.
 """
 
 import argparse
@@ -65,7 +66,7 @@ def sample_runs(kernel: RowKernel, runs: int, seed: int) -> dict[int, list[tuple
         calls.clear()
         kernel.tally(prefix * Q, (prefix + 1) * Q)
         del kernel._echelon
-        out.setdefault(rank, []).append((seconds, len(calls) - 1))  # less the kept layer's
+        out.setdefault(rank, []).append((seconds, len(calls)))
     return out
 
 

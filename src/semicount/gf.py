@@ -8,13 +8,13 @@ identity and code 1 the multiplicative identity, and two elements are equal
 iff their codes are equal.
 
 Every field automorphism of GF(p^d) is a power of the Frobenius map
-a -> a^p; `FiniteField.frobenius(a, i)` applies a -> a^(p^i).
+a -> a^p; `FiniteField.frobenius_table(i)[a]` is a^(p^i).
 
 Arithmetic runs on log/antilog tables (Lidl & Niederreiter, *Finite
 Fields*, ch. 9).  The least primitive element c is found once; `exp` lists
 c^k for k in [0, 2(q-1)) and `log` inverts it, so a product is
-exp[log a + log b], an inverse exp[q-1 - log a], and powers and Frobenius
-images are index arithmetic on logs.  A sum is the XOR of codes when
+exp[log a + log b], an inverse exp[q-1 - log a], and Frobenius images
+are index arithmetic on logs.  A sum is the XOR of codes when
 p = 2; for odd p it goes through the Zech logarithm
 zech[k] = log(1 + c^k), since a + b = c^(log a) * (1 + c^(log b - log a)).
 Every table holds O(q) entries and is built in about O(q) steps, and the
@@ -371,9 +371,6 @@ class FiniteField:
             return 0 if z is None else self._exp[la + z]
         return a or b
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def neg(self, a: int) -> int:
         if self._zech is None or not a:
             return a
@@ -475,18 +472,6 @@ class FiniteField:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._exp[-self._log[a]]  # c^(q-1 - log a): exp repeats with period q-1
 
-    def pow(self, a: int, n: int) -> int:
-        """a**n for any integer n; 0 has no negative powers."""
-        if a == 0:
-            if n < 0:
-                raise ZeroDivisionError("0 has no multiplicative inverse")
-            return 0 if n else 1
-        return self._exp[self._log[a] * n % (self.q - 1)]
-
-    def frobenius(self, a: int, exponent: int) -> int:
-        """Apply the automorphism a -> a^(p^exponent); exponent taken mod d."""
-        return self.frobenius_table(exponent)[a]
-
     def frobenius_table(self, exponent: int) -> list[int]:
         """Permutation table of a -> a^(p^i) on all q codes, cached per i."""
         i = exponent % self.d
@@ -495,10 +480,6 @@ class FiniteField:
             exp, n, k = self._exp, self.q - 1, self.p**i
             table = self._frob[i] = [0] + [exp[la * k % n] for la in self._log[1:]]
         return table
-
-    def elements(self) -> range:
-        """All q element codes in canonical order 0, 1, ..., q-1."""
-        return range(self.q)
 
     # -- identity & debugging ------------------------------------------------
 

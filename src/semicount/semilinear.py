@@ -185,13 +185,12 @@ class RowKernel:
 
     r is the rank of the rows.  Codes are walked in runs of Q that share
     rows 1..g-1, and rows 2..g-1 change only once every Q runs.  While
-    they last, one `tally` call keeps their layer y·(rows 2..g-1), their
-    echelon basis (tables for lead position, row normalised to lead 1 and
-    its negative, and row sums) and its span; nothing is kept between
-    calls.  Each run then lists images[y] = y·(rows 1..g-1) from that layer
-    and the q multiples of row 1, and row 1 joins the kept basis when it
-    is outside the kept span.  Row 0 adds one to the rank exactly when it
-    is not in the run's list, the span W of rows 1..g-1.
+    they last, one `tally` call keeps their layer y·(rows 2..g-1); nothing
+    is kept between calls.  Each run then lists images[y] = y·(rows 1..g-1)
+    from that layer and the q multiples of row 1, and `coord` inverts that
+    list on its set W, the span of rows 1..g-1.  So |W| = len(coord) is q
+    to the rank of rows 1..g-1, and it gives the run's type.  Row 0 adds
+    one to the rank exactly when it is not in W.
 
     s comes from the dual image chain U_1 = row space of A and
     U_(k+1) = L(U_k), where L(x) = tau^-1(x)·A.  F^k has matrix
@@ -245,7 +244,10 @@ class RowKernel:
     Then ker L^j + W stays <gen> + W, gen the one that left, and one
     chain c_(j+1) = tau((0, coord[c_j - x·gen])) goes on, x the first
     scalar with c_j - x·gen in W; lambda_1 is the first j with none.
-    Only the runs of rank <= g-3 take the echelon chain.
+    Only the runs of rank <= g-3 take the echelon chain (tables for lead
+    position, row normalised to lead 1 and its negative).  Such a run
+    builds an echelon basis of rows 1..g-1 once, and each map starts its
+    chain from it, with row 0 added when row 0 is outside W.
     Tables are built for g >= 2 only, and none has more than q^(g+1)
     entries: the q scalings of every row code, tau and tau^-1 digit by
     digit, and for odd p the sums of the lower and the upper halves of two
@@ -340,7 +342,7 @@ class RowKernel:
         corank2 = corank1 - g - 1  # counts[corank2 - l1 - l2] is the cell (g-2, g-l1-l2)
         firsts = twist[neg_one::q]  # tau((-1, y)) in y order, as images lists y·rows
         every_start = set(firsts)
-        top = None  # rows 2..g-1 as one code, with their layer, basis and span
+        top = None  # rows 2..g-1 as one code, with their layer
         for prefix in range(start // Q, -(-stop // Q)):
             if prefix // Q != top:
                 top = prefix // Q
@@ -349,16 +351,14 @@ class RowKernel:
                 upper = [0]
                 for v in reversed(rows):
                     upper = [add(u, w) for w in upper for u in scale[v::Q]]
-                kept, span = echelon(rows), set(upper)
                 spread = [w for w in upper for _ in range(q)]  # upper[y // q] at y
             # images[y] = y·(rows 1..g-1) for y in [0, Q/q); digit 0 weighs row 1
             row1 = prefix % Q
             images = list(map(add, scale[row1::Q] * len(upper), spread))
-            base = kept if row1 in span else kept + [row1]
             coord = dict(zip(images, range(Q // q)))  # inverts images on W
             first = prefix * Q
             lo, hi = max(start - first, 0), min(stop - first, Q)
-            if len(base) == g - 1:
+            if len(coord) == Q // q:
                 # hyperplane run: a row 0 = images[y] gives ker L = <k_1>, k_1 = tau((-1, y)),
                 # and m = 1 unless k_1 is in W
                 starts = every_start if hi - lo == Q else {
@@ -372,7 +372,7 @@ class RowKernel:
                     counts[corank1 - m] += 1
                 counts[-1] += hi - lo - len(starts)  # row 0 outside W: bijective
                 continue
-            if len(base) == g - 2:
+            if len(coord) == Q // q // q:
                 # corank 1: ker L = <tau((0, y0))>; the steps with x0 = 0 are shared
                 shared = [twist[q * images.index(0, 1)]]
                 while shared[-1] in coord:
@@ -410,7 +410,8 @@ class RowKernel:
                         c, level = twist[q * coord[w]], level + 1
                     counts[corank2 - j - 1 - level] += 1
                 continue
-            for row0 in range(lo, hi):  # rank <= g-3
+            base = echelon([row1] + rows)  # rank <= g-3
+            for row0 in range(lo, hi):
                 basis = base if row0 in coord else base + [row0]
                 r = n = len(basis)
                 while 0 < n < g:

@@ -141,7 +141,7 @@ def _check_semilinearity(ctx, F, vectors, pairs):
     for c in range(ctx.q):
         for v in vectors:
             left = apply(F, tuple(ctx.mul(c, x) for x in v))
-            right = tuple(ctx.mul(ctx.frobenius(c, F.tau), x) for x in apply(F, v))
+            right = tuple(ctx.mul(ctx.frobenius_table(F.tau)[c], x) for x in apply(F, v))
             assert left == right
 
 

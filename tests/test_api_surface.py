@@ -1,24 +1,35 @@
-"""Every public name in the package is named somewhere outside the tests.
+"""Every public name in the package is used somewhere outside the tests.
 
-A public module-level name that only tests call is a wrapper the library
-does not need: tests can call the code behind it.  A name counts as used
-when src/, perfbench/ or scripts/ names it outside its own definition,
-or README.md names it in code.  `REFERENCE` is exempt: these are the
-reference implementations of what the paper's adapted-basis lemma and
-the README's module map describe, and tests hold the fast paths to them.
+A public module-level name, or a public method of a public class, that
+only tests call is a wrapper the library does not need: tests can call
+the code behind it.  A name counts as used only where code names it: a
+name, attribute or imported name in the code of src/ (outside the name's
+own definition), perfbench/ or scripts/, or a word in README.md's code
+blocks and spans.  Docstrings, comments and other strings do not count,
+and a method counts only by attribute access.  `REFERENCE` is exempt.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-REFERENCE = {"adapt_to_subspace", "enumerate_maps", "terminal_image", "nil_part"}
+REFERENCE = {
+    # reference implementations of what the paper's adapted-basis lemma
+    # and the README's module map describe; tests hold the fast paths to them
+    "adapt_to_subspace", "enumerate_maps", "terminal_image", "nil_part",
+    # the paper's three span conditions on a tuple: the bijection tests hold
+    # the decoder to them, and the sampler of tuples by profile that
+    # ROADMAP.md plans calls them
+    "tuple_has_profile",
+}
 
 
 def _definitions(tree: ast.Module):
-    """(name, first line, last line) of each public module-level binding."""
+    """(qualified name, name, node, is a method) of each public module-level
+    binding and each public method of a public class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -29,11 +40,26 @@ def _definitions(tree: ast.Module):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, node.lineno, node.end_lineno
+                yield name, name, node, False
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item, True
 
 
-def _words(text: str) -> set[str]:
-    return set(re.findall(r"\w+", text))
+def _uses(tree: ast.AST) -> tuple[Counter, Counter]:
+    """(names, attributes) that the code under `tree` reads: a name read or
+    imported counts only in the first, an attribute read in both."""
+    names, attributes = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names[node.attr] += 1
+            attributes[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names, attributes
 
 
 def _markdown_code(text: str) -> str:
@@ -45,16 +71,16 @@ def _markdown_code(text: str) -> str:
 
 
 def test_every_public_name_is_named_outside_tests():
-    sources = {path: path.read_text() for path in sorted(ROOT.glob("src/semicount/*.py"))}
-    outside = [p.read_text() for p in [*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")]]
-    outside.append(_markdown_code((ROOT / "README.md").read_text()))
-    named_outside = _words("\n".join(outside)) | REFERENCE
+    trees = {path: ast.parse(path.read_text()) for path in sorted(ROOT.glob("src/semicount/*.py"))}
+    names, attributes = Counter(), Counter()
+    for path in [*trees, *ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")]:
+        uses = _uses(trees.get(path) or ast.parse(path.read_text()))
+        names, attributes = names + uses[0], attributes + uses[1]
+    readme = set(re.findall(r"\w+", _markdown_code((ROOT / "README.md").read_text())))
     unused = []
-    for path, text in sources.items():
-        lines = text.splitlines()
-        named = named_outside | _words("\n".join(t for p, t in sources.items() if p != path))
-        for name, first, last in _definitions(ast.parse(text)):
-            rest = lines[:first - 1] + lines[last:]
-            if name not in named | _words("\n".join(rest)):
-                unused.append(f"{path.stem}.{name}")
-    assert not unused, f"public names that nothing outside tests/ names: {', '.join(unused)}"
+    for path, tree in trees.items():
+        for qualified, name, node, method in _definitions(tree):
+            used, own = (attributes, _uses(node)[1]) if method else (names, _uses(node)[0])
+            if used[name] == own[name] and name not in readme | REFERENCE:
+                unused.append(f"{path.stem}.{qualified}")
+    assert not unused, f"public names that nothing outside tests/ uses: {', '.join(unused)}"

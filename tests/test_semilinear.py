@@ -71,7 +71,7 @@ def test_semilinearity_axiom_exhaustive_gf3():
             for v in all_vectors(GF3, 2):
                 av = tuple(GF3.mul(alpha, x) for x in v)
                 lhs = apply(F, av)
-                rhs = tuple(GF3.mul(GF3.frobenius(alpha, F.tau), x) for x in apply(F, v))
+                rhs = tuple(GF3.mul(GF3.frobenius_table(F.tau)[alpha], x) for x in apply(F, v))
                 assert lhs == rhs
 
 
@@ -364,11 +364,15 @@ def test_row_kernel_hyperplane_ranges_inside_one_run(ctx, g, tau):
 NO_CHAIN_CELLS = [(GF2, 4, 0), (GF3, 3, 0), (GF4, 3, 1), (GF9, 2, 1)]
 
 
+def _no_echelon(self, vectors):
+    raise AssertionError(f"_echelon called on {list(vectors)}")
+
+
 @pytest.mark.parametrize("ctx, g, tau", NO_CHAIN_CELLS)
 def test_row_kernel_hyperplane_runs_skip_the_echelon_chain(monkeypatch, ctx, g, tau):
-    # over runs whose rows 1..g-1 are independent the only echelons allowed
-    # are those of the kept rows 2..g-1, one per change of those rows; row
-    # 1 joins their basis by a span lookup, and a chain step would raise
+    # over three runs whose rows 1..g-1 are independent, the run's type is
+    # read from |W| = len(coord) and no row 0 takes the chain: `_echelon`
+    # never runs
     rng = random.Random(f"no-chain/{ctx.q}/{g}/{tau}")
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
@@ -377,22 +381,10 @@ def test_row_kernel_hyperplane_runs_skip_the_echelon_chain(monkeypatch, ctx, g, 
         prefixes = range(start, start + 3)
         if all(_rank_of_run(ctx, g, prefix) == g - 1 for prefix in prefixes):
             break
-    expected = [tuple(_run_rows(ctx, g, prefix)[1:])
-                for prefix in prefixes if prefix == start or prefix % Q == 0]
-    calls = []
-    echelon = RowKernel._echelon
-
-    def kept_rows_only(self, vectors):
-        calls.append(tuple(vectors))
-        if calls != expected[:len(calls)]:
-            raise AssertionError(f"echelon chain ran in a hyperplane run: {calls[-1]}")
-        return echelon(self, vectors)
-
     lo, hi = start * Q, (start + 3) * Q
     reference = _reference_tally(ctx, g, tau, lo, hi)
-    monkeypatch.setattr(RowKernel, "_echelon", kept_rows_only)
+    monkeypatch.setattr(RowKernel, "_echelon", _no_echelon)
     assert kernel.tally(lo, hi) == reference
-    assert calls == expected
 
 
 # --- corank-1 runs: rows 1..g-1 of rank g-2 ---------------------------------------
@@ -447,27 +439,67 @@ def test_row_kernel_corank1_ranges_inside_one_run(ctx, g, tau):
 def test_row_kernel_corank1_runs_skip_the_echelon_chain(monkeypatch, ctx, g, tau):
     # code by code over a run whose rows 1..g-1 have rank g-2, no row 0
     # takes the echelon chain: one outside their span follows one Jordan
-    # chain and one inside it (r = g-2) two, so each call echelons only
-    # the kept rows 2..g-1
+    # chain and one inside it (r = g-2) two, so `_echelon` never runs
     rng = random.Random(f"corank1-no-chain/{ctx.q}/{g}/{tau}")
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
     prefix = _corank1_prefix(ctx, g, rng)
-    kept = tuple(_run_rows(ctx, g, prefix)[1:])
-    echelon = RowKernel._echelon
-    calls = []
+    codes = range(prefix * Q, (prefix + 1) * Q)
+    expected = [{tuple(profile(SemilinearMap(matrix_from_code(ctx, g, code), tau))): 1}
+                for code in codes]
+    monkeypatch.setattr(RowKernel, "_echelon", _no_echelon)
+    assert [kernel.tally(code, code + 1) for code in codes] == expected
 
-    def kept_rows_only(self, vectors):
-        calls.append(tuple(vectors))
-        if calls[-1] != kept:
-            raise AssertionError(f"echelon chain ran in a corank-1 run: {calls[-1]}")
-        return echelon(self, vectors)
 
-    monkeypatch.setattr(RowKernel, "_echelon", kept_rows_only)
-    for code in range(prefix * Q, (prefix + 1) * Q):
-        expected = {tuple(profile(SemilinearMap(matrix_from_code(ctx, g, code), tau))): 1}
-        assert kernel.tally(code, code + 1) == expected, code
-    assert calls == [kept] * Q
+# --- runs of rank <= g-3: the echelon chain from the run's own basis -----------------
+
+LOW_RANK_CELLS = [(GF2, 4, 0), (GF2, 5, 0), (GF3, 4, 0), (GF4, 4, 1)]
+
+
+def _low_rank_prefix(ctx, g, k, rng, row1=None):
+    """A seeded run whose rows 1..g-1 have rank k, with row 1 = `row1` if given:
+    each row a seeded combination of k seeded rows, the first of them `row1`."""
+    q, Q = ctx.q, ctx.q ** g
+    while True:
+        gens = [helpers.to_vec(rng.randrange(Q), q, g) for _ in range(k)]
+        if row1:  # k >= 1
+            gens[0] = helpers.to_vec(row1, q, g)
+        rows = []
+        for _ in range(g - 1):
+            row = [0] * g
+            for gen in gens:
+                c = rng.randrange(q)
+                row = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(row, gen)]
+            rows.append(helpers.from_digits(row, q))
+        if row1 is not None:
+            rows[0] = row1
+        prefix = sum(v * Q ** i for i, v in enumerate(rows))
+        if _rank_of_run(ctx, g, prefix) == k:
+            return prefix
+
+
+@pytest.mark.parametrize("ctx, g, tau", LOW_RANK_CELLS)
+def test_row_kernel_low_rank_runs(ctx, g, tau):
+    # runs whose rows 1..g-1 have rank k <= g-3, for every such k, are the
+    # only ones whose maps take the echelon chain, started from the run's
+    # own basis.  Whole runs and ranges cut inside one; then a run that is
+    # the first of its block of Q runs sharing rows 2..g-1 (row 1 = 0) and
+    # one that is the last (row 1 = Q-1), with ranges across that change
+    rng = random.Random(f"low-rank/{ctx.q}/{g}/{tau}")
+    kernel = RowKernel(ctx, g, tau)
+    Q = ctx.q ** g
+    for k in range(g - 2):
+        first = _low_rank_prefix(ctx, g, k, rng) * Q
+        lo, hi = first + rng.randrange(1, Q // 2), first + rng.randrange(Q // 2, Q)
+        ranges = [(first, first + Q), (lo, hi), (lo, lo + 1), (first, hi), (lo, first + Q)]
+        x, y = rng.randrange(1, Q), rng.randrange(1, Q)
+        change = _low_rank_prefix(ctx, g, k, rng, row1=0) * Q  # the block's first code
+        ranges += [(max(change - Q - x, 0), change + Q + y), (change, change + y)]
+        if k:
+            change = (_low_rank_prefix(ctx, g, k, rng, row1=Q - 1) + 1) * Q  # the next block's
+            ranges += [(change - Q - x, min(change + Q + y, Q ** g)), (change - x, change)]
+        for a, b in ranges:
+            assert kernel.tally(a, b) == _reference_tally(ctx, g, tau, a, b), (k, a, b)
 
 
 # --- kept rows 2..g-1: one layer per block of Q runs ---------------------------------
