@@ -23,7 +23,7 @@ from . import counting
 from .gf import FiniteField, _digits
 from .flags import Flag, _adapt
 from .linalg import Matrix, Vector, _row_basis, matrix_from_rows, standard_basis
-from .semilinear import DEFAULT_BUDGET, RankProfile, SemilinearMap, matrix_from_code
+from .semilinear import DEFAULT_BUDGET, SemilinearMap, matrix_from_code
 
 VectorTuple = tuple[Vector, ...]
 
@@ -61,17 +61,6 @@ def induced_flag(ctx: FiniteField, xs) -> Flag:
     X = _block(ctx, xs)
     members = _induced_members(ctx, X.rows, list(X.entries))
     return Flag(ctx, X.rows, (standard_basis(X.rows), *(_row_basis(ctx, m) for m in members)))
-
-
-def tuple_profile(ctx: FiniteField, xs) -> RankProfile:
-    """The unique (r, s) whose membership conditions this tuple satisfies.
-
-    The first proper member of the induced flag is the span of the whole
-    tuple, so its dimension is r; there is none when r = g.
-    """
-    X = _block(ctx, xs)
-    dims = [len(m) for m in _induced_members(ctx, X.rows, list(X.entries))] or [X.rows]
-    return RankProfile(dims[0], dims[-1])
 
 
 def tuple_from_code(ctx: FiniteField, g: int, code: int) -> VectorTuple:

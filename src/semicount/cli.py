@@ -1,8 +1,9 @@
 """Command-line surface: JSON in, JSON out, exit codes for harnesses.
 
 Exit codes: 0 success, 1 verification or round-trip mismatch, 2 bad
-arguments or malformed input, 3 enumeration budget exceeded.  Reports go
-to stdout (or --out); diagnostics go to stderr.
+arguments or malformed input, 3 enumeration budget exceeded, 141 stdout
+closed by its reader (no diagnostic).  Reports go to stdout (or --out);
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .gf import FiniteField, parse_buildable_spec, parse_field_spec, parse_spec, poly_str, spec_str
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_ARGS = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a process that SIGPIPE ends
 
 
 # Largest g of count, verify and roundtrip, and of a block's rows and cols;
@@ -310,7 +313,11 @@ def _emit(payload: dict, args: argparse.Namespace, renderer) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader closed stdout; the flush at exit goes to os.devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(EXIT_BROKEN_PIPE) from None
 
 
 # ---------------------------------------------------------------------------

@@ -76,19 +76,6 @@ def _staged(rows: dict, g: int, r: int, s: int, q: int) -> int:
     return rows[g][s] * q ** (s * n) * _subspaces(rows, n, d) * _surjections(rows, n - 1, d)
 
 
-def gaussian_binomial(n: int, d: int, q: int) -> int:
-    """Number of d-dimensional subspaces of an n-dimensional space."""
-    if not 0 <= d <= n:
-        raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
-    return _subspaces({k: _falling_row(q, k) for k in (n, d)}, n, d)
-
-
-def surjection_count(m: int, d: int, q: int) -> int:
-    """Surjective linear maps from an m-dimensional space onto a fixed
-    d-dimensional one: prod_{i<d} (q^m - q^i); zero when d > m."""
-    return _surjections({m: _falling_row(q, m)}, m, d)
-
-
 def staged_count(g: int, r: int, s: int, q: int) -> int:
     """Stage-by-stage product for the number of maps with profile (r, s):
     independent choices for the last s tuple entries, q^{s(g-s)} lifts,

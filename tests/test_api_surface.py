@@ -2,15 +2,20 @@
 
 A public module-level name, or a public method of a public class, that
 only tests call is a wrapper the library does not need: tests can call
-the code behind it.  A name counts as used only where code names it: a
-name, attribute or imported name in the code of src/ (outside the name's
-own definition), perfbench/ or scripts/, or a word in README.md's code
-blocks and spans.  Docstrings, comments and other strings do not count,
-and a method counts only by attribute access.  `REFERENCE` is exempt.
+the code behind it.  A name counts as used only where code names it: an
+attribute read or an imported name in the code of src/ (outside the
+name's own definition), perfbench/ or scripts/, a read of a name that
+Python resolves to the module-level binding there, or a word in
+README.md's fenced code blocks.  A read that resolves to a parameter or
+local of an enclosing function, lambda or comprehension (as `symtable`
+reports each scope's names) does not count, nor do docstrings, comments,
+other strings or README prose; a method counts only by attribute access.
+`REFERENCE` is exempt.
 """
 
 import ast
 import re
+import symtable
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +29,13 @@ REFERENCE = {
     # the decoder to them, and the sampler of tuples by profile that
     # ROADMAP.md plans calls them
     "tuple_has_profile",
+    # the twisted product by repeated `compose`: the acceptance tests hold
+    # `profile`'s ranks to the ranks of its powers
+    "power",
 }
+
+_COMPREHENSIONS = {ast.ListComp: "listcomp", ast.SetComp: "setcomp",
+                   ast.DictComp: "dictcomp", ast.GeneratorExp: "genexpr"}
 
 
 def _definitions(tree: ast.Module):
@@ -47,40 +58,142 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item, True
 
 
-def _uses(tree: ast.AST) -> tuple[Counter, Counter]:
-    """(names, attributes) that the code under `tree` reads: a name read or
-    imported counts only in the first, an attribute read in both."""
-    names, attributes = Counter(), Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names[node.attr] += 1
-            attributes[node.attr] += 1
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update(alias.name.rpartition(".")[2] for alias in node.names)
-    return names, attributes
+def _scope(node: ast.AST):
+    """(name of its symbol table, parts evaluated in the enclosing scope,
+    parts evaluated in its own) of a node that opens a scope, both in the
+    order the compiler visits them; None for any other node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = node.args
+        outer = [*a.defaults, *filter(None, a.kw_defaults)]
+        if not isinstance(node, ast.Lambda):
+            outer += [arg.annotation for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs,
+                                                 a.kwarg) if arg and arg.annotation]
+            outer += [*filter(None, [node.returns]), *node.decorator_list]
+            return node.name, outer, node.body
+        return "lambda", outer, [node.body]
+    if isinstance(node, ast.ClassDef):
+        return node.name, [*node.bases, *node.keywords, *node.decorator_list], node.body
+    if type(node) in _COMPREHENSIONS:
+        first, *rest = node.generators
+        result = [node.value, node.key] if isinstance(node, ast.DictComp) else [node.elt]
+        return _COMPREHENSIONS[type(node)], [first.iter], [first.target, *first.ifs, *rest, *result]
+    return None
+
+
+def _reads(node: ast.AST, table: symtable.SymbolTable, children):
+    """Yield each name that code under `node` imports, or reads where Python
+    resolves it to the module-level binding.  `table` is the scope `node`
+    is in, and `children` iterates over that scope's child tables in the
+    order the compiler made them, the order this walk meets them."""
+    if isinstance(node, ast.Name):
+        if isinstance(node.ctx, ast.Load) and _is_module_binding(table, node.id):
+            yield node.id
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        yield from (alias.name.rpartition(".")[2] for alias in node.names)
+    elif (scope := _scope(node)) is not None:
+        name, outer, inner = scope
+        for part in outer:
+            yield from _reads(part, table, children)
+        child = next(children)
+        met = child.get_name(), child.get_lineno()
+        assert met == (name, node.lineno), f"scope {name} at line {node.lineno} met table {met}"
+        grandchildren = _scopes(child)
+        for part in inner:
+            yield from _reads(part, child, grandchildren)
+    else:
+        for part in ast.iter_child_nodes(node):
+            yield from _reads(part, table, children)
+
+
+def _scopes(table: symtable.SymbolTable):
+    """The child tables of functions, lambdas, comprehensions and classes;
+    newer Pythons add others, such as annotation scopes, that no node opens."""
+    return (c for c in table.get_children() if c.get_type() in ("function", "class"))
+
+
+def _is_module_binding(table: symtable.SymbolTable, name: str) -> bool:
+    if table.get_type() == "module":
+        return True
+    try:
+        return table.lookup(name).is_global()
+    except KeyError:
+        # an annotation under `from __future__ import annotations` is in no
+        # table: `typing.get_type_hints` resolves it in the module's globals
+        return True
+
+
+def _statement_uses(source: str, filename: str) -> tuple[ast.Module, dict[ast.stmt, Counter]]:
+    """The parsed source and, for each top-level statement, the names it
+    uses: those `_reads` yields, and every attribute it reads."""
+    tree, table = ast.parse(source), symtable.symtable(source, filename, "exec")
+    children = _scopes(table)
+    uses = {stmt: Counter(_reads(stmt, table, children)) + _attributes(stmt) for stmt in tree.body}
+    assert next(children, None) is None, f"{filename}: a symbol table met no scope"
+    return tree, uses
+
+
+def _attributes(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
 
 
 def _markdown_code(text: str) -> str:
-    """The fenced blocks and inline code spans of a Markdown text: prose
-    words such as "apply" or "rank" do not name a function."""
-    parts = text.split("```")
-    spans = [s for part in parts[::2] for s in re.findall(r"`([^`\n]+)`", part)]
-    return "\n".join(parts[1::2] + spans)
+    """The fenced blocks of a Markdown text: prose, and the code spans in
+    it, name a function without running it."""
+    return "\n".join(text.split("```")[1::2])
+
+
+def _unused(sources: dict[str, str], others: dict[str, str], readme: str) -> list[str]:
+    """Qualified names of the public names defined in `sources` that nothing
+    in them, in `others` or in the fenced code of `readme` uses; both dicts
+    map a module or file name to its source."""
+    parsed = {module: _statement_uses(source, module) for module, source in sources.items()}
+    names, attributes = Counter(), Counter()
+    for tree, uses in [*parsed.values(), *(_statement_uses(s, name) for name, s in others.items())]:
+        names += sum(uses.values(), Counter())
+        attributes += _attributes(tree)
+    words = set(re.findall(r"\w+", _markdown_code(readme)))
+    unused = []
+    for module, (tree, uses) in parsed.items():
+        for qualified, name, node, method in _definitions(tree):
+            used, own = (attributes, _attributes(node)) if method else (names, uses[node])
+            if used[name] == own[name] and name not in words | REFERENCE:
+                unused.append(f"{module}.{qualified}")
+    return unused
 
 
 def test_every_public_name_is_named_outside_tests():
-    trees = {path: ast.parse(path.read_text()) for path in sorted(ROOT.glob("src/semicount/*.py"))}
-    names, attributes = Counter(), Counter()
-    for path in [*trees, *ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")]:
-        uses = _uses(trees.get(path) or ast.parse(path.read_text()))
-        names, attributes = names + uses[0], attributes + uses[1]
-    readme = set(re.findall(r"\w+", _markdown_code((ROOT / "README.md").read_text())))
-    unused = []
-    for path, tree in trees.items():
-        for qualified, name, node, method in _definitions(tree):
-            used, own = (attributes, _uses(node)[1]) if method else (names, _uses(node)[0])
-            if used[name] == own[name] and name not in readme | REFERENCE:
-                unused.append(f"{path.stem}.{qualified}")
+    sources = {path.stem: path.read_text() for path in sorted(ROOT.glob("src/semicount/*.py"))}
+    others = {str(path.relative_to(ROOT)): path.read_text()
+              for path in sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")])}
+    unused = _unused(sources, others, (ROOT / "README.md").read_text())
     assert not unused, f"public names that nothing outside tests/ uses: {', '.join(unused)}"
+
+
+def test_a_local_or_a_prose_span_is_not_a_use():
+    # every name `lib` defines is read or named in `user` or the README, but
+    # only `compose` (in nested functions, where Python resolves it to the
+    # module) and `profile` (in a fenced block) are used
+    lib = (
+        "def twist(F, n): ...\n"
+        "def apply(F, v): ...\n"
+        "def rank(A): ...\n"
+        "def profile(F): ...\n"
+        "def compose(F, G):\n"
+        "    return compose(G, None) if G else F\n"
+    )
+    user = (
+        "def poly_str(coeffs, apply):\n"
+        "    twist = 'x'\n"
+        "    return [twist + apply(c) for c in coeffs], (lambda profile: profile)\n"
+        "ranks = {rank: rank for rank in range(3)}\n"
+        "class Table:\n"
+        "    rank = 1\n"
+        "    width = rank\n"
+        "def outer():\n"
+        "    def inner(F):\n"
+        "        return compose(F, F)\n"
+        "    return inner\n"
+    )
+    readme = "Call `rank` or `twist` in prose.\n\n```python\nprofile(F)\n```\n"
+    assert _unused({"lib": lib}, {"user": user}, readme) == ["lib.twist", "lib.apply", "lib.rank"]

@@ -1,9 +1,13 @@
-"""End-to-end tests of the command-line interface, run in process."""
+"""End-to-end tests of the command-line interface, run in process but for
+a closed stdout, which needs a real pipe."""
 
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,21 @@ def test_unwritable_out_path_is_reported(capsys, monkeypatch, tmp_path):
     for argv in [("count", "--field", "2^1", "--g", "2"), ("mu",)]:
         code, out, err = run(capsys, *argv, "--out", out_path)
         assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes one byte and closes the pipe, as `| head -c 1` does,
+    # while the report (about 700 KB) still fills the pipe's buffer
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "semicount", "count", "--field", "2^1", "--g", "40"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1]
+    assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141 and "141" in cli.__doc__
 
 
 # --- roundtrip ----------------------------------------------------------------------

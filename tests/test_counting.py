@@ -20,12 +20,10 @@ from semicount.counting import (
     bruteforce_table,
     closed_form_count,
     formula_table,
-    gaussian_binomial,
     gl_order,
     profiles,
     route_cells,
     staged_count,
-    surjection_count,
     verify_counts,
 )
 from semicount.bijection import roundtrip_check
@@ -39,6 +37,17 @@ GF9 = make_field(3, 2)
 
 
 # --- combinatorial primitives ---------------------------------------------------
+
+def subspaces(n, d, q):
+    """d-dimensional subspaces of an n-dimensional space, as the staged route counts them."""
+    return counting._subspaces({k: counting._falling_row(q, k) for k in (n, d)}, n, d)
+
+
+def surjections(m, d, q):
+    """Surjective linear maps from an m-dimensional space onto a fixed
+    d-dimensional one, as the staged route counts them; zero when d > m."""
+    return counting._surjections({m: counting._falling_row(q, m)}, m, d)
+
 
 def test_profiles_ordering():
     assert profiles(2) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
@@ -54,13 +63,11 @@ def test_gl_order_examples():
 
 
 def test_gaussian_binomial_examples():
-    assert gaussian_binomial(4, 0, 3) == 1
-    assert gaussian_binomial(4, 4, 3) == 1
-    assert gaussian_binomial(2, 1, 2) == 3
+    assert subspaces(4, 0, 3) == 1
+    assert subspaces(4, 4, 3) == 1
+    assert subspaces(2, 1, 2) == 3
     # symmetry and the line count in GF(3)^3
-    assert gaussian_binomial(3, 1, 3) == gaussian_binomial(3, 2, 3) == 13
-    with pytest.raises(ValueError):
-        gaussian_binomial(2, 3, 2)
+    assert subspaces(3, 1, 3) == subspaces(3, 2, 3) == 13
 
 
 def test_gaussian_binomial_matches_subspace_walk():
@@ -69,25 +76,25 @@ def test_gaussian_binomial_matches_subspace_walk():
         for _, gens in helpers.all_subspaces(p, [0, 1], g):
             by_dim[len(gens)] = by_dim.get(len(gens), 0) + 1
         for d, n in by_dim.items():
-            assert gaussian_binomial(g, d, p) == n
+            assert subspaces(g, d, p) == n
 
 
 def test_surjection_count_examples():
-    assert surjection_count(5, 0, 2) == 1
-    assert surjection_count(0, 0, 2) == 1
-    assert surjection_count(1, 1, 2) == 1
-    assert surjection_count(2, 1, 2) == 3
-    assert surjection_count(1, 2, 2) == 0   # no surjections onto a bigger space
-    assert surjection_count(0, 1, 3) == 0
+    assert surjections(5, 0, 2) == 1
+    assert surjections(0, 0, 2) == 1
+    assert surjections(1, 1, 2) == 1
+    assert surjections(2, 1, 2) == 3
+    assert surjections(1, 2, 2) == 0   # no surjections onto a bigger space
+    assert surjections(0, 1, 3) == 0
 
 
 def test_spanning_tuple_count_examples():
     # (n-1)-tuples spanning dimension d: a d-subspace, then a surjection onto it
-    assert gaussian_binomial(3, 0, 2) * surjection_count(2, 0, 2) == 1
-    assert gaussian_binomial(2, 1, 2) * surjection_count(1, 1, 2) == 3
-    assert gaussian_binomial(3, 2, 2) * surjection_count(2, 2, 2) == 42
+    assert subspaces(3, 0, 2) * surjections(2, 0, 2) == 1
+    assert subspaces(2, 1, 2) * surjections(1, 1, 2) == 3
+    assert subspaces(3, 2, 2) * surjections(2, 2, 2) == 42
     # zero-length tuples span nothing
-    assert gaussian_binomial(1, 1, 2) * surjection_count(0, 1, 2) == 0
+    assert subspaces(1, 1, 2) * surjections(0, 1, 2) == 0
 
 
 def test_spanning_tuple_count_by_direct_enumeration():
@@ -98,7 +105,7 @@ def test_spanning_tuple_count_by_direct_enumeration():
         S = helpers.span_set(2, [0, 1], [w1, w2], 3)
         seen[helpers.set_dim(S, 2)] += 1
     for d, n in seen.items():
-        assert gaussian_binomial(3, d, 2) * surjection_count(2, d, 2) == n
+        assert subspaces(3, d, 2) * surjections(2, d, 2) == n
 
 
 # --- the two formula routes ------------------------------------------------------
@@ -116,7 +123,7 @@ def test_single_cells_take_q_beyond_float_range():
     # s = g and n = 0 read no row n - 1 = -1: building one must not compute q^-1
     q = 2**1100
     assert staged_count(1, 1, 1, q) == closed_form_count(1, 1, 1, q) == q - 1
-    assert gaussian_binomial(0, 0, q) == surjection_count(-1, 0, q) == 1
+    assert subspaces(0, 0, q) == surjections(-1, 0, q) == 1
 
 
 def test_closed_form_examples():
@@ -189,9 +196,9 @@ def test_cache_call_order_is_invisible():
     first = [route_cells(g, q) for g in (12, 3) for q in (9, 2)]
     again = [route_cells(g, q) for g in (12, 3) for q in (9, 2)]
     assert first == again == [expected[g, q] for g in (12, 3) for q in (9, 2)]
-    # the single-cell helpers satisfy [12, 5][5, 2] = [12, 2][10, 3]
-    assert gaussian_binomial(12, 5, 9) * gaussian_binomial(5, 2, 9) == \
-        gaussian_binomial(12, 2, 9) * gaussian_binomial(10, 3, 9)
+    # the staged route's subspace counts satisfy [12, 5][5, 2] = [12, 2][10, 3]
+    assert subspaces(12, 5, 9) * subspaces(5, 2, 9) == \
+        subspaces(12, 2, 9) * subspaces(10, 3, 9)
 
 
 def test_prefix_lists_are_built_once_per_table(monkeypatch):
@@ -573,4 +580,4 @@ def test_property_route_equivalence(g, r, s, q):
 @given(st.integers(1, 8), st.sampled_from([2, 3, 5, 9]))
 def test_property_gaussian_symmetry(n, q):
     for d in range(n + 1):
-        assert gaussian_binomial(n, d, q) == gaussian_binomial(n, n - d, q)
+        assert subspaces(n, d, q) == subspaces(n, n - d, q)
