@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 verification or round-trip mismatch, 2 bad
 arguments or malformed input, 3 enumeration budget exceeded, 141 stdout
-closed by its reader (no diagnostic).  Reports go to stdout (or --out);
-diagnostics go to stderr.
+closed by its reader.  Reports go to stdout (or --out), diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -55,19 +54,13 @@ def format_map_block(F: SemilinearMap) -> str:
 
 
 def split_blocks(text: str) -> list[list[str]]:
-    blocks: list[list[str]] = []
-    current: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            if current:
-                blocks.append(current)
-                current = []
-        else:
-            current.append(line)
-    if current:
-        blocks.append(current)
-    return blocks
+    blocks: list[list[str]] = [[]]
+    for line in map(str.strip, text.splitlines()):
+        if line:
+            blocks[-1].append(line)
+        elif blocks[-1]:
+            blocks.append([])
+    return [block for block in blocks if block]
 
 
 def parse_matrix_block(lines: list[str],
@@ -313,11 +306,7 @@ def _emit(payload: dict, args: argparse.Namespace, renderer) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:  # the reader closed stdout; the flush at exit goes to os.devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise SystemExit(EXIT_BROKEN_PIPE) from None
+        print(text, flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +385,10 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # a count route refused to round, or the routes disagree
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except BrokenPipeError:  # the reader closed stdout: what is left flushes to os.devnull at exit
+        with open(os.devnull, "wb") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS

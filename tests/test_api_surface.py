@@ -2,15 +2,16 @@
 
 A public module-level name, or a public method of a public class, that
 only tests call is a wrapper the library does not need: tests can call
-the code behind it.  A name counts as used only where code names it: an
-attribute read or an imported name in the code of src/ (outside the
-name's own definition), perfbench/ or scripts/, a read of a name that
-Python resolves to the module-level binding there, or a word in
-README.md's fenced code blocks.  A read that resolves to a parameter or
-local of an enclosing function, lambda or comprehension (as `symtable`
-reports each scope's names) does not count, nor do docstrings, comments,
-other strings or README prose; a method counts only by attribute access.
-`REFERENCE` is exempt.
+the code behind it.  A name counts as used only where code in src/
+(outside the name's own definition), perfbench/ or scripts/ names it:
+an attribute read, an imported name, a name in an annotation, a read at
+module level, or a read that Python resolves to a global from inside a
+function, lambda, comprehension or class body (`symtable` records how
+each scope resolves its names), whichever module that global is in; or
+a word in README.md's fenced code blocks.  A read that resolves to a
+parameter or local does not count, nor do docstrings, comments, other
+strings or README prose; a module-level loop variable of the same name
+does.  A method counts only by attribute access.  `REFERENCE` is exempt.
 """
 
 import ast
@@ -58,83 +59,47 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item, True
 
 
-def _scope(node: ast.AST):
-    """(name of its symbol table, parts evaluated in the enclosing scope,
-    parts evaluated in its own) of a node that opens a scope, both in the
-    order the compiler visits them; None for any other node."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        a = node.args
-        outer = [*a.defaults, *filter(None, a.kw_defaults)]
-        if not isinstance(node, ast.Lambda):
-            outer += [arg.annotation for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs,
-                                                 a.kwarg) if arg and arg.annotation]
-            outer += [*filter(None, [node.returns]), *node.decorator_list]
-            return node.name, outer, node.body
-        return "lambda", outer, [node.body]
-    if isinstance(node, ast.ClassDef):
-        return node.name, [*node.bases, *node.keywords, *node.decorator_list], node.body
-    if type(node) in _COMPREHENSIONS:
-        first, *rest = node.generators
-        result = [node.value, node.key] if isinstance(node, ast.DictComp) else [node.elt]
-        return _COMPREHENSIONS[type(node)], [first.iter], [first.target, *first.ifs, *rest, *result]
-    return None
+def _global_reads(table: symtable.SymbolTable) -> Counter:
+    """The names that `table`, or a table nested in it, reads where Python
+    resolves them to a global, counted once per table."""
+    reads = Counter(symbol.get_name() for symbol in table.get_symbols()
+                    if symbol.is_referenced() and symbol.is_global())
+    for child in table.get_children():
+        reads += _global_reads(child)
+    return reads
 
 
-def _reads(node: ast.AST, table: symtable.SymbolTable, children):
-    """Yield each name that code under `node` imports, or reads where Python
-    resolves it to the module-level binding.  `table` is the scope `node`
-    is in, and `children` iterates over that scope's child tables in the
-    order the compiler made them, the order this walk meets them."""
-    if isinstance(node, ast.Name):
-        if isinstance(node.ctx, ast.Load) and _is_module_binding(table, node.id):
-            yield node.id
-    elif isinstance(node, (ast.Import, ast.ImportFrom)):
-        yield from (alias.name.rpartition(".")[2] for alias in node.names)
-    elif (scope := _scope(node)) is not None:
-        name, outer, inner = scope
-        for part in outer:
-            yield from _reads(part, table, children)
-        child = next(children)
-        met = child.get_name(), child.get_lineno()
-        assert met == (name, node.lineno), f"scope {name} at line {node.lineno} met table {met}"
-        grandchildren = _scopes(child)
-        for part in inner:
-            yield from _reads(part, child, grandchildren)
-    else:
-        for part in ast.iter_child_nodes(node):
-            yield from _reads(part, table, children)
-
-
-def _scopes(table: symtable.SymbolTable):
-    """The child tables of functions, lambdas, comprehensions and classes;
-    newer Pythons add others, such as annotation scopes, that no node opens."""
-    return (c for c in table.get_children() if c.get_type() in ("function", "class"))
-
-
-def _is_module_binding(table: symtable.SymbolTable, name: str) -> bool:
-    if table.get_type() == "module":
-        return True
-    try:
-        return table.lookup(name).is_global()
-    except KeyError:
-        # an annotation under `from __future__ import annotations` is in no
-        # table: `typing.get_type_hints` resolves it in the module's globals
-        return True
-
-
-def _statement_uses(source: str, filename: str) -> tuple[ast.Module, dict[ast.stmt, Counter]]:
-    """The parsed source and, for each top-level statement, the names it
-    uses: those `_reads` yields, and every attribute it reads."""
-    tree, table = ast.parse(source), symtable.symtable(source, filename, "exec")
-    children = _scopes(table)
-    uses = {stmt: Counter(_reads(stmt, table, children)) + _attributes(stmt) for stmt in tree.body}
-    assert next(children, None) is None, f"{filename}: a symbol table met no scope"
-    return tree, uses
+def _code_uses(node: ast.AST) -> Counter:
+    """The attributes that code under `node` reads, the names it imports, and
+    the names in its annotations: under `from __future__ import annotations`
+    those are in no symbol table, and `typing.get_type_hints` resolves them
+    in the module's globals."""
+    names = []
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            names += [alias.name.rpartition(".")[2] for alias in n.names]
+        for hint in filter(None, [getattr(n, "annotation", None), getattr(n, "returns", None)]):
+            names += [m.id for m in ast.walk(hint) if isinstance(m, ast.Name)]
+    return _attributes(node) + Counter(names)
 
 
 def _attributes(node: ast.AST) -> Counter:
     return Counter(n.attr for n in ast.walk(node)
                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _module_uses(source: str, filename: str) -> tuple[ast.Module, Counter, dict]:
+    """The parsed source, the names it uses, and the uses inside each of its
+    top-level scopes by (name, line): a module-level function or class, and
+    whatever else the compiler opens there."""
+    tree, module = ast.parse(source), symtable.symtable(source, filename, "exec")
+    inside: dict[tuple[str, int], Counter] = {}
+    for child in module.get_children():
+        inside.setdefault((child.get_name(), child.get_lineno()), Counter()).update(
+            _global_reads(child))
+    # every read at module level resolves to the module's globals or builtins
+    uses = Counter(symbol.get_name() for symbol in module.get_symbols() if symbol.is_referenced())
+    return tree, sum(inside.values(), uses + _code_uses(tree)), inside
 
 
 def _markdown_code(text: str) -> str:
@@ -147,16 +112,19 @@ def _unused(sources: dict[str, str], others: dict[str, str], readme: str) -> lis
     """Qualified names of the public names defined in `sources` that nothing
     in them, in `others` or in the fenced code of `readme` uses; both dicts
     map a module or file name to its source."""
-    parsed = {module: _statement_uses(source, module) for module, source in sources.items()}
+    parsed = {module: _module_uses(source, module) for module, source in sources.items()}
     names, attributes = Counter(), Counter()
-    for tree, uses in [*parsed.values(), *(_statement_uses(s, name) for name, s in others.items())]:
-        names += sum(uses.values(), Counter())
+    for tree, uses, _ in [*parsed.values(), *(_module_uses(s, name) for name, s in others.items())]:
+        names += uses
         attributes += _attributes(tree)
     words = set(re.findall(r"\w+", _markdown_code(readme)))
     unused = []
-    for module, (tree, uses) in parsed.items():
+    for module, (tree, _, inside) in parsed.items():
         for qualified, name, node, method in _definitions(tree):
-            used, own = (attributes, _attributes(node)) if method else (names, uses[node])
+            if method:
+                used, own = attributes, _attributes(node)
+            else:
+                used, own = names, _code_uses(node) + inside.get((name, node.lineno), Counter())
             if used[name] == own[name] and name not in words | REFERENCE:
                 unused.append(f"{module}.{qualified}")
     return unused
@@ -171,9 +139,10 @@ def test_every_public_name_is_named_outside_tests():
 
 
 def test_a_local_or_a_prose_span_is_not_a_use():
-    # every name `lib` defines is read or named in `user` or the README, but
-    # only `compose` (in nested functions, where Python resolves it to the
-    # module) and `profile` (in a fenced block) are used
+    # every name `lib` defines is read or named in `lib`, `user` or the
+    # README, but only `compose` (in nested functions, where Python resolves
+    # it to a global) and `profile` (in a fenced block) are used: `trace`
+    # reads itself only inside its own definition
     lib = (
         "def twist(F, n): ...\n"
         "def apply(F, v): ...\n"
@@ -181,12 +150,14 @@ def test_a_local_or_a_prose_span_is_not_a_use():
         "def profile(F): ...\n"
         "def compose(F, G):\n"
         "    return compose(G, None) if G else F\n"
+        "def trace(F, n):\n"
+        "    return trace(F, n - 1) if n else F\n"
     )
     user = (
         "def poly_str(coeffs, apply):\n"
         "    twist = 'x'\n"
-        "    return [twist + apply(c) for c in coeffs], (lambda profile: profile)\n"
-        "ranks = {rank: rank for rank in range(3)}\n"
+        "    ranks = {rank: rank for rank in range(3)}\n"
+        "    return [twist + apply(c) for c in coeffs], (lambda profile: profile), ranks\n"
         "class Table:\n"
         "    rank = 1\n"
         "    width = rank\n"
@@ -196,4 +167,5 @@ def test_a_local_or_a_prose_span_is_not_a_use():
         "    return inner\n"
     )
     readme = "Call `rank` or `twist` in prose.\n\n```python\nprofile(F)\n```\n"
-    assert _unused({"lib": lib}, {"user": user}, readme) == ["lib.twist", "lib.apply", "lib.rank"]
+    assert _unused({"lib": lib}, {"user": user}, readme) == [
+        "lib.twist", "lib.apply", "lib.rank", "lib.trace"]
