@@ -66,6 +66,7 @@ if __name__ == "__main__":
     except BrokenPipeError:
         # the reader stopped early, as `| head -1` does: point stdout at
         # devnull so the flush at exit cannot fail again, and exit quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
         status = 0
     sys.exit(status)

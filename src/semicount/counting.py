@@ -209,8 +209,8 @@ def run_chunks(make_job, ctx: FiniteField, g: int, tau: int, codes, threads: int
     """job(chunk) for each CHUNK_CODES-long slice of `codes` (a range or a
     list), job = make_job(ctx, g, tau), in chunk order.
 
-    w = min(threads, chunks, CPUs) processes share the chunks, the calling
-    one included; CPUs counts those `os.sched_getaffinity` lets this
+    w = max(1, min(threads, chunks, CPUs)) processes share the chunks, the
+    calling one included; CPUs counts those `os.sched_getaffinity` lets this
     process run on, or `os.cpu_count()` where that is missing.  Process i
     runs chunks i, i + w, i + 2w, ... with one job of its own, made when
     it starts and dropped when the call returns.  The w - 1 children come
@@ -226,16 +226,13 @@ def run_chunks(make_job, ctx: FiniteField, g: int, tau: int, codes, threads: int
     chunks = [codes[lo: lo + CHUNK_CODES] for lo in range(0, len(codes), CHUNK_CODES)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(threads, len(chunks), cpus)
-    if workers <= 1:
-        job = make_job(ctx, g, tau)
-        return [job(chunk) for chunk in chunks]
-    # imported here, so a process that starts no child never loads multiprocessing
-    import multiprocessing
-    mp = multiprocessing.get_context()
+    workers = max(1, min(threads, len(chunks), cpus))
     children = []  # (process, read end of its pipe)
     try:
         for i in range(1, workers):
+            # imported here, so a process that starts no child never loads multiprocessing
+            import multiprocessing
+            mp = multiprocessing.get_context()
             recv, send = mp.Pipe(duplex=False)
             child = mp.Process(target=_run_stride, daemon=True,
                                args=(send, make_job, ctx, g, tau, chunks[i::workers]))

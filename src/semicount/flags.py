@@ -159,20 +159,18 @@ def _times(vectors, M: Matrix) -> tuple[Vector, ...]:
     return tuple(P.row(i) for i in range(P.rows))
 
 
-def adapt_to_subspace(ctx: FiniteField, e_basis, u_basis, frozen_tail: int = 0
+def adapt_to_subspace(ctx: FiniteField, e_basis, u_basis
                       ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Adapt an ordered basis of V to the subspace U = span(u_basis).
 
     Returns the new ordered basis and the pivot index set J (0-based,
-    relative to positions in `e_basis`).  With `frozen_tail = n`, the last
-    n vectors of `e_basis` must already lie in U and come back unchanged.
+    relative to positions in `e_basis`).  If the last n vectors of
+    `e_basis` lie in U, they come back unchanged.
     """
     g = len(e_basis)
     B, B_inv = _in_basis(ctx, e_basis, g)
     u_basis = make_flag(ctx, g, [u_basis]).subspaces[-1]
-    if not 0 <= frozen_tail <= len(u_basis):
-        raise ValueError(f"frozen tail {frozen_tail} outside [0, dim U] = [0, {len(u_basis)}]")
-    adapted = _adapt(ctx, g, [_times(u_basis, B_inv), standard_basis(g)[g - frozen_tail:]])
+    adapted = _adapt(ctx, g, [_times(u_basis, B_inv)])
     return _times(adapted.vectors, B), adapted.pivot_sets[0]
 
 

@@ -117,29 +117,20 @@ def _poly_mulmod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -
         if ai:
             for j, bj in terms:
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    d = len(modulus) - 1
-    # modulus is monic: x^d = -(lower part), eliminate top terms in place
-    for k in range(len(prod) - 1, d - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(d):
-                prod[k - d + j] = (prod[k - d + j] - c * modulus[j]) % p
-    return _poly_trim(prod)
+    return _poly_rem(prod, modulus, p)
 
 
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b over GF(p); b need not be monic."""
+def _poly_rem(a: list[int], b: tuple[int, ...] | list[int], p: int) -> list[int]:
+    """Remainder of a by a monic b over GF(p)."""
     a = list(a)
     db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) - 1 >= db and a:
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - db
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - factor * bj) % p
-        _poly_trim(a)
-    return a
+    while len(a) > db:  # b[db] = 1 cancels the top term of a, which pop removes
+        c = a.pop()
+        if c:
+            shift = len(a) - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - c * b[j]) % p
+    return _poly_trim(a)
 
 
 def _monic_polys(p: int, degree: int):
@@ -189,8 +180,9 @@ def _ben_or(modulus: tuple[int, ...], p: int) -> tuple[bool, int]:
             h = _poly_trim([v % p for v in acc])
         work += 2 * d * len(h) + _CALL_WORK
         a, b = f, _poly_trim([(u - v) % p for u, v in zip_longest(h, [0, 1], fillvalue=0)])
-        while b:  # Euclid: a ends as gcd(f, x^(p^i) - x)
-            a, b = b, _poly_rem(a, b, p)
+        while b:  # Euclid: a ends as gcd(f, x^(p^i) - x), up to a unit
+            inv = pow(b[-1], -1, p)  # a mod b = a mod b/lead(b), which is monic
+            a, b = b, _poly_rem(a, [x * inv % p for x in b], p)
         if len(a) > 1:
             return False, work
     return True, work

@@ -53,9 +53,6 @@ class Matrix:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
 
 def matrix_from_rows(ctx: FiniteField, rows, cols: int | None = None) -> Matrix:
     rows = [tuple(r) for r in rows]
@@ -116,8 +113,7 @@ def map_entries(A: Matrix, exponent: int) -> Matrix:
     """Apply the Frobenius power a -> a^(p^exponent) to every entry."""
     if exponent % A.ctx.d == 0:
         return A
-    table = A.ctx.frobenius_table(exponent)
-    return Matrix(A.ctx, A.rows, A.cols, tuple(table[x] for x in A.entries))
+    return Matrix(A.ctx, A.rows, A.cols, frobenius_vector(A.ctx, A.entries, exponent))
 
 
 def frobenius_vector(ctx: FiniteField, v: Vector, exponent: int) -> Vector:

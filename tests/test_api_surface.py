@@ -35,10 +35,6 @@ REFERENCE = {
     "power",
 }
 
-_COMPREHENSIONS = {ast.ListComp: "listcomp", ast.SetComp: "setcomp",
-                   ast.DictComp: "dictcomp", ast.GeneratorExp: "genexpr"}
-
-
 def _definitions(tree: ast.Module):
     """(qualified name, name, node, is a method) of each public module-level
     binding and each public method of a public class."""

@@ -409,7 +409,8 @@ def _g48_blocks() -> tuple[str, str]:
     M = Matrix(ctx, g, g, tuple(entry(i, j) for i in range(g) for j in range(g)))
     P = Matrix(ctx, g, g, tuple(rng.randrange(256) for _ in range(g * g)))
     A = mat_mul(mat_inverse(P), mat_mul(M, map_entries(P, 1)))
-    return (f"tau 1\n{g} {g} 2^8\n{A}\n", f"{g} {g} 2^8\n{mat_mul(M, P)}\n")
+    block = cli.format_matrix_block
+    return f"tau 1\n{block(A)}\n", f"{block(mat_mul(M, P))}\n"
 
 
 def _flag_input(g: int, step: int) -> str:
@@ -426,11 +427,11 @@ def _flag_input(g: int, step: int) -> str:
     def random_matrix(rows, cols):
         return Matrix(ctx, rows, cols, tuple(rng.randrange(256) for _ in range(rows * cols)))
 
-    blocks = [f"{g} {g} 2^8\n{random_matrix(g, g)}"]
+    blocks = [cli.format_matrix_block(random_matrix(g, g))]
     C = random_matrix(g, g)
     for k in range(1, g, step):
         suffix = Matrix(ctx, g - k, g, C.entries[k * g:])
-        blocks.append(f"{g - k} {g} 2^8\n{mat_mul(random_matrix(g - k, g - k), suffix)}")
+        blocks.append(cli.format_matrix_block(mat_mul(random_matrix(g - k, g - k), suffix)))
     return "\n\n".join(blocks) + "\n"
 
 

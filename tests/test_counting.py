@@ -324,6 +324,9 @@ def test_run_chunks_caps_workers(monkeypatch):
     assert run(range(2), 64) == ([1], [range(2)])  # serial with one thread or one chunk
     assert run([], 64) == ([], [])
     assert children == []
+    for threads in (0, -1):  # below one thread, the caller runs every chunk
+        assert run(range(6), threads) == ([1, 1, 1], [range(0, 2), range(2, 4), range(4, 6)])
+        assert children == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     assert run(range(5), 64)[0] == [3, 1, 2]  # never more processes than chunks
     assert run(range(14), 4)[0] == [4, 1, 2, 3, 4, 1, 2]  # nor than threads

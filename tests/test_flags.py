@@ -58,17 +58,7 @@ def test_adapt_errors():
     with pytest.raises(ValueError):
         adapt_to_subspace(GF2, [(1, 0), (1, 0)], [(1, 1)])     # e not a basis
     with pytest.raises(ValueError):
-        adapt_to_subspace(GF2, e, [(1, 1)], frozen_tail=1)     # e2 not in U
-    with pytest.raises(ValueError):
-        adapt_to_subspace(GF2, e, [], frozen_tail=1)           # e2 not in U = 0
-    with pytest.raises(ValueError):
         adapt_to_subspace(GF2, e, [(5, 0)])                    # code out of range
-    with pytest.raises(ValueError, match="frozen tail -1"):
-        adapt_to_subspace(GF2, e, [(1, 1)], frozen_tail=-1)
-    with pytest.raises(ValueError, match="linearly dependent"):
-        # a dependent U basis whose frozen tail lies outside U passes the
-        # pivot count, so make_flag must catch it before the core runs
-        adapt_to_subspace(GF2, standard_basis(3), [(1, 0, 0), (1, 0, 0)], frozen_tail=1)
 
 
 def test_adapt_at_g_zero():
@@ -78,17 +68,16 @@ def test_adapt_at_g_zero():
 
 
 def test_frozen_tail_keeps_tail():
-    # adapt, then adapt again to the same subspace freezing the new tail;
-    # the pivots move to the tail positions since the tail now spans U
+    # adapt, then adapt again to the same subspace: the new tail lies in U,
+    # so it comes back unchanged, and the pivots move to the tail positions
     e = standard_basis(3)
     u = [(1, 1, 0), (0, 0, 1)]
     first, J = adapt_to_subspace(GF3, e, u)
     assert J == (0, 2)
-    again, J2 = adapt_to_subspace(GF3, first, u, frozen_tail=2)
+    assert first[-1] == e[-1]  # a tail of e inside U, shorter than dim U, stays too
+    again, J2 = adapt_to_subspace(GF3, first, u)
     assert again == first
     assert J2 == (1, 2)
-    partial, _ = adapt_to_subspace(GF3, first, u, frozen_tail=1)
-    assert partial == first
 
 
 def test_adapt_ignores_u_basis_presentation():
@@ -321,7 +310,7 @@ def test_property_adapted_tail_is_idempotent(case):
     u_basis = list(rref_basis(ctx, gens))
     basis, _ = adapt_to_subspace(ctx, standard_basis(g), u_basis)
     m = len(u_basis)
-    again, J2 = adapt_to_subspace(ctx, basis, u_basis, frozen_tail=m)
+    again, J2 = adapt_to_subspace(ctx, basis, u_basis)
     assert again == basis
     if m:
         assert J2 == tuple(range(g - m, g))
