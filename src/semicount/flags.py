@@ -25,9 +25,9 @@ integer comparison per member catches a chain that is not nested, and is
 the only nesting check `make_flag` makes.  `make_flag` is also the one
 check of a member basis: `linalg.matrix_from_rows` checks it as a block
 (lengths, entry range), and its echelon form checks independence;
-`_in_basis` checks only that e is a basis.  The wrappers change
-coordinates with one product per member and one for the result;
-`bijection` calls the core directly.
+`adapt_to_flag` checks only that e is a basis and changes coordinates
+with one product per member and one for the result; `adapt_to_subspace`
+runs it on U's one-member flag, and `bijection` calls the core directly.
 """
 
 from __future__ import annotations
@@ -143,16 +143,6 @@ def _adapt(ctx: FiniteField, g: int, members) -> AdaptedBasis:
     return AdaptedBasis(tuple(vectors), tuple(reversed(pivot_sets)))
 
 
-def _in_basis(ctx: FiniteField, e_basis, g: int) -> tuple[Matrix, Matrix]:
-    """(B, B^-1) for the matrix B whose rows are e_basis, checking that e
-    is a basis of the g-space; a row vector u has e-coordinates u·B^-1."""
-    B = matrix_from_rows(ctx, e_basis, g)
-    try:
-        return B, mat_inverse(B)
-    except ValueError:
-        raise ValueError("e_basis is not a basis") from None
-
-
 def _times(vectors, M: Matrix) -> tuple[Vector, ...]:
     """The row vectors v·M, for vectors v of length M.rows."""
     P = mat_mul(Matrix(M.ctx, len(vectors), M.rows, tuple(x for v in vectors for x in v)), M)
@@ -168,21 +158,25 @@ def adapt_to_subspace(ctx: FiniteField, e_basis, u_basis
     `e_basis` lie in U, they come back unchanged.
     """
     g = len(e_basis)
-    B, B_inv = _in_basis(ctx, e_basis, g)
-    u_basis = make_flag(ctx, g, [u_basis]).subspaces[-1]
-    adapted = _adapt(ctx, g, [_times(u_basis, B_inv)])
-    return _times(adapted.vectors, B), adapted.pivot_sets[0]
+    adapted = adapt_to_flag(ctx, e_basis, make_flag(ctx, g, [u_basis]))
+    # U = V is the flag's only member, so it has no pivot set: J is everything
+    return adapted.vectors, adapted.pivot_sets[0] if adapted.pivot_sets else tuple(range(g))
 
 
 def adapt_to_flag(ctx: FiniteField, e_basis, flag: Flag) -> AdaptedBasis:
-    """Canonical basis simultaneously adapted to every member of the flag."""
-    B, B_inv = _in_basis(ctx, e_basis, flag.g)
+    """Canonical basis simultaneously adapted to every member of the flag.
+    The rows of B are e_basis, so a row u has e-coordinates u·B^-1."""
+    B = matrix_from_rows(ctx, e_basis, flag.g)
+    try:
+        B_inv = mat_inverse(B)
+    except ValueError:
+        raise ValueError("e_basis is not a basis") from None
     adapted = _adapt(ctx, flag.g, [_times(m, B_inv) for m in flag.subspaces[1:]])
     return AdaptedBasis(_times(adapted.vectors, B), adapted.pivot_sets)
 
 
 def image_flag(F: SemilinearMap) -> Flag:
-    """The chain V ⊋ F(V) ⊋ F²(V) ⊋ ... down to the terminal image."""
+    """The chain V ⊋ F(V) ⊋ F²(V) ⊋ ... down to F^g(V), where F is bijective."""
     members = [standard_basis(F.g)]
     while True:
         basis = _row_basis(F.ctx, [apply(F, v) for v in members[-1]])

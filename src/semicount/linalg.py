@@ -45,9 +45,6 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j: int) -> Vector:
-        return self.entries[j::self.cols]
-
     def row_list(self) -> list[list[int]]:
         """Mutable row-major copy for elimination routines."""
         c = self.cols
@@ -89,13 +86,9 @@ def transpose(A: Matrix) -> Matrix:
     return Matrix(A.ctx, c, A.rows, tuple(e[i * c + j] for j in range(c) for i in range(A.rows)))
 
 
-def _require_same_field(a: FiniteField, b: FiniteField) -> None:
-    if a is not b and a != b:
-        raise ValueError("mixed field contexts")
-
-
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    _require_same_field(A.ctx, B.ctx)
+    if A.ctx is not B.ctx and A.ctx != B.ctx:
+        raise ValueError("mixed field contexts")
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
     entries = A.ctx.inner_products(A.entries, A.rows, A.cols, B.entries, B.cols)
@@ -200,8 +193,3 @@ def mat_inverse(A: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     flat = tuple(x for row in aug for x in row[g:])
     return Matrix(ctx, g, g, flat)
-
-
-def column_space_basis(A: Matrix) -> tuple[Vector, ...]:
-    """Canonical (rref) basis of the column space."""
-    return rref_basis(A.ctx, [A.col(j) for j in range(A.cols)])

@@ -16,7 +16,8 @@ images stabilizes after at most g = dim V steps; the stable subspace is
 the largest F-stable subspace on which F acts bijectively, and its
 dimension (the infinity rank) is computed here as rank(F^g), i.e. the
 rank of A · tau(A) · tau^2(A) ··· tau^(g-1)(A).  V splits canonically as
-that bijective summand plus the kernel of F^g, where F is eventually zero.
+that bijective summand, F^g(V) (the last member of `flags.image_flag`),
+plus the kernel of F^g (`nil_part`), where F is eventually zero.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .linalg import (
     map_entries,
     mat_apply,
     mat_mul,
-    column_space_basis,
     rank,
     rref_basis,
 )
@@ -132,13 +132,8 @@ def profile(F: SemilinearMap) -> RankProfile:
     return RankProfile(r, rank(_terminal_matrix(F)))
 
 
-def terminal_image(F: SemilinearMap) -> tuple[Vector, ...]:
-    """Canonical basis of the summand on which F is bijective."""
-    return column_space_basis(_terminal_matrix(F))
-
-
 def nil_part(F: SemilinearMap) -> tuple[Vector, ...]:
-    """Canonical basis of the complement, where F is eventually zero.
+    """Canonical basis of ker F^g, the complement where F is eventually zero.
 
     F^g sends v to M·(twist applied to v), so its kernel is the inverse
     twist of the matrix kernel of M, not that kernel itself; the two only
@@ -167,7 +162,6 @@ def enumerate_maps(
 ) -> Iterator[SemilinearMap]:
     """All q^(g^2) endomorphisms with the given twist, in matrix-code order."""
     total = check_budget(ctx.q, g, budget)
-    tau %= ctx.d
     for code in range(total):
         yield SemilinearMap(matrix_from_code(ctx, g, code), tau)
 

@@ -21,7 +21,7 @@ from semicount.counting import (
     profiles,
     staged_count,
 )
-from semicount.flags import adapt_to_subspace
+from semicount.flags import adapt_to_subspace, image_flag
 from semicount.gf import make_field
 from semicount.linalg import rank, rref_basis, span_dim, standard_basis
 from semicount.semilinear import (
@@ -33,7 +33,6 @@ from semicount.semilinear import (
     nil_part,
     power,
     profile,
-    terminal_image,
 )
 
 GF2 = make_field(2, 1)
@@ -152,7 +151,7 @@ def _check_stabilization(ctx, F, g):
 
 
 def _check_decomposition(ctx, F, g):
-    bij = terminal_image(F)
+    bij = image_flag(F).subspaces[-1]
     nil = nil_part(F)
     assert len(bij) + len(nil) == g
     assert span_dim(ctx, list(bij) + list(nil)) == g

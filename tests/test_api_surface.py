@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = {
     # reference implementations of what the paper's adapted-basis lemma
     # and the README's module map describe; tests hold the fast paths to them
-    "adapt_to_subspace", "enumerate_maps", "terminal_image", "nil_part",
+    "adapt_to_subspace", "enumerate_maps", "nil_part",
     # the paper's three span conditions on a tuple: the bijection tests hold
     # the decoder to them, and the sampler of tuples by profile that
     # ROADMAP.md plans calls them

@@ -16,11 +16,12 @@ from semicount.linalg import (
     span_dim,
     standard_basis,
 )
-from semicount.semilinear import SemilinearMap, enumerate_maps, profile
+from semicount.semilinear import SemilinearMap, enumerate_maps, power, profile
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
 GF4 = make_field(2, 2)
+GF8 = make_field(2, 3)
 
 
 # --- adapt_to_subspace --------------------------------------------------------
@@ -33,6 +34,11 @@ def test_adapt_line_example():
 
 def test_adapt_full_space_is_identity():
     e = standard_basis(3)
+    basis, J = adapt_to_subspace(GF3, e, e)
+    assert basis == e and J == (0, 1, 2)
+    # a non-standard e with U = span(e) = V comes back as given
+    e = ((1, 2, 0), (0, 1, 1), (2, 0, 1))
+    assert span_dim(GF3, e) == 3
     basis, J = adapt_to_subspace(GF3, e, e)
     assert basis == e and J == (0, 1, 2)
 
@@ -263,15 +269,21 @@ def test_image_flag_examples():
 
 
 def test_image_flag_endpoints_are_the_rank_invariants():
-    for ctx, g, tau in [(GF2, 3, 0), (GF4, 2, 1)]:
+    # GF(8) at g = 2 has a nonzero residual twist g*tau mod d
+    for ctx, g, tau in [(GF2, 3, 0), (GF4, 2, 1), (GF8, 2, 1), (GF8, 2, 2)]:
         for F in enumerate_maps(ctx, g, tau):
-            dims = image_flag(F).dims
+            flag = image_flag(F)
+            dims = flag.dims
             r, s = profile(F)
             assert dims[0] == g
             if len(dims) > 1:
                 assert dims[1] == r
             assert dims[-1] == s
             assert all(a > b for a, b in zip(dims, dims[1:]))
+            # the last member is F^g(V), the column space of the matrix
+            # of F^g by repeated composition (tau^g is onto)
+            M = power(F, g).mat
+            assert flag.subspaces[-1] == rref_basis(ctx, [M.entries[j::g] for j in range(g)])
 
 
 # --- randomized oracle comparison -----------------------------------------------
