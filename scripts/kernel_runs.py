@@ -40,7 +40,7 @@ import sys
 import time
 
 from semicount.gf import parse_field_spec
-from semicount.semilinear import DEFAULT_BUDGET, RowKernel
+from semicount.counting import DEFAULT_BUDGET, RowKernel
 
 BRANCHES = {1: "hyperplane", 2: "corank 1"}
 

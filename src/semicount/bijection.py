@@ -23,7 +23,7 @@ from . import counting
 from .gf import FiniteField, _digits
 from .flags import Flag, _adapt
 from .linalg import Matrix, Vector, _row_basis, matrix_from_rows, standard_basis
-from .semilinear import DEFAULT_BUDGET, SemilinearMap, matrix_from_code
+from .semilinear import SemilinearMap, matrix_from_code
 
 VectorTuple = tuple[Vector, ...]
 
@@ -201,7 +201,7 @@ def roundtrip_check(
     g: int,
     tau: int,
     *,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = counting.DEFAULT_BUDGET,
     threads: int = 1,
     seed: int = 0,
 ) -> tuple[dict, bool]:

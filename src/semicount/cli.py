@@ -15,10 +15,10 @@ import os
 import sys
 
 from .gf import FiniteField, parse_buildable_spec, parse_field_spec, parse_spec, poly_str, spec_str
-from .linalg import Matrix, matrix_from_rows
-from .semilinear import BudgetExceeded, DEFAULT_BUDGET, SemilinearMap
-from .counting import closed_form_count, report_cells, staged_count, verify_counts
-# flags and bijection are imported only by the handlers that run them
+from .counting import (BudgetExceeded, DEFAULT_BUDGET, closed_form_count, report_cells,
+                       staged_count, verify_counts)
+# linalg, semilinear, flags and bijection are imported only where they run, so count,
+# verify and field-info load none of them; annotations name their types unevaluated
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -67,6 +67,7 @@ def parse_matrix_block(lines: list[str],
                        read_field=parse_field_spec) -> tuple[FiniteField, Matrix]:
     """The block's field and matrix; `read_field` turns the header's spec
     text into the field."""
+    from .linalg import matrix_from_rows
     _require(bool(lines), "missing matrix block: expected a 'rows cols fieldspec' header")
     header = lines[0].split()
     if len(header) != 3:
@@ -94,6 +95,7 @@ def parse_matrix_block(lines: list[str],
 
 
 def parse_map_block(lines: list[str]) -> SemilinearMap:
+    from .semilinear import SemilinearMap
     _require(bool(lines), "missing map block: expected a 'tau <i>' line")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "tau":
@@ -220,6 +222,7 @@ def cmd_adapt(args: argparse.Namespace):
 
 def cmd_mu(args: argparse.Namespace):
     from .bijection import _encode
+    from .linalg import Matrix
     blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) == 1, "mu expects exactly one map block")
     F = parse_map_block(blocks[0])
@@ -238,6 +241,8 @@ def cmd_mu(args: argparse.Namespace):
 
 def cmd_nu(args: argparse.Namespace):
     from .bijection import _decode
+    from .linalg import Matrix
+    from .semilinear import SemilinearMap
     blocks = split_blocks(_read_text(args.input))
     _require(len(blocks) == 1, "nu expects exactly one tuple block (vectors as rows)")
     ctx, X = parse_matrix_block(blocks[0])

@@ -844,14 +844,17 @@ def test_each_command_loads_only_what_it_runs():
 
     script = """
 import contextlib, io, sys
+before = set(sys.modules)
 import semicount.cli as cli
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
 def run(*argv, stdin=""):
     sys.stdin = io.StringIO(stdin)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(list(argv))
     return code, out.getvalue()
 def loaded():
-    names = {"semicount.flags", "semicount.bijection", "fractions", "decimal"}
+    names = {"semicount.flags", "semicount.bijection", "semicount.linalg",
+             "semicount.semilinear", "fractions", "decimal"}
     return sorted(names & set(sys.modules))
 if sys.argv[1] == "all":
     import semicount.bijection, semicount.flags
@@ -866,6 +869,8 @@ print(loaded())
     lean, eager = (_run_python("-c", script, first) for first in ("lean", "all"))
     assert lean.returncode == eager.returncode == 0 and lean.stderr == eager.stderr == ""
     lean, eager = lean.stdout.splitlines(), eager.stdout.splitlines()
-    assert lean[:3] == ["0 []"] * 3
-    assert lean[-1] == "['semicount.bijection', 'semicount.flags']"
-    assert lean[3:6] == eager[3:6] and all(line.startswith("(0, '{") for line in lean[3:6])
+    assert lean[0] == "[]"  # import semicount.cli loads neither dataclasses nor inspect
+    assert lean[1:4] == ["0 []"] * 3
+    assert lean[-1] == ("['semicount.bijection', 'semicount.flags', "
+                        "'semicount.linalg', 'semicount.semilinear']")
+    assert lean[4:7] == eager[4:7] and all(line.startswith("(0, '{") for line in lean[4:7])

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import helpers
-from semicount.counting import CHUNK_CODES
+from semicount.counting import CHUNK_CODES, BudgetExceeded, RowKernel
 from semicount.flags import image_flag
 from semicount.gf import make_field
 from semicount.linalg import (
@@ -21,8 +21,6 @@ from semicount.linalg import (
     standard_basis,
 )
 from semicount.semilinear import (
-    BudgetExceeded,
-    RowKernel,
     SemilinearMap,
     apply,
     compose,
@@ -203,7 +201,7 @@ def test_nil_part_untwists_the_kernel():
     assert apply(power(F, 2), (1, 5)) == (0, 0)
 
 
-def test_terminal_image_is_maximal_bijective_subspace():
+def test_last_image_flag_member_is_maximal_bijective_subspace():
     # scan every subspace; none larger than the stable rank is F-stable
     # with F bijective on it
     mod = GF2.modulus
