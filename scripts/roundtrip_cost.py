@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""µs per code of the round-trip job `bijection._roundtrip_codes`.
+"""µs per code of the two round-trip jobs.
 
 Draws seeded codes of one cell, splits them into bijective maps (r = g,
-no proper member in the image flag) and the others, and times the job on
-each group in one process: two encodes and two decodes per code. Each
+no proper member in the image flag) and the others, and times both jobs
+on each group in one process: `bijection._sweep_codes`, the job of a
+sweep of the whole space (one encode and one decode per code), and
+`bijection._roundtrip_codes`, the job of a sample (two of each). Each
 figure is the best of --repeats passes over its group.
 
     python3 scripts/roundtrip_cost.py --field 2^1 --g 4 --codes 20000
@@ -14,15 +16,15 @@ import random
 import sys
 import time
 
-from semicount.bijection import _encode, _roundtrip_codes
+from semicount.bijection import _encode, _roundtrip_codes, _sweep_codes
 from semicount.gf import _digits, parse_field_spec
 
 
-def best_us_per_code(ctx, g: int, tau: int, codes: list[int], repeats: int) -> float:
+def best_us_per_code(job, ctx, g: int, tau: int, codes: list[int], repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         begin = time.perf_counter()
-        _roundtrip_codes(ctx, g, tau, codes)
+        job(ctx, g, tau, codes)
         best = min(best, time.perf_counter() - begin)
     return 1e6 * best / len(codes)
 
@@ -49,9 +51,11 @@ def main(argv=None) -> int:
         groups["bijective" if r == g else "other"].append(code)
     groups["all"] = codes
     print(f"field {ctx.spec}  g={g}  tau={tau}  codes={args.codes}  seed={args.seed}")
+    print(f"{'sweep':>35}{'sample':>18}")
     for name, group in groups.items():
-        cost = f"{best_us_per_code(ctx, g, tau, group, args.repeats):8.1f} µs/code" if group else ""
-        print(f"{name:<10} {len(group):>8} codes  {cost}")
+        costs = "  ".join(f"{best_us_per_code(job, ctx, g, tau, group, args.repeats):8.1f} µs/code"
+                          for job in (_sweep_codes, _roundtrip_codes)) if group else ""
+        print(f"{name:<10} {len(group):>8} codes  {costs}")
     return 0
 
 

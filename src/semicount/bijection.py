@@ -173,12 +173,15 @@ SPOT_CHECK_SAMPLES = 1000
 
 def _roundtrip_codes(ctx: FiniteField, g: int, tau: int,
                      codes) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """Check both directions on a batch of codes; the job of `roundtrip_check`.
+    """Check both directions on a batch of codes; the job of a sample,
+    which covers too little of the space for `roundtrip_check`'s counting
+    argument, and of a sweep run again after `_sweep_codes` failed a code.
 
     Each code is split into digits once, and the digits are read twice:
     as a matrix code (encode, then decode must give them back) and as a
-    tuple code (decode, then encode must give them back).  Returns per-profile tallies of the maps checked, read off
-    their encodings, and the codes that failed either direction.
+    tuple code (decode, then encode must give them back).  Returns
+    per-profile tallies of the maps checked, read off their encodings,
+    and the codes that failed either direction.
     """
     tallies: dict[tuple[int, int], int] = {}
     failures: list[int] = []
@@ -192,8 +195,39 @@ def _roundtrip_codes(ctx: FiniteField, g: int, tau: int,
     return tallies, failures
 
 
+def _sweep_codes(ctx: FiniteField, g: int, tau: int,
+                 codes) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """Check one direction on a batch of codes; the job of a sweep of the
+    whole space, which gets the other direction by counting (see
+    `roundtrip_check`).
+
+    Each code is encoded once and must pass two checks: its encoding is a
+    code (g*g digits, each in [0, q)), and decoding the encoding gives the
+    code's digits back.  The first is the counting argument's hypothesis,
+    not implied by the second: `_decode` ignores an extra digit, and a
+    negative one aliases through list indexing.  Returns per-profile
+    tallies, read off the encodings, and the codes that failed either
+    check.
+    """
+    tallies: dict[tuple[int, int], int] = {}
+    failures: list[int] = []
+    q, n = ctx.q, g * g
+    for code in codes:
+        digits = _digits(code, q, n)
+        x, r, s = _encode(ctx, g, tau, digits)
+        tallies[(r, s)] = tallies.get((r, s), 0) + 1
+        if (len(x) != n or min(x, default=0) < 0 or max(x, default=0) >= q
+                or _decode(ctx, g, tau, x)[0] != digits):
+            failures.append(code)
+    return tallies, failures
+
+
 def _roundtrip_job(ctx: FiniteField, g: int, tau: int):
     return lambda codes: _roundtrip_codes(ctx, g, tau, codes)
+
+
+def _sweep_job(ctx: FiniteField, g: int, tau: int):
+    return lambda codes: _sweep_codes(ctx, g, tau, codes)
 
 
 def roundtrip_check(
@@ -210,6 +244,16 @@ def roundtrip_check(
     Returns (report, ok); the report is JSON-ready and independent of the
     thread count.
 
+    A sweep checks one direction and gets the other by counting
+    (`_sweep_codes`).  Let S be the q^(g*g) codes.  If every encoding is
+    itself in S (g*g digits, each in [0, q)) and decode(encode(c)) = c for
+    every c in S, then encode is one-to-one from the finite set S into S,
+    so a bijection with inverse decode, and encode(decode(t)) = t for every
+    t in S.  If any code fails either check, the sweep runs again and
+    computes both directions on every code (`_roundtrip_codes`), and that
+    run is reported, failing codes and all.  A sample covers too little of
+    S to count, so it computes both directions on every code it draws.
+
     A sweep of the whole space also holds its per-profile tallies to
     `counting.formula_table`; profiles that disagree are listed under
     "formula_mismatch", a key only a failing report has.
@@ -219,10 +263,13 @@ def roundtrip_check(
     exhaustive = total <= budget
     if exhaustive:
         codes = range(total)
+        parts = counting.run_chunks(_sweep_job, ctx, g, tau, codes, threads)
     else:
         rng = random.Random(seed)
         codes = [rng.randrange(total) for _ in range(SPOT_CHECK_SAMPLES)]
-    parts = counting.run_chunks(_roundtrip_job, ctx, g, tau, codes, threads)
+    # a sample, or a sweep that failed a code, checks both directions
+    if not exhaustive or any(part for _, part in parts):
+        parts = counting.run_chunks(_roundtrip_job, ctx, g, tau, codes, threads)
     tallies = counting.merge_tallies(g, [tally for tally, _ in parts])
     failures = [code for _, part in parts for code in part]
     # a sweep of every code must tally the closed-form census exactly

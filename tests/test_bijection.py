@@ -19,7 +19,7 @@ from semicount.bijection import (
 )
 from semicount.counting import formula_table, profiles, staged_count
 from semicount.flags import _adapt, image_flag
-from semicount.gf import make_field
+from semicount.gf import _digits, make_field
 from semicount.linalg import (
     map_entries,
     mat_inverse,
@@ -296,8 +296,23 @@ def test_every_entry_point_runs_the_two_cores(capsys, monkeypatch):
 
     assert counts_of(lambda: map_to_tuple(identity_map(GF3, 2))) == {"_encode": 1}
     assert counts_of(lambda: tuple_to_map(GF3, E1_ZERO, 0)) == {"_decode": 1}
-    # each code is encoded and decoded twice, once from each side
-    assert counts_of(lambda: roundtrip_check(GF2, 2, 0)) == {"_encode": 32, "_decode": 32}
+    # a sweep encodes each code and decodes its encoding, once each: the
+    # other direction follows by counting
+    assert counts_of(lambda: roundtrip_check(GF2, 2, 0)) == {"_encode": 16, "_decode": 16}
+    # a sample is encoded and decoded twice, once from each side
+    with monkeypatch.context() as m:
+        m.setattr(bijection, "SPOT_CHECK_SAMPLES", 10)
+        assert counts_of(lambda: roundtrip_check(GF2, 2, 0, budget=10)) == {
+            "_encode": 20, "_decode": 20}
+    # a failing sweep runs again both ways; there the zero tuple fails its
+    # first decode, so code 0 makes one encode and one decode, not two
+    with monkeypatch.context() as m:
+        def zero_fails(ctx, g, tau, x, real=bijection._decode):
+            a, r, s = real(ctx, g, tau, x)
+            return ([1] + a[1:] if not any(x) else a), r, s
+        m.setattr(bijection, "_decode", zero_fails)
+        assert counts_of(lambda: roundtrip_check(GF2, 2, 0)) == {
+            "_encode": 16 + 31, "_decode": 16 + 31}
     for argv, text, expected in [(["mu"], "tau 0\n2 2 3^1\n1 2\n0 1\n", {"_encode": 1}),
                                  (["nu"], "2 2 3^1\n1 2\n0 1\n", {"_decode": 1})]:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -349,8 +364,9 @@ def test_roundtrip_check_builds_no_matrix(monkeypatch):
 
 
 def test_roundtrip_gf2_g4_exhaustive_matches_formula():
-    # 65,536 codes both ways, about 4-5 s at 2 workers on a 2-core VM; the
-    # harness itself holds the tallies to the formula, and so does this test
+    # 65,536 codes, one direction each, 2.7-3.0 s at 2 workers on a 2-core
+    # VM (5.4 s both ways); the harness itself holds the tallies to the
+    # formula, and so does this test
     report, ok = roundtrip_check(GF2, 4, 0, threads=2)
     assert ok and report["mode"] == "exhaustive" and report["failures"] == 0
     expected = formula_table(4, 2).entries
@@ -422,6 +438,111 @@ def test_roundtrip_check_worker_split_is_invisible(monkeypatch):
     single, ok1 = roundtrip_check(GF3, 2, 0, threads=1)
     pooled, ok2 = roundtrip_check(GF3, 2, 0, threads=2)
     assert ok1 and ok2 and single == pooled
+
+
+def _both_ways_report(ctx, g, tau):
+    """The report and verdict of a sweep that computes both directions on
+    every code, built from the cores as `roundtrip_check` reads them."""
+    import semicount.bijection as bijection
+    q, n = ctx.q, g * g
+    tallies = {prof: 0 for prof in profiles(g)}
+    failures = []
+    for code in range(q ** n):
+        digits = _digits(code, q, n)
+        x, r, s = bijection._encode(ctx, g, tau, digits)
+        tallies[(r, s)] += 1
+        back = bijection._encode(ctx, g, tau, bijection._decode(ctx, g, tau, digits)[0])[0]
+        if bijection._decode(ctx, g, tau, x)[0] != digits or back != digits:
+            failures.append(code)
+    expected = formula_table(g, q).entries
+    mismatches = [{"r": r, "s": s, "checked": k, "theorem": str(expected[(r, s)])}
+                  for (r, s), k in sorted(tallies.items()) if k != expected[(r, s)]]
+    report = {"field": ctx.spec, "g": g, "tau": tau, "mode": "exhaustive", "seed": None,
+              "maps_checked": q ** n, "tuples_checked": q ** n,
+              "failures": len(failures), "failing_codes": [str(c) for c in failures[:20]],
+              "per_profile": [{"r": r, "s": s, "checked": k}
+                              for (r, s), k in sorted(tallies.items())]}
+    if mismatches:
+        report["formula_mismatch"] = mismatches
+    return report, not failures and not mismatches
+
+
+def _decode_wrong_at_rank_1(real):
+    def faulty(ctx, g, tau, x):
+        a, r, s = real(ctx, g, tau, x)
+        if r == 1:
+            a[-1] = ctx.add(a[-1], 1)
+        return a, r, s
+    return faulty
+
+
+def _encode_wrong_on_some_matrices(real):
+    # wrong on matrices with a[0] = 1 and a[-1] = 0; the tuples t whose
+    # encode(decode(t)) it breaks are other codes
+    def faulty(ctx, g, tau, a):
+        x, r, s = real(ctx, g, tau, a)
+        if a and a[0] == 1 and a[-1] == 0:
+            x = x[:-1] + [ctx.add(x[-1], 1)]
+        return x, r, s
+    return faulty
+
+
+def _decode_merges_two_tuples(real):
+    # a tuple ending in 1 decodes as the one ending in 0 would
+    def faulty(ctx, g, tau, x):
+        return real(ctx, g, tau, x[:-1] + [0] if x and x[-1] == 1 else x)
+    return faulty
+
+
+def _encode_adds_a_digit(real):
+    # `_decode` reads g entries of g digits each from a singular map's
+    # encoding, so it ignores the extra digit and gives the code back
+    def faulty(ctx, g, tau, a):
+        x, r, s = real(ctx, g, tau, a)
+        return (x + [0] if r < g else x), r, s
+    return faulty
+
+
+def _encode_aliases_a_digit(real, decode=_decode):
+    # a nonzero digit c of the encoding becomes c - q wherever the decoder,
+    # reading it through list indexing, still gives the code back
+    def faulty(ctx, g, tau, a):
+        x, r, s = real(ctx, g, tau, a)
+        for k in reversed(range(len(x))):
+            y = x[:k] + [x[k] - ctx.q] + x[k + 1:]
+            try:
+                if x[k] and decode(ctx, g, tau, y)[0] == list(a):
+                    return y, r, s
+            except ValueError:  # the alias broke the induced flag's nesting
+                pass
+        return x, r, s
+    return faulty
+
+
+ROUNDTRIP_FAULTS = {  # fault -> the core it wraps
+    _decode_wrong_at_rank_1: "_decode",
+    _encode_wrong_on_some_matrices: "_encode",
+    _decode_merges_two_tuples: "_decode",
+    _encode_adds_a_digit: "_encode",
+    _encode_aliases_a_digit: "_encode",
+}
+
+
+@pytest.mark.parametrize("fault", ROUNDTRIP_FAULTS, ids=lambda f: f.__name__[1:])
+def test_failing_sweep_reports_what_both_directions_find(monkeypatch, fault):
+    # a sweep checks one direction and that each encoding is a code; when
+    # any code fails, its report and verdict are those of checking both
+    # directions on every code.  The last two faults pass decode(encode(c))
+    # = c on every code and leave only the encoding's digits to catch them
+    import semicount.bijection as bijection
+    core = ROUNDTRIP_FAULTS[fault]
+    monkeypatch.setattr(bijection, core, fault(getattr(bijection, core)))
+    verdicts = []
+    for ctx, g, tau in [(GF2, 2, 0), (GF3, 2, 0), (GF4, 2, 1), (GF2, 3, 0)]:
+        expected = _both_ways_report(ctx, g, tau)
+        assert roundtrip_check(ctx, g, tau) == expected, (ctx.spec, g, tau)
+        verdicts.append(expected[1])
+    assert not all(verdicts)
 
 
 # --- randomized cross-checks ------------------------------------------------------

@@ -401,6 +401,8 @@ from semicount.counting import bruteforce_table
 from semicount.gf import make_field
 ctx = make_field(3, 1)
 assert bruteforce_table(ctx, 3, 0, threads=2) == bruteforce_table(ctx, 3, 0)
+counting.CHUNK_CODES = 64  # a sweep's 81 codes make two chunks
+assert roundtrip_check(ctx, 2, 0, threads=2) == roundtrip_check(ctx, 2, 0)
 counting.CHUNK_CODES = 512  # the 1000 sampled codes make two chunks
 sampled = dict(budget=10, seed=3)
 assert roundtrip_check(ctx, 3, 0, threads=2, **sampled) == roundtrip_check(ctx, 3, 0, **sampled)
