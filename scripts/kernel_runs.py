@@ -8,7 +8,8 @@ treats a run by the rank of those rows:
                       k_1 is in W, the rest counted at m = 1; outside W:
                       counted
     g-2   corank 1    row 0 outside W: the chain's steps inside W once per
-                      run, then one chain each for the row 0s of F*·k + W,
+                      run, then one chain each for the row 0s x·k + w of
+                      F*·k + W, whose first step past k needs no search,
                       the rest counted; row 0 in W: its own chain beside
                       the stored shared one while both stay in W, then
                       one chain of combinations
@@ -16,8 +17,12 @@ treats a run by the rank of those rows:
 
 A seeded sample of runs is tallied one run per call, and the table gives
 each type's share of the runs, its mean µs per run and its share of the
-time.  Each call builds the layer of rows 2..g-1 that a whole-cell tally
-builds once per Q runs, so the figures overstate that layer's share.
+time.  Each sampled call is one whole run, [prefix·Q, (prefix+1)·Q), so
+the script times the kernel's whole-run path, the one every run of a call
+but its first and its last takes; a call's cut runs are not timed here.
+Each call builds the layer of rows 2..g-1 that a whole-cell tally builds
+once per Q runs, and pays a call's fixed cost, so the figures overstate
+those shares.
 echelons/run is the mean number of `RowKernel._echelon` calls per run,
 counted in a second, untimed tally: none in a hyperplane or corank-1
 run, and in a run of lower rank one for its basis of rows 1..g-1 and one
@@ -27,11 +32,13 @@ two columns:
 
     python3 scripts/kernel_runs.py --field 2^1 --g 5 --runs 4000
 
-On a 2-core VM with Python 3.11 that gave corank-1 runs 48% of the time
-at 69 µs, hyperplane runs 41% at 36 µs, both at 0 echelons per run, and
-runs of rank 2 10% at 58 echelons per run; GF(3) g=4 gave hyperplane
-runs 64% at 54 µs and corank-1 runs 35% at 162 µs, and rank 1 runs 2%
-at 115 echelons per run.
+On a 2-core VM with Python 3.11 that gave corank-1 runs 45% of the time
+at 51 µs, hyperplane runs 44% at 30 µs, both at 0 echelons per run, and
+runs of rank 2 11% at 58 echelons per run; `--field 3^1 --g 4` gave
+hyperplane runs 68% at 41 µs and corank-1 runs 30% at 101 µs, and rank 1
+runs 2% at 115 echelons per run.  Of the roughly 30 µs of a hyperplane
+call at GF(2) g=5, about 12 µs are the call's fixed cost and the layer
+of rows 2..g-1.
 """
 
 import argparse

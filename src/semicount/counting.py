@@ -205,7 +205,29 @@ def formula_table(g: int, q: int) -> CountTable:
     table = CountTable(q, g, entries)
     if table.total != q ** (g * g):
         raise ArithmeticError(f"counts at g={g}, q={q} sum to {table.total}, not q^(g^2)")
+    _check_marginals(g, q, entries)
     return table
+
+
+def _check_marginals(g: int, q: int, entries: dict) -> None:
+    """Raise ArithmeticError unless {(r, s): count} obeys the two marginal laws.
+
+    Rank (Landsberg 1893): the g x g matrices of rank d number
+    prod_{i<d} (q^g - q^i)^2 / |GL_d|, and a semilinear map has the rank of
+    its matrix.  Stable rank (Fitting; Fine & Herstein 1958): the maps
+    with s = d number prod_{i<d} (q^g - q^i) · q^((g-d)(g-1)).  Both owe
+    nothing to the two count routes, so they catch a fault that moves
+    counts between cells after the routes agree."""
+    row = _falling_row(q, g)
+    for d in range(g + 1):
+        by_rank = sum(entries[d, s] for s in range(d + 1))
+        if by_rank * gl_order(d, q) != row[d] ** 2:
+            raise ArithmeticError(f"rank {d} holds {by_rank} maps at g={g}, q={q}, "
+                                  f"not {row[d] ** 2 // gl_order(d, q)}")
+        by_stable = sum(entries[r, d] for r in range(d, g + 1))
+        if by_stable != row[d] * q ** ((g - d) * (g - 1)):
+            raise ArithmeticError(f"stable rank {d} holds {by_stable} maps at g={g}, q={q}, "
+                                  f"not {row[d] * q ** ((g - d) * (g - 1))}")
 
 
 def _run_stride(send, make_job, ctx: FiniteField, g: int, tau: int, chunks: list) -> None:
@@ -299,13 +321,18 @@ class RowKernel:
     codes, so row i of code c is (c // Q**i) % Q.  No `Matrix` is built.
 
     r is the rank of the rows.  Codes are walked in runs of Q that share
-    rows 1..g-1, and rows 2..g-1 change only once every Q runs.  While
-    they last, one `tally` call keeps their layer y·(rows 2..g-1); nothing
-    is kept between calls.  Each run then lists images[y] = y·(rows 1..g-1)
-    from that layer and the q multiples of row 1, and `coord` inverts that
-    list on its set W, the span of rows 1..g-1.  So |W| = len(coord) is q
-    to the rank of rows 1..g-1, and it gives the run's type.  Row 0 adds
-    one to the rank exactly when it is not in W.
+    rows 1..g-1: an outer loop walks the tops, rows 2..g-1 as one code,
+    and an inner loop walks row 1, so each top's layer y·(rows 2..g-1) is
+    built once per call and each run adds the q multiples of row 1 to it;
+    nothing is kept between calls.  `coord` maps each vector of W, the
+    span of rows 1..g-1, to q·y for the last y with y·(rows 1..g-1) equal
+    to it, and q·y is the index in `twist` of tau((0, y)).  So
+    |W| = len(coord) is q to the rank of rows 1..g-1, and it gives the
+    run's type.  Row 0 adds one to the rank exactly when it is not in W.
+    Every run of a call but its first and its last lies wholly inside
+    [start, stop), and takes the whole-run path: no bound on row 0 is
+    computed or tested, and its row 0s in W are `coord` itself.  Only the
+    runs of rank <= g-3 list images[y] = y·(rows 1..g-1).
 
     s comes from the dual image chain U_1 = row space of A and
     U_(k+1) = L(U_k), where L(x) = tau^-1(x)·A.  F^k has matrix
@@ -325,47 +352,53 @@ class RowKernel:
 
     - hyperplane runs, where rows 1..g-1 are independent and W is a
       hyperplane.  A row 0 outside W gives a bijective map, r = s = g,
-      and those codes are only counted.  A row 0 = images[y] has im L = W,
-      k_1 = tau((-1, y)) and k_(j+1) = tau((0, coord[k_j])), where coord
-      inverts images on W.  The slice twist[neg_one::q], neg_one the code
-      of -1, lists k_1 in y order, as images lists row 0; it is taken once
-      per call.  Most k_1 are outside W, m = 1: only the k_1 in coord and
-      in the set of k_1 of the row 0s in [start, stop) walk on (one set
-      intersection), and the rest are counted at m = 1 in bulk.
+      and those codes are only counted.  A row 0 = y·(rows 1..g-1) has
+      im L = W, k_1 = tau((-1, y)) and k_(j+1) = tau((0, y')) with
+      q·y' = coord[k_j].  The set of every k_1, the slice
+      twist[neg_one::q] with neg_one the code of -1, is taken once per
+      call and serves every whole run; a cut run builds the set of k_1 of
+      its row 0s in W and in [start, stop).  Most k_1 are outside W, m = 1:
+      only those in coord walk on (one set intersection), and the rest
+      are counted at m = 1 in bulk.
     - corank-1 runs, where dim W = g-2, with a row 0 outside W.  Then
       im L = W + <row 0>, and k_1 = tau((0, y0)) for every such row 0,
-      where images[y0] = 0 with y0 != 0.  While k_j is in W the step is
-      x_0 = 0, k_(j+1) = tau((0, coord[k_j])), the same for every such
-      row 0, so these steps are taken once per run.  The k_j they reach
-      are independent and in W, so there are at most g-2 of them, and the
-      shared chain stops at some k outside W with m <= g-1.  A row 0 goes
-      on exactly when k - x_0·row 0 is in W for some x_0: k outside W
-      forces x_0 != 0 and row 0 = x_0^-1·(k - w), so these row 0s are the
-      (q-1)·q^(g-2) vectors of F*·k + W.  Each of them takes the first
+      where q·y0 = coord[0], y0 != 0.  While k_j is in W the step is
+      x_0 = 0, the same for every such row 0, so these steps are taken
+      once per run.  The k_j they reach are independent and in W, so
+      there are at most g-2 of them, and the shared chain stops at some
+      k outside W with m <= g-1.  A row 0 goes on exactly when
+      k - x_0·row 0 is in W for some x_0: k outside W forces x_0 != 0 and
+      row 0 = x_0^-1·(k - w), so these row 0s are the (q-1)·q^(g-2)
+      vectors x·k + w of F*·k + W.  For each, x_0 = 1/x and
+      k - x_0·row 0 = -w/x, so its first step past k is
+      k_(m+1) = twist[inv[x] + coord[-w/x]], with no search (`inv` and
+      `neginv` hold 1/x and -1/x).  Each later step takes the first
       scalar x_0 with k_j - x_0·row 0 in W, at most q lookups, and then
-      k_(j+1) = tau((x_0, coord[k_j - x_0·row 0])); every other row 0
-      outside W is counted at the shared m.
+      k_(j+1) = tau((x_0, y')) with q·y' = coord[k_j - x_0·row 0];
+      every other row 0 outside W is counted at the shared m.
 
     A row 0 in W of a corank-1 run gives r = g-2, im L = W and
     ker L = <a_1, b_1>: a_1 is the shared chain's first k and
-    b_1 = tau((-1, coord[row 0])).  As dim L^-1(U) = 2 + dim(U ∩ W),
-    dim ker L^(j+1) = 2 + dim(ker L^j ∩ W), so the nilpotent part has two
-    Jordan blocks: lambda_2, the first j with ker L^j outside W, and
-    lambda_1, the first with ker L^j + W = V; s = g - lambda_1 - lambda_2.
-    b's chain steps b_(j+1) = tau((0, coord[b_j])) beside the stored
-    shared one while both are in W, and a_j, b_j (j <= lambda_2) span
-    ker L^j.  At lambda_2 the two are independent modulo W, and
-    lambda_1 = lambda_2, unless one of them, or some b - x·a, is in W.
-    Then ker L^j + W stays <gen> + W, gen the one that left, and one
-    chain c_(j+1) = tau((0, coord[c_j - x·gen])) goes on, x the first
-    scalar with c_j - x·gen in W; lambda_1 is the first j with none.
+    b_1 = tau((-1, y)) with y·(rows 1..g-1) = row 0.  As dim L^-1(U) =
+    2 + dim(U ∩ W), dim ker L^(j+1) = 2 + dim(ker L^j ∩ W), so the
+    nilpotent part has two Jordan blocks: lambda_2, the first j with
+    ker L^j outside W, and lambda_1, the first with ker L^j + W = V;
+    s = g - lambda_1 - lambda_2.  b's chain steps b_(j+1) = tau((0, y)),
+    y·(rows 1..g-1) = b_j, beside the stored shared one while both are
+    in W, and a_j, b_j (j <= lambda_2) span ker L^j.  At lambda_2 the
+    two are independent modulo W, and lambda_1 = lambda_2, unless one of
+    them, or some b - x·a, is in W.  Then ker L^j + W stays <gen> + W,
+    gen the one that left, and one chain c_(j+1) = tau((0, y)),
+    y·(rows 1..g-1) = c_j - x·gen, goes on, x the first scalar with
+    c_j - x·gen in W; lambda_1 is the first j with none.
     Only the runs of rank <= g-3 take the echelon chain (tables for lead
     position, row normalised to lead 1 and its negative).  Such a run
     builds an echelon basis of rows 1..g-1 once, and each map starts its
     chain from it, with row 0 added when row 0 is outside W.
     Tables are built for g >= 2 only, and none has more than q^(g+1)
     entries: the q scalings of every row code, tau and tau^-1 digit by
-    digit, and for odd p the sums of the lower and the upper halves of two
+    digit, 1/x and -1/x for the q scalars x (0 at x = 0), and for odd p
+    the sums of the lower and the upper halves of two
     rows (in characteristic 2 a row sum is XOR).  At g <= 1 the rank of a
     row is "row != 0" and the chain never runs, so no table is built.
     """
@@ -391,19 +424,21 @@ class RowKernel:
         scale = []
         for c in range(q):
             scale += digitwise(lambda x, c=c: ctx.mul(c, x), Q)
+        inv = [0] + [ctx.inv(x) for x in range(1, q)]
+        neginv = [ctx.neg(x) for x in inv]
         lead, norm, negnorm = [0] * Q, [0] * Q, [0] * Q
         for v in range(1, Q):
             j, w = 0, v
             while w % q == 0:
                 j, w = j + 1, w // q
-            inv = ctx.inv(w % q)
             lead[v] = j
-            norm[v] = scale[inv * Q + v]
-            negnorm[v] = scale[ctx.neg(inv) * Q + v]
+            norm[v] = scale[inv[w % q] * Q + v]
+            negnorm[v] = scale[neginv[w % q] * Q + v]
         untwist = digitwise(ctx.frobenius_table(-tau).__getitem__, Q)
         twist = digitwise(ctx.frobenius_table(tau).__getitem__, Q)
         self.tables = {"scale": scale, "lead": lead, "norm": norm,
-                       "negnorm": negnorm, "untwist": untwist, "twist": twist}
+                       "negnorm": negnorm, "untwist": untwist, "twist": twist,
+                       "inv": inv, "neginv": neginv}
         if ctx.p == 2:
             self.add = operator.xor
             return
@@ -451,94 +486,110 @@ class RowKernel:
             return {cell: n for cell, n in [((0, 0), zero), ((g, g), stop - start - zero)] if n}
         t = self.tables
         scale, untwist, twist = t["scale"], t["untwist"], t["twist"]
+        inv, neginv = t["inv"], t["neginv"]
         add, echelon, neg_one = self.add, self._echelon, self.neg_one
         counts = [0] * (g + 1) ** 2
         corank1 = (g - 1) * (g + 1) + g  # counts[corank1 - m] is the cell (g-1, g-m)
         corank2 = corank1 - g - 1  # counts[corank2 - l1 - l2] is the cell (g-2, g-l1-l2)
-        firsts = twist[neg_one::q]  # tau((-1, y)) in y order, as images lists y·rows
-        every_start = set(firsts)
-        top = None  # rows 2..g-1 as one code, with their layer
-        for prefix in range(start // Q, -(-stop // Q)):
-            if prefix // Q != top:
-                top = prefix // Q
-                rows = [top // Q**i % Q for i in range(g - 2)]  # rows 2..g-1
-                # upper[y] = y·(rows 2..g-1) for y in [0, Q/q^2); digit 0 weighs row 2
-                upper = [0]
-                for v in reversed(rows):
-                    upper = [add(u, w) for w in upper for u in scale[v::Q]]
-                spread = [w for w in upper for _ in range(q)]  # upper[y // q] at y
-            # images[y] = y·(rows 1..g-1) for y in [0, Q/q); digit 0 weighs row 1
-            row1 = prefix % Q
-            images = list(map(add, scale[row1::Q] * len(upper), spread))
-            coord = dict(zip(images, range(Q // q)))  # inverts images on W
-            first = prefix * Q
-            lo, hi = max(start - first, 0), min(stop - first, Q)
-            if len(coord) == Q // q:
-                # hyperplane run: a row 0 = images[y] gives ker L = <k_1>, k_1 = tau((-1, y)),
-                # and m = 1 unless k_1 is in W
-                starts = every_start if hi - lo == Q else {
-                    k for k, row0 in zip(firsts, images) if lo <= row0 < hi}
-                going = coord.keys() & starts
-                counts[corank1 - 1] += len(starts) - len(going)
-                for k in going:
-                    m = 1
-                    while k in coord:
-                        k, m = twist[q * coord[k]], m + 1
-                    counts[corank1 - m] += 1
-                counts[-1] += hi - lo - len(starts)  # row 0 outside W: bijective
-                continue
-            if len(coord) == Q // q // q:
-                # corank 1: ker L = <tau((0, y0))>; the steps with x0 = 0 are shared
-                shared = [twist[q * images.index(0, 1)]]
-                while shared[-1] in coord:
-                    shared.append(twist[q * coord[shared[-1]]])
-                k, m = shared[-1], len(shared)
-                inside = [w for w in coord if lo <= w < hi]  # row 0 in W
-                going = [add(scale[x * Q + k], w) for x in range(1, q) for w in coord]
-                going = [v for v in going if lo <= v < hi]
-                counts[corank1 - m] += hi - lo - len(inside) - len(going)
-                for row0 in going:  # row 0 in F*·k + W: k - x0·row 0 in W for one x0
-                    minus, kj, mj = scale[neg_one * Q + row0], k, m
-                    while mj < g:  # solve L(x) = kj as x = tau((x0, y)), kj - x0·row0 = y·rows
-                        for x0 in range(q):
-                            w = add(kj, scale[x0 * Q + minus])
-                            if w in coord:
-                                break
-                        else:
-                            break  # kj is outside im L = W + <row 0>
-                        kj, mj = twist[x0 + q * coord[w]], mj + 1
-                    counts[corank1 - mj] += 1
-                for row0 in inside:  # ker L = <shared[0], tau((-1, coord[row 0]))>, im L = W
-                    kb, j = twist[neg_one + q * coord[row0]], 0
-                    while j < m - 1 and kb in coord:  # both chains still in W
-                        kb, j = twist[q * coord[kb]], j + 1
-                    # level j+1 = lambda_2 leaves W; c in W once a multiple of gen is taken off
-                    c, gen = (shared[j], kb) if j < m - 1 else (kb, shared[j])
-                    minus, level = scale[neg_one * Q + gen], j + 1
-                    while True:
-                        for x in range(q):
-                            w = add(c, scale[x * Q + minus])
-                            if w in coord:
-                                break
-                        else:
-                            break  # ker L^level spans V/W: lambda_1 = level
-                        c, level = twist[q * coord[w]], level + 1
-                    counts[corank2 - j - 1 - level] += 1
-                continue
-            base = echelon([row1] + rows)  # rank <= g-3
-            for row0 in range(lo, hi):
-                basis = base if row0 in coord else base + [row0]
-                r = n = len(basis)
-                while 0 < n < g:
-                    step = []
-                    for u in basis:
-                        x = untwist[u]
-                        step.append(add(images[x // q], scale[x % q * Q + row0]))
-                    basis = echelon(step)
-                    if len(basis) == n:
-                        break
-                    n = len(basis)
-                counts[r * (g + 1) + n] += 1
+        every_start = set(twist[neg_one::q])  # tau((-1, y)) for every y
+        ys = range(0, Q, q)  # q·y, the twist index of tau((0, y)), in y order
+        hyperplane, corank = Q // q, Q // q // q  # |W| when rows 1..g-1 have rank g-1, g-2
+        begin, end = start // Q, -(-stop // Q)  # the runs that meet [start, stop)
+        # the runs only partly inside [start, stop): at most the first and the last
+        cut = {p for p, edge in [(begin, start), (end - 1, stop)] if edge % Q}
+        for top in range(begin // Q, -(-end // Q)):
+            rows = [top // Q**i % Q for i in range(g - 2)]  # rows 2..g-1
+            # upper[y] = y·(rows 2..g-1) for y in [0, Q/q^2); digit 0 weighs row 2
+            upper = [0]
+            for v in reversed(rows):
+                upper = [add(u, w) for w in upper for u in scale[v::Q]]
+            spread = [w for w in upper for _ in range(q)]  # upper[y // q] at y
+            for prefix in range(max(begin, top * Q), min(end, top * Q + Q)):
+                # y·(rows 1..g-1) for y in [0, Q/q), digit 0 weighing row 1, and coord
+                # from each vector of W to q·y for the last such y
+                row1 = prefix % Q
+                coord = dict(zip(map(add, scale[row1::Q] * len(upper), spread), ys))
+                if prefix in cut:
+                    first = prefix * Q
+                    lo, hi = max(start - first, 0), min(stop - first, Q)
+                    inside = [w for w in coord if lo <= w < hi]  # row 0 in W
+                else:
+                    lo, hi, inside = 0, Q, coord
+                if len(coord) == hyperplane:
+                    # hyperplane run: row 0 = y·rows gives ker L = <k_1>, k_1 = tau((-1, y)),
+                    # and m = 1 unless k_1 is in W
+                    starts = every_start if inside is coord else {
+                        twist[neg_one + coord[w]] for w in inside}
+                    going = starts.intersection(coord)
+                    counts[corank1 - 1] += len(starts) - len(going)
+                    for k in going:
+                        m = 1
+                        while k in coord:
+                            k, m = twist[coord[k]], m + 1
+                        counts[corank1 - m] += 1
+                    counts[-1] += hi - lo - len(starts)  # row 0 outside W: bijective
+                    continue
+                if len(coord) == corank:
+                    # corank 1: ker L = <tau((0, y0))>, y0 != 0 the last y with y·rows = 0;
+                    # the steps with x0 = 0 are shared
+                    shared = [twist[coord[0]]]
+                    while shared[-1] in coord:
+                        shared.append(twist[coord[shared[-1]]])
+                    k, m = shared[-1], len(shared)
+                    counts[corank1 - m] += hi - lo - len(inside)
+                    for x in range(1, q):
+                        # row 0 = x·k + w, w in W: the one x0 with k - x0·row 0 in W is
+                        # 1/x, and k - x0·row 0 = -w/x
+                        kx, first_x0, down = scale[x * Q + k], inv[x], neginv[x] * Q
+                        going = coord if inside is coord else [
+                            w for w in coord if lo <= add(kx, w) < hi]
+                        counts[corank1 - m] -= len(going)
+                        for w in going:
+                            kj, mj = twist[first_x0 + coord[scale[down + w]]], m + 1
+                            if mj < g:
+                                minus = scale[neg_one * Q + add(kx, w)]
+                            while mj < g:  # L(x) = kj, x = tau((x0, y)), kj - x0·row0 = y·rows
+                                for x0 in range(q):
+                                    v = add(kj, scale[x0 * Q + minus])
+                                    if v in coord:
+                                        break
+                                else:
+                                    break  # kj is outside im L = W + <row 0>
+                                kj, mj = twist[x0 + coord[v]], mj + 1
+                            counts[corank1 - mj] += 1
+                    for row0 in inside:  # ker L = <shared[0], tau((-1, y))>, y·rows = row 0
+                        kb, j = twist[neg_one + coord[row0]], 0
+                        while j < m - 1 and kb in coord:  # both chains still in W
+                            kb, j = twist[coord[kb]], j + 1
+                        # level j+1 = lambda_2 leaves W; c in W once a multiple of gen is off
+                        c, gen = (shared[j], kb) if j < m - 1 else (kb, shared[j])
+                        minus, level = scale[neg_one * Q + gen], j + 1
+                        while True:
+                            for x in range(q):
+                                w = add(c, scale[x * Q + minus])
+                                if w in coord:
+                                    break
+                            else:
+                                break  # ker L^level spans V/W: lambda_1 = level
+                            c, level = twist[coord[w]], level + 1
+                        counts[corank2 - j - 1 - level] += 1
+                    continue
+                # rank <= g-3: images[y] = y·(rows 1..g-1)
+                images = list(map(add, scale[row1::Q] * len(upper), spread))
+                base = echelon([row1] + rows)
+                for row0 in range(lo, hi):
+                    basis = base if row0 in coord else base + [row0]
+                    r = n = len(basis)
+                    while 0 < n < g:
+                        step = []
+                        for u in basis:
+                            x = untwist[u]
+                            step.append(add(images[x // q], scale[x % q * Q + row0]))
+                        basis = echelon(step)
+                        if len(basis) == n:
+                            break
+                        n = len(basis)
+                    counts[r * (g + 1) + n] += 1
         return {(r, s): counts[r * (g + 1) + s]
                 for r in range(g + 1) for s in range(r + 1) if counts[r * (g + 1) + s]}
 
@@ -587,6 +638,7 @@ def verify_counts(
     q = ctx.q
     enumerated = bruteforce_table(ctx, g, tau, budget=budget, threads=threads).entries
     theorem, cells = report_cells(g, q, enumerated)
+    _check_marginals(g, q, theorem)
     expected_total = q ** (g * g)
     theorem_total = sum(theorem.values())
     corollaries = {

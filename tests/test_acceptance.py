@@ -7,6 +7,7 @@ everything here is exact integer equality.
 
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -82,8 +83,16 @@ def test_criterion_3_corollary_identities():
         nilpotent = sum(table.entries[(r, 0)] for r in range(g + 1))
         assert nilpotent == q ** (g * g - g)
         assert table.total == q ** (g * g)
-    print("criterion 3: PASS - invertible, nilpotent, and total-mass "
-          "identities hold on the full formula grid")
+        for d in range(g + 1):
+            independent = math.prod(q**g - q**i for i in range(d))
+            # rank marginal (Landsberg): the g x g matrices of rank d
+            by_rank = sum(table.entries[(d, s)] for s in range(d + 1))
+            assert by_rank * gl_order(d, q) == independent**2, (q, g, d)
+            # stable-rank marginal: Fitting splitting times the nilpotent count
+            by_stable = sum(table.entries[(r, d)] for r in range(d, g + 1))
+            assert by_stable == independent * q ** ((g - d) * (g - 1)), (q, g, d)
+    print("criterion 3: PASS - invertible, nilpotent, total-mass, rank and "
+          "stable-rank marginal identities hold on the full formula grid")
 
 
 def test_criterion_4_roundtrips_are_exact():

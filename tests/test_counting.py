@@ -152,6 +152,47 @@ def test_formula_table_refuses_counts_that_miss_the_total(monkeypatch):
     assert str(exc.value) == "counts at g=3, q=2 sum to 1024, not q^(g^2)"
 
 
+def _shift(cells):
+    """{cell: the next cell in the cyclic order of `cells`}."""
+    return dict(zip(cells, cells[1:] + cells[:1]))
+
+
+MOVES = {  # pairing -> g -> {(r, s): the cell whose two values (r, s) takes}
+    "sorted order": lambda g: _shift(profiles(g)),
+    # rank sums still hold
+    "within a rank": lambda g: {
+        k: v for r in range(g + 1) for k, v in _shift([(r, s) for s in range(r + 1)]).items()},
+    # stable-rank sums still hold
+    "within a stable rank": lambda g: {
+        k: v for s in range(g + 1) for k, v in _shift([(r, s) for r in range(s, g + 1)]).items()},
+}
+
+
+@pytest.mark.parametrize("pairing, law", [
+    ("sorted order", "rank"), ("within a rank", "stable rank"), ("within a stable rank", "rank"),
+])
+def test_formula_table_refuses_counts_moved_between_cells(monkeypatch, pairing, law):
+    # route_cells pairs each cell's values with a neighbour's (r, s): the
+    # routes still agree cell by cell and the total still holds, one of the
+    # two marginal laws does not
+    real = counting.route_cells
+
+    def moved(g, q):
+        values = {(r, s): (a, b) for r, s, a, b in real(g, q)}
+        return [(r, s, *values[cell]) for (r, s), cell in MOVES[pairing](g).items()]
+
+    monkeypatch.setattr(counting, "route_cells", moved)
+    cells = moved(4, 3)
+    assert sorted((r, s) for r, s, _, _ in cells) == profiles(4)
+    assert all(a == b for _, _, a, b in cells) and sum(a for _, _, a, _ in cells) == 3 ** 16
+    with pytest.raises(ArithmeticError) as exc:
+        formula_table(4, 3)
+    assert str(exc.value).startswith(f"{law} "), str(exc.value)
+    with pytest.raises(ArithmeticError) as exc:  # verify holds its theorem cells to both laws
+        verify_counts(GF3, 2, 0)
+    assert str(exc.value).startswith(f"{law} "), str(exc.value)
+
+
 def test_formula_table_totals_and_corollaries():
     for g, q in [(1, 2), (2, 2), (2, 3), (3, 2), (4, 3), (5, 2)]:
         table = formula_table(g, q)
