@@ -20,9 +20,11 @@ each type's share of the runs, its mean µs per run and its share of the
 time.  Each sampled call is one whole run, [prefix·Q, (prefix+1)·Q), so
 the script times the kernel's whole-run path, the one every run of a call
 but its first and its last takes; a call's cut runs are not timed here.
-Each call builds the layer of rows 2..g-1 that a whole-cell tally builds
-once per Q runs, and pays a call's fixed cost, so the figures overstate
-those shares.
+Each call also pays a fixed cost: its set-up, its result and the layer of
+rows 2..g-1 that a whole-cell tally builds once per Q runs.  Beside each
+sampled run the script times the empty call tally(prefix·Q, prefix·Q),
+prints the median of those as the fixed cost per call, and takes it off
+every µs/run and share of time.
 echelons/run is the mean number of `RowKernel._echelon` calls per run,
 counted in a second, untimed tally: none in a hyperplane or corank-1
 run, and in a run of lower rank one for its basis of rows 1..g-1 and one
@@ -32,17 +34,18 @@ two columns:
 
     python3 scripts/kernel_runs.py --field 2^1 --g 5 --runs 4000
 
-On a 2-core VM with Python 3.11 that gave corank-1 runs 45% of the time
-at 51 µs, hyperplane runs 44% at 30 µs, both at 0 echelons per run, and
-runs of rank 2 11% at 58 echelons per run; `--field 3^1 --g 4` gave
-hyperplane runs 68% at 41 µs and corank-1 runs 30% at 101 µs, and rank 1
-runs 2% at 115 echelons per run.  Of the roughly 30 µs of a hyperplane
-call at GF(2) g=5, about 12 µs are the call's fixed cost and the layer
-of rows 2..g-1.
+On a 2-core VM with Python 3.11 that gave a fixed cost of 12.4 µs per
+call and, net of it, corank-1 runs 50% of the time at 23 µs, hyperplane
+runs 32% at 9 µs, both at 0 echelons per run, and runs of rank 2 18% at
+58 echelons per run; `--field 3^1 --g 4` gave 13.1 µs per call,
+hyperplane runs 57% at 13 µs and corank-1 runs 40% at 49 µs, and rank 1
+runs 3% at 115 echelons per run.  Three runs of each read shares within
+5 points of these and µs up to 70% higher on a busy machine.
 """
 
 import argparse
 import random
+import statistics
 import sys
 import time
 
@@ -52,8 +55,10 @@ from semicount.counting import DEFAULT_BUDGET, RowKernel
 BRANCHES = {1: "hyperplane", 2: "corank 1"}
 
 
-def sample_runs(kernel: RowKernel, runs: int, seed: int) -> dict[int, list[tuple[float, int]]]:
-    """{rank of rows 1..g-1: (seconds, chain echelons) per sampled run}."""
+def sample_runs(kernel: RowKernel, runs: int, seed: int
+                ) -> tuple[dict[int, list[tuple[float, int]]], list[float]]:
+    """{rank of rows 1..g-1: (seconds, chain echelons) per sampled run}, and
+    the seconds of the empty call at each sampled run's first code."""
     g, Q = kernel.g, kernel.Q
     rng = random.Random(seed)
     echelon, calls = kernel._echelon, []
@@ -63,18 +68,22 @@ def sample_runs(kernel: RowKernel, runs: int, seed: int) -> dict[int, list[tuple
         return echelon(vectors)
 
     out: dict[int, list[tuple[float, int]]] = {}
+    empty = []
     for _ in range(runs):
         prefix = rng.randrange(Q ** (g - 1))
         rank = len(echelon([prefix // Q**i % Q for i in range(g - 1)]))
         begin = time.perf_counter()
+        kernel.tally(prefix * Q, prefix * Q)
+        middle = time.perf_counter()
         kernel.tally(prefix * Q, (prefix + 1) * Q)
-        seconds = time.perf_counter() - begin
+        seconds = time.perf_counter() - middle
+        empty.append(middle - begin)
         kernel._echelon = counted  # a second, untimed tally counts the echelons
         calls.clear()
         kernel.tally(prefix * Q, (prefix + 1) * Q)
         del kernel._echelon
         out.setdefault(rank, []).append((seconds, len(calls)))
-    return out
+    return out, empty
 
 
 def main(argv=None) -> int:
@@ -91,15 +100,19 @@ def main(argv=None) -> int:
     ctx = parse_field_spec(args.field)
     if ctx.q ** (args.g + 1) > DEFAULT_BUDGET:  # the size of the kernel's largest table
         parser.error(f"q^(g+1) = {ctx.q}^{args.g + 1} exceeds {DEFAULT_BUDGET}")
-    times = sample_runs(RowKernel(ctx, args.g, args.tau), args.runs, args.seed)
-    total = sum(seconds for rows in times.values() for seconds, _ in rows)
+    times, empty = sample_runs(RowKernel(ctx, args.g, args.tau), args.runs, args.seed)
+    fixed = statistics.median(empty)
+    net = {rank: [(seconds - fixed, n) for seconds, n in rows] for rank, rows in times.items()}
+    total = sum(seconds for rows in net.values() for seconds, _ in rows)
     print(f"field {ctx.spec}  g={args.g}  tau={args.tau}  runs={args.runs}  seed={args.seed}")
+    print(f"fixed cost per call: {1e6 * fixed:.1f} µs (median empty call), "
+          "taken off every figure below")
     print("| rank of rows 1..g-1 | branch | share of runs | µs/run | share of time "
           "| echelons/run |")
     print("|---|---|---|---|---|---|")
-    for rank in sorted(times, reverse=True):
-        seconds = [t for t, _ in times[rank]]
-        chain = sum(n for _, n in times[rank]) / len(seconds)
+    for rank in sorted(net, reverse=True):
+        seconds = [t for t, _ in net[rank]]
+        chain = sum(n for _, n in net[rank]) / len(seconds)
         branch = BRANCHES.get(args.g - rank, "echelon")
         print(f"| {rank} | {branch} | {len(seconds) / args.runs:.0%} | "
               f"{1e6 * sum(seconds) / len(seconds):.1f} | {sum(seconds) / total:.0%} | "

@@ -151,8 +151,6 @@ class CountTable(namedtuple("CountTable", "q g entries")):
 
     `entries` covers every profile 0 <= s <= r <= g, zeros included, so
     tables from different routes compare with plain equality of dicts.
-    A named tuple, not a dataclass: `dataclasses` would load `inspect`
-    into every command.
     """
 
     __slots__ = ()

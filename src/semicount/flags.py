@@ -32,7 +32,7 @@ runs it on U's one-member flag, and `bijection` calls the core directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf import FiniteField
 from .linalg import (
@@ -47,8 +47,7 @@ from .linalg import (
 from .semilinear import SemilinearMap, apply
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """Strictly decreasing chain of subspaces, V = V_0 ⊋ V_1 ⊋ ...
 
     Members are stored as canonical rref bases (the zero subspace is the
@@ -92,8 +91,7 @@ def make_flag(ctx: FiniteField, g: int, members) -> Flag:
     return Flag(ctx, g, tuple(canon))
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
+class AdaptedBasis(NamedTuple):
     """Ordered basis adapted to a flag, plus the pivot set of every step.
 
     `pivot_sets[i]` is the 0-based pivot index set J produced while

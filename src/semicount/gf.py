@@ -538,15 +538,15 @@ def _split_spec(spec: str) -> tuple[int, int, tuple[int, ...] | None]:
     """p, d and the modulus (None when omitted) of "p^d" or
     "p^d/c_0,c_1,...,c_d" (little-endian coefficients), unvalidated."""
     spec = spec.strip()
-    body, _, mod_part = spec.partition("/")
+    body, slash, mod_part = spec.partition("/")
     try:
-        p_str, _, d_str = body.partition("^")
+        p_str, caret, d_str = body.partition("^")
         p = int(p_str)
-        d = int(d_str) if d_str else 1
+        d = int(d_str) if caret else 1
     except ValueError:
         raise ValueError(f"malformed field spec {spec!r}; expected 'p^d' or 'p^d/c0,c1,...'")
     modulus = None
-    if mod_part:
+    if slash:
         try:
             modulus = tuple(int(c) for c in mod_part.split(","))
         except ValueError:

@@ -13,7 +13,7 @@ which is exactly what the basis-adaptation machinery in `flags` relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import chain
 
@@ -22,22 +22,18 @@ from .gf import FiniteField
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(namedtuple("Matrix", "ctx rows cols entries")):
     """Dense matrix over a finite field; entries row-major element codes."""
 
-    ctx: FiniteField
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError(f"matrix rows and cols must be >= 0, got {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __new__(cls, ctx: FiniteField, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 0 or cols < 0:
+            raise ValueError(f"matrix rows and cols must be >= 0, got {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}")
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        return super().__new__(cls, ctx, rows, cols, entries)
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]

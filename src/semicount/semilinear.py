@@ -24,7 +24,7 @@ plus the kernel of F^g (`nil_part`), where F is eventually zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, NamedTuple
 
 from .counting import DEFAULT_BUDGET, check_budget
@@ -47,17 +47,15 @@ class RankProfile(NamedTuple):
     s: int  # infinity rank, 0 <= s <= r <= g
 
 
-@dataclass(frozen=True)
-class SemilinearMap:
+class SemilinearMap(namedtuple("SemilinearMap", "mat tau")):
     """A square matrix over GF(q) paired with a Frobenius exponent."""
 
-    mat: Matrix
-    tau: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mat.rows != self.mat.cols:
+    def __new__(cls, mat: Matrix, tau: int):
+        if mat.rows != mat.cols:
             raise ValueError("semilinear endomorphism needs a square matrix")
-        object.__setattr__(self, "tau", self.tau % self.mat.ctx.d)
+        return super().__new__(cls, mat, tau % mat.ctx.d)
 
     @property
     def ctx(self) -> FiniteField:

@@ -355,10 +355,10 @@ def test_each_code_is_converted_once(capsys, monkeypatch):
 def test_roundtrip_check_builds_no_matrix(monkeypatch):
     import semicount.linalg as linalg
 
-    def refuse(self):
+    def refuse(cls, *fields):
         raise AssertionError("Matrix built")
 
-    monkeypatch.setattr(linalg.Matrix, "__post_init__", refuse)
+    monkeypatch.setattr(linalg.Matrix, "__new__", refuse)
     report, ok = roundtrip_check(GF4, 2, 1)
     assert ok and report["maps_checked"] == 256
 

@@ -287,6 +287,14 @@ def test_field_info_rejects_non_prime(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("2^", "malformed field spec '2^'; expected 'p^d' or 'p^d/c0,c1,...'"),
+    ("2^2/", "malformed modulus in field spec '2^2/'"),
+])
+def test_field_spec_with_a_dangling_separator_exits_2(capsys, spec, message):
+    assert run(capsys, "field-info", "--field", spec) == (2, "", f"error: {message}\n")
+
+
 def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     dest = tmp_path / "report.json"
     code, out, _ = run(capsys, "count", "--field", "2^1", "--g", "2", "--out", str(dest))
@@ -846,7 +854,6 @@ def test_each_command_loads_only_what_it_runs():
 import contextlib, io, sys
 before = set(sys.modules)
 import semicount.cli as cli
-print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
 def run(*argv, stdin=""):
     sys.stdin = io.StringIO(stdin)
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -863,14 +870,17 @@ print(run("verify", "--field", "2^1", "--g", "3", "--threads", "1")[0], loaded()
 print(run("field-info", "--field", "2^3")[0], loaded())
 print(run("adapt", stdin="2 2 2^1\\n1 0\\n0 1\\n\\n1 2 2^1\\n1 1\\n"))
 print(run("mu", stdin="tau 1\\n2 2 2^2\\n2 3\\n1 0\\n"))
+print(run("nu", "--tau", "1", stdin="2 2 2^2\\n2 1\\n3 0\\n"))
 print(run("roundtrip", "--field", "2^1", "--g", "2"))
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
 print(loaded())
 """
     lean, eager = (_run_python("-c", script, first) for first in ("lean", "all"))
     assert lean.returncode == eager.returncode == 0 and lean.stderr == eager.stderr == ""
     lean, eager = lean.stdout.splitlines(), eager.stdout.splitlines()
-    assert lean[0] == "[]"  # import semicount.cli loads neither dataclasses nor inspect
-    assert lean[1:4] == ["0 []"] * 3
+    assert lean[:3] == ["0 []"] * 3
+    assert lean[3:7] == eager[3:7] and all(line.startswith("(0, '{") for line in lean[3:7])
+    # no command, the matrix commands included, loads dataclasses or inspect
+    assert lean[7] == eager[7] == "[]"
     assert lean[-1] == ("['semicount.bijection', 'semicount.flags', "
                         "'semicount.linalg', 'semicount.semilinear']")
-    assert lean[4:7] == eager[4:7] and all(line.startswith("(0, '{") for line in lean[4:7])

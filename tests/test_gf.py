@@ -96,6 +96,17 @@ def test_parse_field_spec_roundtrip():
         parse_field_spec("2^2/1,x,1")
 
 
+def test_split_spec_refuses_a_dangling_separator():
+    assert gf._split_spec("5") == (5, 1, None)
+    assert gf._split_spec("2^2") == (2, 2, None)
+    assert gf._split_spec("2^2/1,1,1") == (2, 2, (1, 1, 1))
+    with pytest.raises(ValueError, match=re.escape("malformed field spec '2^'")):
+        parse_field_spec("2^")
+    for spec in ["2^2/", "17^1/"]:
+        with pytest.raises(ValueError, match=re.escape(f"malformed modulus in field spec '{spec}'")):
+            parse_field_spec(spec)
+
+
 def test_is_prime_matches_trial_division():
     assert [n for n in range(10 ** 5) if is_prime(n)] == [
         n for n in range(10 ** 5) if helpers.trial_division_prime(n)]
