@@ -17,14 +17,13 @@ treats a run by the rank of those rows:
 
 A seeded sample of runs is tallied one run per call, and the table gives
 each type's share of the runs, its mean µs per run and its share of the
-time.  Each sampled call is one whole run, [prefix·Q, (prefix+1)·Q), so
-the script times the kernel's whole-run path, the one every run of a call
-but its first and its last takes; a call's cut runs are not timed here.
-Each call also pays a fixed cost: its set-up, its result and the layer of
-rows 2..g-1 that a whole-cell tally builds once per Q runs.  Beside each
-sampled run the script times the empty call tally(prefix·Q, prefix·Q),
-prints the median of those as the fixed cost per call, and takes it off
-every µs/run and share of time.
+time.  Each sampled call is one whole run, [prefix·Q, (prefix+1)·Q), and
+the kernel takes whole runs only, so every run of every call takes the
+path timed here.  Each call also pays a fixed cost: its set-up, its
+result and the layer of rows 2..g-1 that a whole-cell tally builds once
+per Q runs.  Beside each sampled run the script times the empty call
+tally(prefix·Q, prefix·Q), prints the median of those as the fixed cost
+per call, and takes it off every µs/run and share of time.
 echelons/run is the mean number of `RowKernel._echelon` calls per run,
 counted in a second, untimed tally: none in a hyperplane or corank-1
 run, and in a run of lower rank one for its basis of rows 1..g-1 and one

@@ -261,15 +261,16 @@ def roundtrip_check(
     tau %= ctx.d
     total = ctx.q ** (g * g)
     exhaustive = total <= budget
+    size = counting.CHUNK_CODES
     if exhaustive:
         codes = range(total)
-        parts = counting.run_chunks(_sweep_job, ctx, g, tau, codes, threads)
+        parts = counting.run_chunks(_sweep_job, ctx, g, tau, codes, size, threads)
     else:
         rng = random.Random(seed)
         codes = [rng.randrange(total) for _ in range(SPOT_CHECK_SAMPLES)]
     # a sample, or a sweep that failed a code, checks both directions
     if not exhaustive or any(part for _, part in parts):
-        parts = counting.run_chunks(_roundtrip_job, ctx, g, tau, codes, threads)
+        parts = counting.run_chunks(_roundtrip_job, ctx, g, tau, codes, size, threads)
     tallies = counting.merge_tallies(g, [tally for tally, _ in parts])
     failures = [code for _, part in parts for code in part]
     # a sweep of every code must tally the closed-form census exactly

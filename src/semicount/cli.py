@@ -31,10 +31,12 @@ EXIT_BROKEN_PIPE = 141  # what a shell reports for a process that SIGPIPE ends
 # a sampled round trip on GF(2) takes about 100 s at g = 64.
 G_LIMIT = 64
 
-# Largest --budget of verify and roundtrip: a sweep of 2^30 codes cuts
-# into 262,144 chunks, range slices of 4,096 codes that run_chunks makes
-# up front and deals out to its processes, which take 38.2 MiB
-# (tracemalloc, Python 3.11).
+# Largest --budget of verify and roundtrip.  run_chunks makes a sweep's
+# chunks up front as range slices and deals them out to its processes.
+# verify's chunks are whole runs of q^g codes, as many as fit in 4,096
+# codes or one, so no cell under 2^30 codes makes more than GF(9) g=3's
+# 106,289 (15.5 MiB); roundtrip's are 4,096 codes, at most 262,144 under
+# 2^30 (38.2 MiB, tracemalloc, Python 3.11).
 BUDGET_LIMIT = 1 << 30
 
 

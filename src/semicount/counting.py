@@ -10,7 +10,7 @@ Three independent routes to the same numbers:
   for the leading block); integers only.
 * `bruteforce_table` enumerates every matrix code and tallies profiles
   with the row-code kernel `RowKernel`, defined here beside its budget;
-  tests hold that kernel to `semilinear.profile`, code by code.
+  tests hold that kernel to `semilinear.profile`, run by run.
 
 Keeping all three and demanding agreement is the design: a bug in any one
 route shows up as a mismatch instead of a silently wrong table.  All
@@ -241,9 +241,10 @@ def _run_stride(send, make_job, ctx: FiniteField, g: int, tau: int, chunks: list
     send.close()
 
 
-def run_chunks(make_job, ctx: FiniteField, g: int, tau: int, codes, threads: int) -> list:
-    """job(chunk) for each CHUNK_CODES-long slice of `codes` (a range or a
-    list), job = make_job(ctx, g, tau), in chunk order.
+def run_chunks(make_job, ctx: FiniteField, g: int, tau: int, codes, size: int,
+               threads: int) -> list:
+    """job(chunk) for each `size`-long slice of `codes` (a range or a list),
+    job = make_job(ctx, g, tau), in chunk order.
 
     w = max(1, min(threads, chunks, CPUs)) processes share the chunks, the
     calling one included; CPUs counts those `os.sched_getaffinity` lets this
@@ -259,7 +260,7 @@ def run_chunks(make_job, ctx: FiniteField, g: int, tau: int, codes, threads: int
     RuntimeError; whatever the call raises, it first terminates and joins
     every child.
     """
-    chunks = [codes[lo: lo + CHUNK_CODES] for lo in range(0, len(codes), CHUNK_CODES)]
+    chunks = [codes[lo: lo + size] for lo in range(0, len(codes), size)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = max(1, min(threads, len(chunks), cpus))
@@ -327,10 +328,10 @@ class RowKernel:
     to it, and q·y is the index in `twist` of tau((0, y)).  So
     |W| = len(coord) is q to the rank of rows 1..g-1, and it gives the
     run's type.  Row 0 adds one to the rank exactly when it is not in W.
-    Every run of a call but its first and its last lies wholly inside
-    [start, stop), and takes the whole-run path: no bound on row 0 is
-    computed or tested, and its row 0s in W are `coord` itself.  Only the
-    runs of rank <= g-3 list images[y] = y·(rows 1..g-1).
+    A call counts whole runs only, both ends of [start, stop) multiples
+    of Q, so every row 0 of a run is counted: no bound on row 0 is
+    computed or tested, and a run's row 0s in W are `coord` itself.
+    Only the runs of rank <= g-3 list images[y] = y·(rows 1..g-1).
 
     s comes from the dual image chain U_1 = row space of A and
     U_(k+1) = L(U_k), where L(x) = tau^-1(x)·A.  F^k has matrix
@@ -352,12 +353,11 @@ class RowKernel:
       hyperplane.  A row 0 outside W gives a bijective map, r = s = g,
       and those codes are only counted.  A row 0 = y·(rows 1..g-1) has
       im L = W, k_1 = tau((-1, y)) and k_(j+1) = tau((0, y')) with
-      q·y' = coord[k_j].  The set of every k_1, the slice
+      q·y' = coord[k_j].  The set `starts` of every k_1, the slice
       twist[neg_one::q] with neg_one the code of -1, is taken once per
-      call and serves every whole run; a cut run builds the set of k_1 of
-      its row 0s in W and in [start, stop).  Most k_1 are outside W, m = 1:
-      only those in coord walk on (one set intersection), and the rest
-      are counted at m = 1 in bulk.
+      call and serves every run.  Most k_1 are outside W, m = 1: only
+      those in coord walk on (one set intersection), and the rest are
+      counted at m = 1 in bulk.
     - corank-1 runs, where dim W = g-2, with a row 0 outside W.  Then
       im L = W + <row 0>, and k_1 = tau((0, y0)) for every such row 0,
       where q·y0 = coord[0], y0 != 0.  While k_j is in W the step is
@@ -475,12 +475,14 @@ class RowKernel:
 
     def tally(self, start: int, stop: int) -> dict[tuple[int, int], int]:
         """{(r, s): number of maps} over the codes in [start, stop), which
-        must lie in [0, q^(g^2)): the one check of a call's range."""
+        must be whole runs within [0, q^(g^2)): both ends multiples of Q.
+        This is the one check of a call's range."""
         g, q, Q = self.g, self.q, self.Q
-        if not 0 <= start <= stop <= Q**g:
-            raise ValueError(f"codes [{start}, {stop}) not inside [0, q^(g^2)) = [0, {q}^{g * g})")
-        if g < 2:  # one entry at most: r = s = 1 exactly when it is nonzero
-            zero = int(start <= 0 < stop)
+        if not (0 <= start <= stop <= Q**g and start % Q == stop % Q == 0):
+            raise ValueError(f"codes [{start}, {stop}) are not whole runs of {Q} codes "
+                             f"within [0, q^(g^2)) = [0, {q}^{g * g})")
+        if g < 2:  # one run at most, of Q codes: r = s = 1 exactly when nonzero
+            zero = int(start < stop)
             return {cell: n for cell, n in [((0, 0), zero), ((g, g), stop - start - zero)] if n}
         t = self.tables
         scale, untwist, twist = t["scale"], t["untwist"], t["twist"]
@@ -489,12 +491,10 @@ class RowKernel:
         counts = [0] * (g + 1) ** 2
         corank1 = (g - 1) * (g + 1) + g  # counts[corank1 - m] is the cell (g-1, g-m)
         corank2 = corank1 - g - 1  # counts[corank2 - l1 - l2] is the cell (g-2, g-l1-l2)
-        every_start = set(twist[neg_one::q])  # tau((-1, y)) for every y
+        starts = set(twist[neg_one::q])  # tau((-1, y)) for every y
         ys = range(0, Q, q)  # q·y, the twist index of tau((0, y)), in y order
         hyperplane, corank = Q // q, Q // q // q  # |W| when rows 1..g-1 have rank g-1, g-2
-        begin, end = start // Q, -(-stop // Q)  # the runs that meet [start, stop)
-        # the runs only partly inside [start, stop): at most the first and the last
-        cut = {p for p, edge in [(begin, start), (end - 1, stop)] if edge % Q}
+        begin, end = start // Q, stop // Q  # the runs in [start, stop)
         for top in range(begin // Q, -(-end // Q)):
             rows = [top // Q**i % Q for i in range(g - 2)]  # rows 2..g-1
             # upper[y] = y·(rows 2..g-1) for y in [0, Q/q^2); digit 0 weighs row 2
@@ -507,25 +507,17 @@ class RowKernel:
                 # from each vector of W to q·y for the last such y
                 row1 = prefix % Q
                 coord = dict(zip(map(add, scale[row1::Q] * len(upper), spread), ys))
-                if prefix in cut:
-                    first = prefix * Q
-                    lo, hi = max(start - first, 0), min(stop - first, Q)
-                    inside = [w for w in coord if lo <= w < hi]  # row 0 in W
-                else:
-                    lo, hi, inside = 0, Q, coord
                 if len(coord) == hyperplane:
                     # hyperplane run: row 0 = y·rows gives ker L = <k_1>, k_1 = tau((-1, y)),
                     # and m = 1 unless k_1 is in W
-                    starts = every_start if inside is coord else {
-                        twist[neg_one + coord[w]] for w in inside}
                     going = starts.intersection(coord)
-                    counts[corank1 - 1] += len(starts) - len(going)
+                    counts[corank1 - 1] += hyperplane - len(going)
                     for k in going:
                         m = 1
                         while k in coord:
                             k, m = twist[coord[k]], m + 1
                         counts[corank1 - m] += 1
-                    counts[-1] += hi - lo - len(starts)  # row 0 outside W: bijective
+                    counts[-1] += Q - hyperplane  # row 0 outside W: bijective
                     continue
                 if len(coord) == corank:
                     # corank 1: ker L = <tau((0, y0))>, y0 != 0 the last y with y·rows = 0;
@@ -534,15 +526,12 @@ class RowKernel:
                     while shared[-1] in coord:
                         shared.append(twist[coord[shared[-1]]])
                     k, m = shared[-1], len(shared)
-                    counts[corank1 - m] += hi - lo - len(inside)
+                    counts[corank1 - m] += Q - q * corank  # row 0 outside W + <k>
                     for x in range(1, q):
                         # row 0 = x·k + w, w in W: the one x0 with k - x0·row 0 in W is
                         # 1/x, and k - x0·row 0 = -w/x
                         kx, first_x0, down = scale[x * Q + k], inv[x], neginv[x] * Q
-                        going = coord if inside is coord else [
-                            w for w in coord if lo <= add(kx, w) < hi]
-                        counts[corank1 - m] -= len(going)
-                        for w in going:
+                        for w in coord:
                             kj, mj = twist[first_x0 + coord[scale[down + w]]], m + 1
                             if mj < g:
                                 minus = scale[neg_one * Q + add(kx, w)]
@@ -555,7 +544,7 @@ class RowKernel:
                                     break  # kj is outside im L = W + <row 0>
                                 kj, mj = twist[x0 + coord[v]], mj + 1
                             counts[corank1 - mj] += 1
-                    for row0 in inside:  # ker L = <shared[0], tau((-1, y))>, y·rows = row 0
+                    for row0 in coord:  # ker L = <shared[0], tau((-1, y))>, y·rows = row 0
                         kb, j = twist[neg_one + coord[row0]], 0
                         while j < m - 1 and kb in coord:  # both chains still in W
                             kb, j = twist[coord[kb]], j + 1
@@ -575,7 +564,7 @@ class RowKernel:
                 # rank <= g-3: images[y] = y·(rows 1..g-1)
                 images = list(map(add, scale[row1::Q] * len(upper), spread))
                 base = echelon([row1] + rows)
-                for row0 in range(lo, hi):
+                for row0 in range(Q):
                     basis = base if row0 in coord else base + [row0]
                     r = n = len(basis)
                     while 0 < n < g:
@@ -607,12 +596,14 @@ def bruteforce_table(
 ) -> CountTable:
     """Tally the profile of every one of the q^(g^2) maps.
 
-    The code range is cut into fixed-size chunks and the per-chunk tallies
-    are summed, so the result is identical whether chunks run in one
-    process or are shared among any number of them.
+    The code range is cut into chunks of whole runs, the most that fit in
+    CHUNK_CODES or one run where a run is longer, and the per-chunk
+    tallies are summed, so the result is identical whether chunks run in
+    one process or are shared among any number of them.
     """
-    total = check_budget(ctx.q, g, budget)
-    entries = merge_tallies(g, run_chunks(_tally_job, ctx, g, tau, range(total), threads))
+    total, Q = check_budget(ctx.q, g, budget), ctx.q**g
+    size = Q * max(1, CHUNK_CODES // Q)
+    entries = merge_tallies(g, run_chunks(_tally_job, ctx, g, tau, range(total), size, threads))
     table = CountTable(ctx.q, g, entries)
     if table.total != total:
         raise ArithmeticError(f"chunks tallied {table.total} of the {total} maps")

@@ -300,17 +300,51 @@ def test_bruteforce_chunking_is_invisible(monkeypatch):
     assert serial == pooled
 
 
+def _recorded_ranges(monkeypatch) -> list[tuple[int, int]]:
+    """The (start, stop) of every `RowKernel.tally` call from here on, in order."""
+    ranges = []
+
+    class RecordedKernel(counting.RowKernel):
+        def tally(self, start, stop):
+            ranges.append((start, stop))
+            return super().tally(start, stop)
+
+    monkeypatch.setattr(counting, "RowKernel", RecordedKernel)
+    return ranges
+
+
 @pytest.mark.parametrize("chunk", [64, 1000])
 @pytest.mark.parametrize("ctx, g, tau", [(GF9, 2, 1), (GF3, 3, 0)])
 def test_bruteforce_unaligned_chunks_match_profile(monkeypatch, chunk, ctx, g, tau):
-    # neither chunk size is a multiple of q^g, so chunks cut runs of codes
-    # that share their upper rows
-    import semicount.counting as counting
+    # neither chunk size is a multiple of Q = q^g (81, 27), which counts a run
+    # of codes that share rows 1..g-1: each chunk is the whole runs that fit
+    # in CHUNK_CODES, or one run when none does, and the chunks cover the
+    # codes once, in order
     monkeypatch.setattr(counting, "CHUNK_CODES", chunk)
+    ranges = _recorded_ranges(monkeypatch)
     reference = {prof: 0 for prof in profiles(g)}
     for F in enumerate_maps(ctx, g, tau):
         reference[tuple(profile(F))] += 1
     assert bruteforce_table(ctx, g, tau).entries == reference
+    Q = ctx.q ** g
+    size = max(Q, chunk - chunk % Q)  # the most whole runs that fit, at least one
+    assert all(start % Q == stop % Q == 0 for start, stop in ranges), ranges
+    assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+    assert ranges[-1][1] == ctx.q ** (g * g)
+    assert {stop - start for start, stop in ranges[:-1]} == {size}
+    assert 0 < ranges[-1][1] - ranges[-1][0] <= size
+    if chunk < Q:
+        assert size == Q
+
+
+def test_bruteforce_chunks_of_the_benchmark_grid(monkeypatch):
+    # the four cells of perfbench's enum-grid keep the chunk counts that set
+    # their 1- and 2-worker splits
+    ranges = _recorded_ranges(monkeypatch)
+    for ctx, g, tau, chunks in [(GF2, 4, 0, 16), (GF3, 3, 0, 5), (GF4, 3, 1, 64), (GF9, 2, 1, 2)]:
+        ranges.clear()
+        bruteforce_table(ctx, g, tau)
+        assert len(ranges) == chunks, (ctx, g, tau)
 
 
 def test_run_chunks_caps_workers(monkeypatch):
@@ -348,16 +382,14 @@ def test_run_chunks_caps_workers(monkeypatch):
     def run(codes, threads):
         children.clear()
         jobs.clear()
-        out = counting.run_chunks(make_job, GF3, 2, 0, codes, threads)
+        out = counting.run_chunks(make_job, GF3, 2, 0, codes, 2, threads)
         assert jobs == [(GF3, 2, 0)] * (len(children) + 1)  # one job per process
         return [n for n, _ in out], [chunk for _, chunk in out]
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda: InlineContext)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)  # read only without sched_getaffinity
-    chunk = counting.CHUNK_CODES
-    monkeypatch.setattr(counting, "CHUNK_CODES", 2)
-    # chunks are bare slices of the codes, back in chunk order; the caller
+    # chunks of 2 codes are bare slices of the codes, back in chunk order; the caller
     # runs chunks 0, w, 2w, ... and child i chunks i, i + w, ...
     assert run(range(6), 64) == ([2, 1, 2], [range(0, 2), range(2, 4), range(4, 6)])
     assert len(children) == 1  # one process per usable CPU, the caller included
@@ -377,8 +409,7 @@ def test_run_chunks_caps_workers(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run(range(14), 4)[0] == [3, 1, 2, 3, 1, 2, 3]  # else os.cpu_count() caps
-    monkeypatch.setattr(counting, "CHUNK_CODES", chunk)
-    # 9^4 maps make two chunks of CHUNK_CODES, their tallies pickled through the pipe
+    # 9^4 maps make two chunks of whole runs, their tallies pickled through the pipe
     children.clear()
     assert bruteforce_table(GF9, 2, 1, threads=1000).entries == formula_table(2, 9).entries
     assert len(children) == 1
@@ -513,10 +544,9 @@ def make_job(ctx, g, tau):
 
 if __name__ == "__main__":
     multiprocessing.set_start_method({method!r})
-    counting.CHUNK_CODES = 2
     os.sched_getaffinity = lambda pid: {{0, 1}}  # two CPUs, so one child starts
     try:
-        counting.run_chunks(make_job, None, 0, 0, range(4), 2)
+        counting.run_chunks(make_job, None, 0, 0, range(4), 2, 2)
     except Exception as exc:
         print(type(exc).__name__, exc)
         if exc.__cause__:  # the traceback in the child

@@ -252,12 +252,55 @@ def test_tau_normalized_mod_d():
 
 
 # --- row-code enumeration kernel ---------------------------------------------------
+#
+# The kernel tallies whole runs, the Q = q^g codes that share rows 1..g-1, and
+# is held to a Counter of `profile` over every code of each run it counts.  A
+# fault that only moved counts between codes of one run would not show here;
+# nor could it show in any output, since every caller tallies whole runs.
 
-def _kernel_agrees_with_profile(ctx, g, tau, codes):
+def _run_profiles(ctx, g, tau, prefix):
+    """profile of the code prefix·Q + row 0, for each row 0 in [0, Q)."""
+    Q = ctx.q ** g
+    return [tuple(profile(SemilinearMap(matrix_from_code(ctx, g, prefix * Q + row0), tau)))
+            for row0 in range(Q)]
+
+
+def _tally_run(kernel, prefix):
+    """The kernel's tally of the run `prefix`, codes [prefix·Q, (prefix+1)·Q)."""
+    return kernel.tally(prefix * kernel.Q, (prefix + 1) * kernel.Q)
+
+
+def _reference_tally(ctx, g, tau, lo, hi):
+    counts = {}
+    for code in range(lo, hi):
+        key = tuple(profile(SemilinearMap(matrix_from_code(ctx, g, code), tau)))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _kernel_agrees_with_profile(ctx, g, tau, prefixes):
     kernel = RowKernel(ctx, g, tau)
-    for code in codes:
-        F = SemilinearMap(matrix_from_code(ctx, g, code), tau)
-        assert kernel.tally(code, code + 1) == {tuple(profile(F)): 1}, (ctx, g, tau, code)
+    for prefix in prefixes:
+        expected = Counter(_run_profiles(ctx, g, tau, prefix))
+        assert _tally_run(kernel, prefix) == expected, (ctx, g, tau, prefix)
+
+
+def _refuses_cuts(kernel, first, cuts):
+    """Each (lo, hi) in `cuts`, codes first + lo .. first + hi, is refused."""
+    for lo, hi in cuts:
+        with pytest.raises(ValueError, match="not whole runs"):
+            kernel.tally(first + lo, first + hi)
+
+
+def _tally_with_next(kernel, ctx, g, tau, prefix, profiles):
+    """One call over the run `prefix`, whose profiles are given, and the run
+    after it, if any, against profile."""
+    Q = ctx.q ** g
+    stop = min(prefix + 2, Q ** (g - 1))
+    expected = Counter(profiles)
+    if stop > prefix + 1:
+        expected += Counter(_run_profiles(ctx, g, tau, prefix + 1))
+    assert kernel.tally(prefix * Q, stop * Q) == expected, (prefix, stop)
 
 
 @pytest.mark.parametrize("ctx, g, tau", [
@@ -265,13 +308,16 @@ def _kernel_agrees_with_profile(ctx, g, tau, codes):
     (GF4, 2, 0), (GF4, 2, 1), (GF8, 2, 0), (GF8, 2, 1), (GF8, 2, 2), (GF9, 2, 1),
 ])
 def test_row_kernel_matches_profile_exhaustive(ctx, g, tau):
-    _kernel_agrees_with_profile(ctx, g, tau, range(ctx.q ** (g * g)))
+    _kernel_agrees_with_profile(ctx, g, tau, range(ctx.q ** (g * g - g)))
 
 
 @pytest.mark.parametrize("ctx, g, tau", [(GF2, 4, 0), (GF4, 3, 1), (GF3, 4, 0), (GF2, 5, 0)])
 def test_row_kernel_matches_profile_sampled(ctx, g, tau):
+    # the runs of seeded codes, at least 400 codes in all
     rng = random.Random(f"kernel/{ctx.q}/{g}/{tau}")
-    _kernel_agrees_with_profile(ctx, g, tau, [rng.randrange(ctx.q ** (g * g)) for _ in range(400)])
+    Q = ctx.q ** g
+    codes = [rng.randrange(ctx.q ** (g * g)) for _ in range(-(-400 // Q))]
+    _kernel_agrees_with_profile(ctx, g, tau, [code // Q for code in codes])
 
 
 @pytest.mark.parametrize("p, d, g", [
@@ -302,47 +348,46 @@ def _rank_of_run(ctx, g, prefix):
     return rank(matrix_from_rows(ctx, rows, g))
 
 
-def _reference_tally(ctx, g, tau, lo, hi):
-    counts = {}
-    for code in range(lo, hi):
-        key = tuple(profile(SemilinearMap(matrix_from_code(ctx, g, code), tau)))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
-def test_row_kernel_hyperplane_rank_g_minus_1_every_chain_length(ctx, g, tau):
-    # codes whose rows 1..g-1 are independent and whose row 0 is y·(rows
-    # 1..g-1): rank g-1, with Jordan chain length m = g - s for every m in
-    # 1..g, m = g being the single-block nilpotent maps (s = 0)
-    rng = random.Random(f"hyperplane/{ctx.q}/{g}/{tau}")
-    kernel = RowKernel(ctx, g, tau)
-    Q = ctx.q ** g
+def _chain_lengths_of_whole_runs(ctx, g, tau, kernel, prefixes, check):
+    """Tally whole runs from `prefixes` until their rank g-1 maps number at
+    least 200 and hold every Jordan chain length m = g - s in 1..g at least
+    three times; `check(profiles)` sees each run's Counter of profiles."""
     seen = {m: 0 for m in range(1, g + 1)}
-    for _ in range(20000):
+    for prefix in prefixes:
         if sum(seen.values()) >= 200 and min(seen.values()) >= 3:
             break
-        prefix = rng.randrange(Q ** (g - 1))
-        if _rank_of_run(ctx, g, prefix) != g - 1:
-            continue
-        rows = [helpers.to_vec(v, ctx.q, g) for v in _run_rows(ctx, g, prefix)]
-        row0 = [0] * g
-        for row in rows:
-            c = rng.randrange(ctx.q)
-            row0 = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(row0, row)]
-        A = matrix_from_rows(ctx, [row0] + rows)
-        code = helpers.from_digits(A.entries, ctx.q)
-        r, s = profile(SemilinearMap(A, tau))
-        assert r == g - 1
-        assert kernel.tally(code, code + 1) == {(r, s): 1}, (ctx, g, tau, code)
-        seen[g - s] += 1
+        profiles = Counter(_run_profiles(ctx, g, tau, prefix))
+        check(profiles)
+        assert _tally_run(kernel, prefix) == profiles, (ctx, g, tau, prefix)
+        for (r, s), n in profiles.items():
+            if r == g - 1:
+                seen[g - s] += n
     assert sum(seen.values()) >= 200 and min(seen.values()) >= 3, seen
 
 
 @pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
+def test_row_kernel_hyperplane_rank_g_minus_1_every_chain_length(ctx, g, tau):
+    # whole runs whose rows 1..g-1 are independent: the Q/q row 0s
+    # y·(rows 1..g-1) give rank g-1, with Jordan chain length m = g - s for
+    # every m in 1..g, m = g being the single-block nilpotent maps (s = 0),
+    # and every other row 0 a bijective map
+    rng = random.Random(f"hyperplane/{ctx.q}/{g}/{tau}")
+    Q = ctx.q ** g
+    prefixes = (rng.randrange(Q ** (g - 1)) for _ in range(2000))
+
+    def check(profiles):
+        assert profiles[g, g] == Q - Q // ctx.q and all(r >= g - 1 for r, _ in profiles)
+
+    _chain_lengths_of_whole_runs(
+        ctx, g, tau, RowKernel(ctx, g, tau),
+        (prefix for prefix in prefixes if _rank_of_run(ctx, g, prefix) == g - 1), check)
+
+
+@pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
 def test_row_kernel_hyperplane_ranges_inside_one_run(ctx, g, tau):
-    # the bijective codes are counted, not visited, so a range that starts
-    # and ends inside a run must still count only its own codes
+    # the bijective codes are counted, not visited, and a run is counted
+    # whole: a range that starts or ends inside a run is refused, and the
+    # run counts right in one call with the run after it
     rng = random.Random(f"inside/{ctx.q}/{g}/{tau}")
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
@@ -351,11 +396,9 @@ def test_row_kernel_hyperplane_ranges_inside_one_run(ctx, g, tau):
         prefix = rng.randrange(Q ** (g - 1))
         if _rank_of_run(ctx, g, prefix) != g - 1:
             continue
-        first = prefix * Q
-        lo = first + rng.randrange(1, Q // 2)
-        hi = first + rng.randrange(Q // 2, Q)
-        for a, b in [(lo, hi), (lo, lo), (lo, lo + 1), (first, hi), (lo, first + Q)]:
-            assert kernel.tally(a, b) == _reference_tally(ctx, g, tau, a, b), (a, b)
+        lo, hi = rng.randrange(1, Q // 2), rng.randrange(Q // 2, Q)
+        _refuses_cuts(kernel, prefix * Q, [(lo, hi), (lo, lo), (lo, lo + 1), (0, hi), (lo, Q)])
+        _tally_with_next(kernel, ctx, g, tau, prefix, _run_profiles(ctx, g, tau, prefix))
         checked += 1
 
 
@@ -398,55 +441,47 @@ def _corank1_prefix(ctx, g, rng):
 
 @pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
 def test_row_kernel_corank1_rank_g_minus_1_every_chain_length(ctx, g, tau):
-    # codes whose rows 1..g-1 have rank g-2 and whose row 0 is outside
-    # their span: rank g-1, with Jordan chain length m = g - s for every m
-    # in 1..g; kernel vector and preimages come from the run's list, and
-    # the scalar on row 0 of each preimage is read off the list too
+    # whole runs whose rows 1..g-1 have rank g-2: the row 0s outside their
+    # span give rank g-1, with Jordan chain length m = g - s for every m in
+    # 1..g; kernel vector and preimages come from the run's list, and the
+    # scalar on row 0 of each preimage is read off the list too.  The
+    # q^(g-2) row 0s in the span give rank g-2
     rng = random.Random(f"corank1/{ctx.q}/{g}/{tau}")
-    kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
-    seen = {m: 0 for m in range(1, g + 1)}
-    for _ in range(20000):
-        if sum(seen.values()) >= 200 and min(seen.values()) >= 3:
-            break
-        prefix = _corank1_prefix(ctx, g, rng)
-        code = prefix * Q + rng.randrange(Q)
-        F = SemilinearMap(matrix_from_code(ctx, g, code), tau)
-        r, s = profile(F)
-        if r != g - 1:  # row 0 in the span of rows 1..g-1
-            continue
-        assert kernel.tally(code, code + 1) == {(r, s): 1}, (ctx, g, tau, code)
-        seen[g - s] += 1
-    assert sum(seen.values()) >= 200 and min(seen.values()) >= 3, seen
+
+    def check(profiles):
+        assert sum(n for (r, _), n in profiles.items() if r == g - 2) == ctx.q ** (g - 2)
+        assert sum(n for (r, _), n in profiles.items() if r == g - 1) == Q - ctx.q ** (g - 2)
+
+    _chain_lengths_of_whole_runs(ctx, g, tau, RowKernel(ctx, g, tau),
+                                 (_corank1_prefix(ctx, g, rng) for _ in range(2000)), check)
 
 
 @pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
 def test_row_kernel_corank1_ranges_inside_one_run(ctx, g, tau):
+    # a range that starts or ends inside a corank-1 run is refused, and the
+    # run counts right in one call with the run after it
     rng = random.Random(f"corank1-inside/{ctx.q}/{g}/{tau}")
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
     for _ in range(4):
-        first = _corank1_prefix(ctx, g, rng) * Q
-        lo = first + rng.randrange(1, Q // 2)
-        hi = first + rng.randrange(Q // 2, Q)
-        for a, b in [(lo, hi), (lo, lo + 1), (first, hi), (lo, first + Q)]:
-            assert kernel.tally(a, b) == _reference_tally(ctx, g, tau, a, b), (a, b)
+        prefix = _corank1_prefix(ctx, g, rng)
+        lo, hi = rng.randrange(1, Q // 2), rng.randrange(Q // 2, Q)
+        _refuses_cuts(kernel, prefix * Q, [(lo, hi), (lo, lo + 1), (0, hi), (lo, Q)])
+        _tally_with_next(kernel, ctx, g, tau, prefix, _run_profiles(ctx, g, tau, prefix))
 
 
 @pytest.mark.parametrize("ctx, g, tau", NO_CHAIN_CELLS)
 def test_row_kernel_corank1_runs_skip_the_echelon_chain(monkeypatch, ctx, g, tau):
-    # code by code over a run whose rows 1..g-1 have rank g-2, no row 0
-    # takes the echelon chain: one outside their span follows one Jordan
-    # chain and one inside it (r = g-2) two, so `_echelon` never runs
+    # over a whole run whose rows 1..g-1 have rank g-2, no row 0 takes the
+    # echelon chain: one outside their span follows one Jordan chain and one
+    # inside it (r = g-2) two, so `_echelon` never runs
     rng = random.Random(f"corank1-no-chain/{ctx.q}/{g}/{tau}")
     kernel = RowKernel(ctx, g, tau)
-    Q = ctx.q ** g
     prefix = _corank1_prefix(ctx, g, rng)
-    codes = range(prefix * Q, (prefix + 1) * Q)
-    expected = [{tuple(profile(SemilinearMap(matrix_from_code(ctx, g, code), tau))): 1}
-                for code in codes]
+    expected = Counter(_run_profiles(ctx, g, tau, prefix))
     monkeypatch.setattr(RowKernel, "_echelon", _no_echelon)
-    assert [kernel.tally(code, code + 1) for code in codes] == expected
+    assert _tally_run(kernel, prefix) == expected
 
 
 # --- runs of rank <= g-3: the echelon chain from the run's own basis -----------------
@@ -480,22 +515,21 @@ def _low_rank_prefix(ctx, g, k, rng, row1=None):
 def test_row_kernel_low_rank_runs(ctx, g, tau):
     # runs whose rows 1..g-1 have rank k <= g-3, for every such k, are the
     # only ones whose maps take the echelon chain, started from the run's
-    # own basis.  Whole runs and ranges cut inside one; then a run that is
-    # the first of its block of Q runs sharing rows 2..g-1 (row 1 = 0) and
-    # one that is the last (row 1 = Q-1), with ranges across that change
+    # own basis.  A whole run; then a run that is the first of its block of
+    # Q runs sharing rows 2..g-1 (row 1 = 0) and one that is the last
+    # (row 1 = Q-1), with ranges of whole runs across that change
     rng = random.Random(f"low-rank/{ctx.q}/{g}/{tau}")
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
     for k in range(g - 2):
         first = _low_rank_prefix(ctx, g, k, rng) * Q
-        lo, hi = first + rng.randrange(1, Q // 2), first + rng.randrange(Q // 2, Q)
-        ranges = [(first, first + Q), (lo, hi), (lo, lo + 1), (first, hi), (lo, first + Q)]
-        x, y = rng.randrange(1, Q), rng.randrange(1, Q)
+        ranges = [(first, first + Q)]
+        x, y = rng.randrange(1, 4) * Q, rng.randrange(1, 4) * Q
         change = _low_rank_prefix(ctx, g, k, rng, row1=0) * Q  # the block's first code
-        ranges += [(max(change - Q - x, 0), change + Q + y), (change, change + y)]
+        ranges += [(max(change - x, 0), change + y), (change, change + Q)]
         if k:
             change = (_low_rank_prefix(ctx, g, k, rng, row1=Q - 1) + 1) * Q  # the next block's
-            ranges += [(change - Q - x, min(change + Q + y, Q ** g)), (change - x, change)]
+            ranges += [(change - x, min(change + y, Q ** g)), (change - Q, change)]
         for a, b in ranges:
             assert kernel.tally(a, b) == _reference_tally(ctx, g, tau, a, b), (k, a, b)
 
@@ -505,39 +539,33 @@ def test_row_kernel_low_rank_runs(ctx, g, tau):
 
 @pytest.mark.parametrize("ctx, g, tau", [(GF2, 4, 0), (GF3, 3, 0), (GF4, 3, 1), (GF5, 3, 0)])
 def test_row_kernel_ranges_around_a_change_of_rows_2_to_g_minus_1(ctx, g, tau):
-    # rows 2..g-1 change at every multiple B of Q^2; ranges cut runs, start
-    # or end inside a block of Q runs that share those rows, or cross B
+    # rows 2..g-1 change at every multiple B of Q^2; ranges of whole runs
+    # start or end inside a block of Q runs that share those rows, or cross B
     rng = random.Random(f"blocks/{ctx.q}/{g}/{tau}")
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
     for _ in range(3):
         B = rng.randrange(1, Q ** (g - 2)) * Q * Q
-        x, y = rng.randrange(1, Q), rng.randrange(1, Q)
-        for a, b in [(B - Q - x, B + Q + y), (B - 2 * Q, B + 2 * Q), (B - 1, B + 1),
-                     (B + Q + x, B + 3 * Q - y), (B - 3 * Q, B - Q + y)]:
+        x, y = rng.randrange(1, 4) * Q, rng.randrange(1, 4) * Q
+        for a, b in [(B - x, B + y), (B - 2 * Q, B + 2 * Q), (B - Q, B + Q),
+                     (B + x, B + 4 * Q), (B - 4 * Q, B - y)]:
             assert kernel.tally(a, b) == _reference_tally(ctx, g, tau, a, b), (a, b)
 
 
 @pytest.mark.parametrize("ctx, g, tau", [(GF2, 4, 0), (GF3, 3, 0), (GF5, 3, 0)])
 def test_row_kernel_chunk_crosses_a_change_of_rows_2_to_g_minus_1(ctx, g, tau):
-    # an enumeration chunk, as `bruteforce_table` cuts them, that holds
-    # runs of more than one block
-    block = ctx.q ** (2 * g)
-    chunks = [lo for lo in range(0, ctx.q ** (g * g), CHUNK_CODES)
-              if lo // block < (lo + CHUNK_CODES - 1) // block]
+    # an enumeration chunk, the whole runs that fit in CHUNK_CODES as
+    # `bruteforce_table` cuts them, that holds runs of more than one block
+    Q, total = ctx.q ** g, ctx.q ** (g * g)
+    size, block = Q * max(1, CHUNK_CODES // Q), Q * Q
+    chunks = [lo for lo in range(0, total, size)
+              if lo // block < (min(lo + size, total) - 1) // block]
     lo = random.Random(f"chunk/{ctx.q}/{g}/{tau}").choice(chunks)
-    hi = lo + CHUNK_CODES
+    hi = min(lo + size, total)
     assert RowKernel(ctx, g, tau).tally(lo, hi) == _reference_tally(ctx, g, tau, lo, hi)
 
 
-# --- rank g-1 runs: the shared corank-1 chain, F*·k + W, cuts at chain row 0s ------
-
-
-def _run_profiles(ctx, g, tau, prefix):
-    """profile of the code prefix·Q + row 0, for each row 0 in [0, Q)."""
-    Q = ctx.q ** g
-    return [tuple(profile(SemilinearMap(matrix_from_code(ctx, g, prefix * Q + row0), tau)))
-            for row0 in range(Q)]
+# --- rank g-1 runs: the shared corank-1 chain, F*·k + W --------------------------
 
 
 def _corank1_runs_by_shared_length(ctx, g, tau):
@@ -586,24 +614,24 @@ def test_row_kernel_corank1_whole_runs_by_shared_chain_length(ctx, g, tau):
 @pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
 def test_row_kernel_corank1_ranges_cut_inside_f_star_k_plus_w(ctx, g, tau):
     # the F*·k + W row 0s of a corank-1 run are its row 0s outside W with
-    # m > mu; ranges start or end on them, between them and at the run's ends
+    # m > mu; ranges that start or end on them, between them or at the run's
+    # ends are refused, and the run counts right in one call with the next
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
     for mu, (prefix, profiles) in _corank1_runs_by_shared_length(ctx, g, tau).items():
         rng = random.Random(f"f-star-k/{ctx.q}/{g}/{tau}/{mu}")
         going = sorted(row0 for row0, (r, s) in enumerate(profiles) if r == g - 1 and g - s > mu)
-        first = prefix * Q
-        for _ in range(3):
-            a, b = sorted(rng.sample(going, 2))
-            for lo, hi in [(a, b), (a + 1, b), (a, b + 1), (a, a + 1), (0, b), (a, Q), (a + 1, Q)]:
-                expected = Counter(profiles[lo:hi])
-                assert kernel.tally(first + lo, first + hi) == expected, (mu, lo, hi)
+        a, b = sorted(rng.sample(going, 2))
+        _refuses_cuts(kernel, prefix * Q,
+                      [(a, b), (a + 1, b), (a, b + 1), (a, a + 1), (0, b), (a, Q), (a + 1, Q)])
+        _tally_with_next(kernel, ctx, g, tau, prefix, profiles)
 
 
 @pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
 def test_row_kernel_hyperplane_ranges_cut_at_row_0s_in_w(ctx, g, tau):
-    # in a hyperplane run only the row 0s in W (r = g-1) walk a chain, and
-    # only those inside the range; ranges start or end on them and next to them
+    # in a hyperplane run only the row 0s in W (r = g-1) walk a chain;
+    # ranges that start or end on them or next to them are refused, and the
+    # run counts right in one call with the next
     rng = random.Random(f"cut-in-w/{ctx.q}/{g}/{tau}")
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
@@ -615,11 +643,10 @@ def test_row_kernel_hyperplane_ranges_cut_at_row_0s_in_w(ctx, g, tau):
         profiles = _run_profiles(ctx, g, tau, prefix)
         inside = [row0 for row0, (r, s) in enumerate(profiles) if r == g - 1]
         assert len(inside) == Q // ctx.q
-        first = prefix * Q
-        for _ in range(3):
-            a, b = sorted(rng.sample(inside[1:], 2))  # row 0 = 0 is the first
-            for lo, hi in [(a, b), (a + 1, b), (a, b + 1), (a, a + 1), (a - 1, a), (0, b), (a, Q)]:
-                assert kernel.tally(first + lo, first + hi) == Counter(profiles[lo:hi]), (lo, hi)
+        a, b = sorted(rng.sample(inside[1:], 2))  # row 0 = 0 is the first
+        _refuses_cuts(kernel, prefix * Q,
+                      [(a, b), (a + 1, b), (a, b + 1), (a, a + 1), (a - 1, a), (0, b), (a, Q)])
+        _tally_with_next(kernel, ctx, g, tau, prefix, profiles)
         checked += 1
 
 
@@ -699,34 +726,32 @@ def test_row_kernel_corank1_whole_runs_by_lambda2_exit(ctx, g, tau):
 
 @pytest.mark.parametrize("ctx, g, tau", HYPERPLANE_CELLS)
 def test_row_kernel_corank1_ranges_cut_at_row_0s_in_w(ctx, g, tau):
-    # the row 0s in W of a corank-1 run are walked one by one, only those
-    # inside the range; ranges start or end on them, next to them and
-    # between them.  Reading b_1 as tau((1, y)) walks -row 0's chains for
-    # row 0, which only a range holding one of the two can see (odd q)
+    # the row 0s in W of a corank-1 run are walked one by one; ranges that
+    # start or end on them, next to them or between them are refused, and
+    # the run counts right in one call with the next
     kernel = RowKernel(ctx, g, tau)
     Q = ctx.q ** g
     for how, (prefix, exits) in _corank1_runs_by_lambda2_exit(ctx, g, tau).items():
         rng = random.Random(f"cut-corank1-in-w/{ctx.q}/{g}/{tau}/{how}")
-        profiles = _run_profiles(ctx, g, tau, prefix)
-        inside = sorted(exits)[1:]  # row 0 = 0 is the first
-        first = prefix * Q
-        for _ in range(2):
-            a, b = sorted(rng.sample(inside, 2))
-            for lo, hi in [(a, b), (a + 1, b + 1), (a, a + 1), (a - 1, a), (0, b), (a, Q)]:
-                expected = Counter(profiles[lo:hi])
-                assert kernel.tally(first + lo, first + hi) == expected, (how, lo, hi)
+        a, b = sorted(rng.sample(sorted(exits)[1:], 2))  # row 0 = 0 is the first
+        _refuses_cuts(kernel, prefix * Q,
+                      [(a, b), (a + 1, b + 1), (a, a + 1), (a - 1, a), (0, b), (a, Q)])
+        _tally_with_next(kernel, ctx, g, tau, prefix, _run_profiles(ctx, g, tau, prefix))
 
 
 @pytest.mark.parametrize("ctx, g, start, stop", [
     (GF2, 0, 0, 2), (GF2, 0, 1, 0), (GF2, 1, 3, 1), (GF2, 1, -1, 1), (GF2, 1, 0, 3),
     (GF2, 3, -5, 3), (GF2, 3, 500, 600), (GF2, 3, 3, 1), (GF3, 2, 0, 3 ** 4 + 1),
+    (GF2, 1, 1, 2), (GF3, 2, 1, 9), (GF3, 2, 0, 10), (GF3, 2, 4, 4), (GF2, 3, 8, 500),
 ])
 def test_row_kernel_refuses_a_range_outside_the_codes(ctx, g, start, stop):
     # counting past either end of [0, q^(g^2)) or backwards used to give
-    # wrong counts silently, negative ones among them; both ends of the
-    # codes, and empty ranges, stay valid
-    kernel, total = RowKernel(ctx, g, 0), ctx.q ** (g * g)
-    with pytest.raises(ValueError, match="not inside"):
+    # wrong counts silently, negative ones among them; a range inside the
+    # codes whose ends are not multiples of Q = q^g cuts a run of codes that
+    # share rows 1..g-1, and is refused too.  Both ends of the codes, and
+    # empty ranges on run boundaries, stay valid
+    kernel, total, Q = RowKernel(ctx, g, 0), ctx.q ** (g * g), ctx.q ** g
+    with pytest.raises(ValueError, match="not whole runs"):
         kernel.tally(start, stop)
     assert sum(kernel.tally(0, total).values()) == total
-    assert kernel.tally(total, total) == kernel.tally(0, 0) == {}
+    assert kernel.tally(total, total) == kernel.tally(0, 0) == kernel.tally(Q, Q) == {}
