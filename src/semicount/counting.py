@@ -390,15 +390,19 @@ class RowKernel:
     y·(rows 1..g-1) = c_j - x·gen, goes on, x the first scalar with
     c_j - x·gen in W; lambda_1 is the first j with none.
     Only the runs of rank <= g-3 take the echelon chain (tables for lead
-    position, row normalised to lead 1 and its negative).  Such a run
+    position and row normalised to lead 1).  Such a run
     builds an echelon basis of rows 1..g-1 once, and each map starts its
     chain from it, with row 0 added when row 0 is outside W.
     Tables are built for g >= 2 only, and none has more than q^(g+1)
     entries: the q scalings of every row code, tau and tau^-1 digit by
     digit, 1/x and -1/x for the q scalars x (0 at x = 0), and for odd p
     the sums of the lower and the upper halves of two
-    rows (in characteristic 2 a row sum is XOR).  At g <= 1 the rank of a
-    row is "row != 0" and the chain never runs, so no table is built.
+    rows (in characteristic 2 a row sum is XOR), which only `add` holds.
+    At g <= 1 the rank of the one row is "row != 0" and s = r, so no table
+    is built.  The general walk gives the same tally there, but the g < 2
+    branch is a resource guard, not a shortcut: at g = 1 `scale` alone
+    would hold q^2 entries, 2^32 at GF(2^16), and one-row cells of such
+    fields fit every budget.
     """
 
     def __init__(self, ctx: FiniteField, g: int, tau: int):
@@ -424,19 +428,17 @@ class RowKernel:
             scale += digitwise(lambda x, c=c: ctx.mul(c, x), Q)
         inv = [0] + [ctx.inv(x) for x in range(1, q)]
         neginv = [ctx.neg(x) for x in inv]
-        lead, norm, negnorm = [0] * Q, [0] * Q, [0] * Q
+        lead, norm = [0] * Q, [0] * Q
         for v in range(1, Q):
             j, w = 0, v
             while w % q == 0:
                 j, w = j + 1, w // q
             lead[v] = j
             norm[v] = scale[inv[w % q] * Q + v]
-            negnorm[v] = scale[neginv[w % q] * Q + v]
         untwist = digitwise(ctx.frobenius_table(-tau).__getitem__, Q)
         twist = digitwise(ctx.frobenius_table(tau).__getitem__, Q)
-        self.tables = {"scale": scale, "lead": lead, "norm": norm,
-                       "negnorm": negnorm, "untwist": untwist, "twist": twist,
-                       "inv": inv, "neginv": neginv}
+        self.tables = {"scale": scale, "lead": lead, "norm": norm, "untwist": untwist,
+                       "twist": twist, "inv": inv, "neginv": neginv}
         if ctx.p == 2:
             self.add = operator.xor
             return
@@ -455,22 +457,21 @@ class RowKernel:
             return out
 
         low, high = sums(H, 1), sums(K, H)
-        self.tables.update(add_low=low, add_high=high)
         self.add = lambda a, b: low[a % H * H + b % H] + high[a // H * K + b // H]
 
     def _echelon(self, vectors) -> list[int]:
-        """Normalised pivot rows spanning the given row codes, one per lead."""
-        lead, norm, negnorm = self.tables["lead"], self.tables["norm"], self.tables["negnorm"]
-        add = self.add
-        piv = [0] * self.g
+        """Rows spanning the given row codes, one per lead, each negated
+        from its normalised form: its lead digit is -1."""
+        lead, norm, scale = self.tables["lead"], self.tables["norm"], self.tables["scale"]
+        add, minus, piv = self.add, self.neg_one * self.Q, [0] * self.g
         for w in vectors:
             while w:
                 j = lead[w]
                 P = piv[j]
                 if not P:
-                    piv[j] = norm[w]
+                    piv[j] = scale[minus + norm[w]]
                     break
-                w = add(negnorm[w], P)
+                w = add(norm[w], P)
         return [P for P in piv if P]
 
     def tally(self, start: int, stop: int) -> dict[tuple[int, int], int]:
@@ -481,7 +482,8 @@ class RowKernel:
         if not (0 <= start <= stop <= Q**g and start % Q == stop % Q == 0):
             raise ValueError(f"codes [{start}, {stop}) are not whole runs of {Q} codes "
                              f"within [0, q^(g^2)) = [0, {q}^{g * g})")
-        if g < 2:  # one run at most, of Q codes: r = s = 1 exactly when nonzero
+        if g < 2:  # a resource guard, kept (class docstring): one run at most, of Q
+            # codes, and r = s = 1 exactly when nonzero
             zero = int(start < stop)
             return {cell: n for cell, n in [((0, 0), zero), ((g, g), stop - start - zero)] if n}
         t = self.tables

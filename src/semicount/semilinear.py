@@ -79,9 +79,7 @@ def apply(F: SemilinearMap, v: Vector) -> Vector:
 
 
 def compose(F: SemilinearMap, G: SemilinearMap) -> SemilinearMap:
-    """F ∘ G; twists by tau_F ∘ tau_G."""
-    if F.ctx != G.ctx or F.g != G.g:
-        raise ValueError("maps must share field and dimension")
+    """F ∘ G; twists by tau_F ∘ tau_G.  `mat_mul` checks field and dimension."""
     return SemilinearMap(mat_mul(F.mat, map_entries(G.mat, F.tau)), F.tau + G.tau)
 
 
@@ -137,14 +135,9 @@ def matrix_from_code(ctx: FiniteField, g: int, code: int) -> Matrix:
     return Matrix(ctx, g, g, tuple(_digits(code, ctx.q, g * g)))
 
 
-def enumerate_maps(
-    ctx: FiniteField,
-    g: int,
-    tau: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[SemilinearMap]:
-    """All q^(g^2) endomorphisms with the given twist, in matrix-code order."""
-    total = check_budget(ctx.q, g, budget)
+def enumerate_maps(ctx: FiniteField, g: int, tau: int) -> Iterator[SemilinearMap]:
+    """All q^(g^2) endomorphisms with the given twist, in matrix-code order;
+    BudgetExceeded past DEFAULT_BUDGET."""
+    total = check_budget(ctx.q, g, DEFAULT_BUDGET)
     for code in range(total):
         yield SemilinearMap(matrix_from_code(ctx, g, code), tau)

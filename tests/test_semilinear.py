@@ -242,7 +242,7 @@ def test_matrix_from_code_refuses_codes_out_of_range():
 
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
-        list(enumerate_maps(GF4, 3, 0, budget=1000))
+        next(enumerate_maps(GF2, 6, 0))  # 2^36 maps, past DEFAULT_BUDGET
 
 
 def test_tau_normalized_mod_d():
@@ -330,6 +330,37 @@ def test_row_kernel_table_sizes(p, d, g):
     kernel = RowKernel(ctx, g, 0)
     assert all(len(table) <= bound for table in kernel.tables.values())
     assert bool(kernel.tables) == (g >= 2)
+
+
+@pytest.mark.parametrize("ctx, g", [(GF2, 4), (GF3, 4), (GF5, 3), (GF4, 3)])
+def test_row_kernel_echelon_spans_its_input(ctx, g):
+    # seeded row codes with zero, repeated and dependent rows among them
+    rng, q = random.Random(f"echelon/{ctx.q}/{g}"), ctx.q
+    kernel = RowKernel(ctx, g, 0)
+
+    def digits(codes):
+        return [helpers.to_vec(v, q, g) for v in codes]
+
+    for _ in range(60):
+        rows = [rng.randrange(q ** g) for _ in range(rng.randrange(g + 2))]
+        for _ in range(rng.randrange(4)):
+            kind = rng.randrange(3)
+            if kind == 0 or not rows:
+                rows.append(0)
+            elif kind == 1:
+                rows.append(rng.choice(rows))
+            else:  # a·u + b·v for two earlier rows
+                a, b = rng.randrange(q), rng.randrange(q)
+                u, v = digits([rng.choice(rows), rng.choice(rows)])
+                w = [ctx.add(ctx.mul(a, x), ctx.mul(b, y)) for x, y in zip(u, v)]
+                rows.append(sum(x * q ** i for i, x in enumerate(w)))
+        rng.shuffle(rows)
+        out = kernel._echelon(rows)
+        r = rank(matrix_from_rows(ctx, digits(rows), g))
+        assert len(out) == r == rank(matrix_from_rows(ctx, digits(rows + out), g)), rows
+        leads = [next(j for j, x in enumerate(w) if x) for w in digits(out)]
+        assert len(set(leads)) == len(leads), (rows, out)
+        assert all(w[j] == ctx.neg(1) for w, j in zip(digits(out), leads)), (rows, out)
 
 
 # --- hyperplane runs: rows 1..g-1 independent ---------------------------------------
