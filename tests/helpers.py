@@ -1,4 +1,4 @@
-"""Brute-force oracles for the test suite.
+"""Brute-force oracles for the test suite, and a counter of child processes.
 
 Everything here is reimplemented from first principles on plain tuples:
 field elements are little-endian digit tuples reduced by explicit long
@@ -9,8 +9,31 @@ between these oracles and the library is a real check, not a tautology.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from fractions import Fraction
 from itertools import product
+
+
+# --- child processes -------------------------------------------------------
+
+
+def started_children(monkeypatch, method: str | None = None) -> list[str]:
+    """Let this process run on two CPUs, and return a list that gets one
+    entry per child process started from here on, each from
+    `multiprocessing.get_context(method)`: `counting.run_chunks` asks for
+    a context once per child."""
+    started = []
+    real = multiprocessing.get_context
+
+    def counted():
+        context = real(method)
+        started.append(context.get_start_method())
+        return context
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_context", counted)
+    return started
 
 
 # --- field arithmetic on integer codes ------------------------------------

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 import semicount.cli as cli
 from semicount.cli import main
 from semicount.gf import FiniteField
@@ -95,9 +96,25 @@ def test_verify_pretty(capsys):
 def test_verify_output_independent_of_threads(capsys, monkeypatch):
     import semicount.counting as counting
     monkeypatch.setattr(counting, "CHUNK_CODES", 64)
+    monkeypatch.setattr(counting, "KERNEL_CODES_PER_WORKER", 1)
+    started = helpers.started_children(monkeypatch)
     _, serial, _ = run(capsys, "verify", "--field", "3^1", "--g", "2", "--threads", "1")
     _, pooled, _ = run(capsys, "verify", "--field", "3^1", "--g", "2", "--threads", "3")
     assert serial == pooled
+    assert len(started) == 1  # two CPUs, so one child
+
+
+@pytest.mark.parametrize("field, g, tau, children", [
+    ("3^2", 2, 1, 0),  # 6,561 codes, below 2 * ROUNDTRIP_CODES_PER_WORKER
+    ("11^1", 2, 0, 1),  # 14,641 codes
+])
+def test_roundtrip_output_independent_of_threads(capsys, monkeypatch, field, g, tau, children):
+    started = helpers.started_children(monkeypatch)
+    argv = ("roundtrip", "--field", field, "--g", str(g), "--tau", str(tau), "--threads")
+    code, serial, _ = run(capsys, *argv, "1")
+    assert code == 0 and started == []
+    assert run(capsys, *argv, "2") == (0, serial, "")
+    assert len(started) == children
 
 
 # --- adapt -----------------------------------------------------------------------

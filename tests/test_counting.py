@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import semicount.bijection as bijection
 import semicount.cli as cli
 import semicount.counting as counting
 from semicount.counting import (
@@ -295,9 +296,13 @@ def test_bruteforce_budget():
 def test_bruteforce_chunking_is_invisible(monkeypatch):
     import semicount.counting as counting
     monkeypatch.setattr(counting, "CHUNK_CODES", 64)
+    monkeypatch.setattr(counting, "KERNEL_CODES_PER_WORKER", 1)
+    started = helpers.started_children(monkeypatch)
     serial = bruteforce_table(GF3, 2, 0, threads=1)
+    assert started == []
     pooled = bruteforce_table(GF3, 2, 0, threads=3)
     assert serial == pooled
+    assert len(started) == 1  # two CPUs, so one child
 
 
 def _recorded_ranges(monkeypatch) -> list[tuple[int, int]]:
@@ -338,8 +343,9 @@ def test_bruteforce_unaligned_chunks_match_profile(monkeypatch, chunk, ctx, g, t
 
 
 def test_bruteforce_chunks_of_the_benchmark_grid(monkeypatch):
-    # the four cells of perfbench's enum-grid keep the chunk counts that set
-    # their 1- and 2-worker splits
+    # the four cells of perfbench's enum-grid keep their chunk counts; each
+    # is below 2 * KERNEL_CODES_PER_WORKER codes, so all its chunks run in
+    # the caller at any thread count
     ranges = _recorded_ranges(monkeypatch)
     for ctx, g, tau, chunks in [(GF2, 4, 0, 16), (GF3, 3, 0, 5), (GF4, 3, 1, 64), (GF9, 2, 1, 2)]:
         ranges.clear()
@@ -379,10 +385,10 @@ def test_run_chunks_caps_workers(monkeypatch):
         n = len(jobs)  # children make jobs 1..w-1 as they start, the caller job w
         return lambda chunk: (n, chunk)
 
-    def run(codes, threads):
+    def run(codes, threads, per_worker=1):
         children.clear()
         jobs.clear()
-        out = counting.run_chunks(make_job, GF3, 2, 0, codes, 2, threads)
+        out = counting.run_chunks(make_job, GF3, 2, 0, codes, 2, threads, per_worker)
         assert jobs == [(GF3, 2, 0)] * (len(children) + 1)  # one job per process
         return [n for n, _ in out], [chunk for _, chunk in out]
 
@@ -409,24 +415,87 @@ def test_run_chunks_caps_workers(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run(range(14), 4)[0] == [3, 1, 2, 3, 1, 2, 3]  # else os.cpu_count() caps
+    # nor than one per per_worker codes: 2 * per_worker - 1 codes run in the
+    # caller, 2 * per_worker in two processes, and many codes in as many as
+    # threads, chunks and CPUs allow
+    assert run(range(11), 4, 6)[0] == [1] * 6
+    assert children == []
+    assert run(range(12), 4, 6)[0] == [2, 1, 2, 1, 2, 1]
+    assert run(range(14), 4, 3)[0] == [3, 1, 2, 3, 1, 2, 3]
+    assert run(range(14), 2, 3)[0] == [2, 1, 2, 1, 2, 1, 2]
+    assert run(range(14), 4, 100)[0] == [1] * 7
+    # the callers pass their own module constants
+    passed = []
+    real = counting.run_chunks
+    monkeypatch.setattr(counting, "run_chunks",
+                        lambda *args: passed.append(args[-1]) or real(*args))
+    bruteforce_table(GF2, 2, 0)
+    roundtrip_check(GF2, 2, 0)
+    roundtrip_check(GF2, 2, 0, budget=15)  # sampled
+    assert passed == [counting.KERNEL_CODES_PER_WORKER] + [bijection.ROUNDTRIP_CODES_PER_WORKER] * 2
+    assert (counting.KERNEL_CODES_PER_WORKER, bijection.ROUNDTRIP_CODES_PER_WORKER) == (1 << 19, 1 << 12)
+    monkeypatch.setattr(counting, "run_chunks", real)
     # 9^4 maps make two chunks of whole runs, their tallies pickled through the pipe
-    children.clear()
-    assert bruteforce_table(GF9, 2, 1, threads=1000).entries == formula_table(2, 9).entries
-    assert len(children) == 1
+    # once the cap lets 6,561 codes pay for two processes
+    for per_worker, started in [(3281, 0), (3280, 1)]:
+        monkeypatch.setattr(counting, "KERNEL_CODES_PER_WORKER", per_worker)
+        children.clear()
+        assert bruteforce_table(GF9, 2, 1, threads=1000).entries == formula_table(2, 9).entries
+        assert len(children) == started
+
+
+def _no_child():
+    raise AssertionError("a child process was started")
 
 
 def test_threads_are_capped_by_cpu_affinity(monkeypatch, capsys):
-    def no_child():
-        raise AssertionError("a child process was started")
-
     argv = ["verify", "--field", "3^1", "--g", "3", "--threads"]  # five chunks
     assert cli.main(argv + ["1"]) == 0
     serial = capsys.readouterr()
+    monkeypatch.setattr(counting, "KERNEL_CODES_PER_WORKER", 1)  # so only the CPUs cap
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
-    monkeypatch.setattr(multiprocessing, "get_context", no_child)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_child)
     assert cli.main(argv + ["2"]) == 0
     assert capsys.readouterr() == serial
+
+
+@pytest.mark.parametrize("field, g, tau", [("2^1", 4, 0), ("3^1", 3, 0), ("2^2", 3, 1),
+                                           ("3^2", 2, 1)])
+def test_benchmark_grid_runs_in_the_caller(monkeypatch, capsys, field, g, tau):
+    # perfbench's enum-grid cells, at most 2^18 codes: two CPUs, and still no child
+    argv = ["verify", "--field", field, "--g", str(g), "--tau", str(tau), "--threads"]
+    assert cli.main(argv + ["1"]) == 0
+    serial = capsys.readouterr()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_child)
+    assert cli.main(argv + ["2"]) == 0
+    assert capsys.readouterr() == serial
+
+
+def test_verify_forks_past_the_kernel_cap(monkeypatch, capsys):
+    # GF(5) g=3, 1,953,125 codes: a child's share of them pays for it
+    argv = ["verify", "--field", "5^1", "--g", "3", "--threads"]
+    started = helpers.started_children(monkeypatch)
+    assert cli.main(argv + ["1"]) == 0
+    serial = capsys.readouterr()
+    assert started == []
+    assert cli.main(argv + ["2"]) == 0
+    assert capsys.readouterr() == serial
+    assert len(started) == 1
+
+
+@pytest.mark.parametrize("ctx, g", [(GF2, 5), (GF3, 4)], ids=["GF2-g5", "GF3-g4"])
+def test_large_cells_keep_their_child(monkeypatch, ctx, g):
+    # the split only, by a stand-in job that counts each chunk's codes as
+    # (0, 0), which a forked child inherits
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method here")
+    monkeypatch.setattr(counting, "_tally_job",
+                        lambda ctx, g, tau: lambda chunk: {(0, 0): len(chunk)})
+    started = helpers.started_children(monkeypatch, "fork")
+    assert bruteforce_table(ctx, g, 0, threads=2).entries[0, 0] == ctx.q ** (g * g)
+    assert len(started) == 1
 
 
 def test_no_kernel_or_field_outlives_a_call(monkeypatch):
@@ -465,23 +534,28 @@ def _run_python(*args: str, timeout: float | None = None) -> subprocess.Complete
 def test_pools_match_serial_under_start_method(method):
     # the pickled path: make_job and the field go to each worker, which builds its job
     script = f"""
-import multiprocessing
+import multiprocessing, os
 multiprocessing.set_start_method({method!r})
-from semicount import counting
+from semicount import bijection, counting
 from semicount.bijection import roundtrip_check
 from semicount.counting import bruteforce_table
 from semicount.gf import make_field
+os.sched_getaffinity = lambda pid: {{0, 1}}  # two CPUs, so one child per call
+started = []
+get_context = multiprocessing.get_context
+multiprocessing.get_context = lambda: started.append(1) or get_context()
 ctx = make_field(3, 1)
+counting.KERNEL_CODES_PER_WORKER = bijection.ROUNDTRIP_CODES_PER_WORKER = 1
 assert bruteforce_table(ctx, 3, 0, threads=2) == bruteforce_table(ctx, 3, 0)
 counting.CHUNK_CODES = 64  # a sweep's 81 codes make two chunks
 assert roundtrip_check(ctx, 2, 0, threads=2) == roundtrip_check(ctx, 2, 0)
 counting.CHUNK_CODES = 512  # the 1000 sampled codes make two chunks
 sampled = dict(budget=10, seed=3)
 assert roundtrip_check(ctx, 3, 0, threads=2, **sampled) == roundtrip_check(ctx, 3, 0, **sampled)
-print(multiprocessing.get_start_method())
+print(multiprocessing.get_start_method(), len(started))
 """
     proc = _run_python("-c", script)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, method + "\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, method + " 3\n", "")
 
 
 def test_no_pool_is_imported_without_a_pool():
@@ -498,6 +572,9 @@ print(run("count", "--field", "2^1", "--g", "3")[0], pooled())
 verify = ("verify", "--field", "3^1", "--g", "3", "--threads")  # five chunks
 one = run(*verify, "1")
 print(one[0], pooled())
+print(run(*verify, "2") == one, pooled())  # 19,683 codes pay for no child
+import semicount.counting as counting
+counting.KERNEL_CODES_PER_WORKER = 1
 print(run(*verify, "2") == one, pooled())
 import multiprocessing
 print(multiprocessing.active_children())
@@ -506,7 +583,8 @@ print(multiprocessing.active_children())
     # a child starts only where the process may run on two CPUs
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pool = "['multiprocessing']" if (cpus or 1) > 1 else "[]"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0 []\n0 []\nTrue {pool}\n[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"0 []\n0 []\nTrue []\nTrue {pool}\n[]\n", "")
 
 
 # faults in run_chunks' two processes: (the caller's job on chunk 0, the
@@ -546,7 +624,7 @@ if __name__ == "__main__":
     multiprocessing.set_start_method({method!r})
     os.sched_getaffinity = lambda pid: {{0, 1}}  # two CPUs, so one child starts
     try:
-        counting.run_chunks(make_job, None, 0, 0, range(4), 2, 2)
+        counting.run_chunks(make_job, None, 0, 0, range(4), 2, 2, 1)
     except Exception as exc:
         print(type(exc).__name__, exc)
         if exc.__cause__:  # the traceback in the child
