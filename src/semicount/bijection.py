@@ -170,13 +170,6 @@ def tuple_to_map(ctx: FiniteField, xs, tau: int) -> SemilinearMap:
 # sample size used when the space is too large to sweep
 SPOT_CHECK_SAMPLES = 1000
 
-# The fewest round-trip codes that pay for one more process, set from
-# alternated 1- vs 2-worker sweeps (README "Performance"): a code costs
-# 12-65 us, about a hundred kernel codes, so a sweep of GF(11) g=2
-# (14,641 codes) forks and one of GF(3^2) g=2 (6,561) does not.  A sample
-# (SPOT_CHECK_SAMPLES codes) always runs in the caller.
-ROUNDTRIP_CODES_PER_WORKER = 1 << 12
-
 
 def _roundtrip_codes(ctx: FiniteField, g: int, tau: int,
                      codes) -> tuple[dict[tuple[int, int], int], list[int]]:
@@ -271,15 +264,13 @@ def roundtrip_check(
     size = counting.CHUNK_CODES
     if exhaustive:
         codes = range(total)
-        parts = counting.run_chunks(_sweep_job, ctx, g, tau, codes, size, threads,
-                                    ROUNDTRIP_CODES_PER_WORKER)
+        parts = counting.run_chunks(_sweep_job, ctx, g, tau, codes, size, threads)
     else:
         rng = random.Random(seed)
         codes = [rng.randrange(total) for _ in range(SPOT_CHECK_SAMPLES)]
     # a sample, or a sweep that failed a code, checks both directions
     if not exhaustive or any(part for _, part in parts):
-        parts = counting.run_chunks(_roundtrip_job, ctx, g, tau, codes, size, threads,
-                                    ROUNDTRIP_CODES_PER_WORKER)
+        parts = counting.run_chunks(_roundtrip_job, ctx, g, tau, codes, size, threads)
     tallies = counting.merge_tallies(g, [tally for tally, _ in parts])
     failures = [code for _, part in parts for code in part]
     # a sweep of every code must tally the closed-form census exactly

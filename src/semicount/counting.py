@@ -49,9 +49,10 @@ def check_budget(q: int, g: int, budget: int) -> int:
 CHUNK_CODES = 4096
 
 # The fewest kernel codes that pay for one more process, set from
-# alternated 1- vs 2-worker calls (README "Performance"): a child costs a
-# fork, a pipe and its own RowKernel tables, 2-4 ms, against 0.06-0.35 us
-# a code at g >= 3, so GF(5) g=3 (1,953,125 codes) forks and GF(2^2) g=3
+# alternated in-process 1- vs 2-worker calls of `bruteforce_table` (README
+# "Performance"), not from a benchmark workload: a child costs a fork, a
+# pipe and its own RowKernel tables, 2-4 ms, against 0.06-0.35 us a code
+# at g >= 3, so GF(5) g=3 (1,953,125 codes) forks and GF(2^2) g=3
 # (262,144) does not.
 KERNEL_CODES_PER_WORKER = 1 << 19
 
@@ -249,16 +250,13 @@ def _run_stride(send, make_job, ctx: FiniteField, g: int, tau: int, chunks: list
 
 
 def run_chunks(make_job, ctx: FiniteField, g: int, tau: int, codes, size: int,
-               threads: int, per_worker: int) -> list:
+               threads: int) -> list:
     """job(chunk) for each `size`-long slice of `codes` (a range or a list),
     job = make_job(ctx, g, tau), in chunk order.
 
-    w = max(1, min(threads, chunks, CPUs, len(codes) // per_worker))
-    processes share the chunks, the calling one included; CPUs counts those
-    `os.sched_getaffinity` lets this process run on, or `os.cpu_count()`
-    where that is missing, and per_worker is the fewest codes that pay for
-    one more process, a constant of the caller's, so w never depends on a
-    clock and a call below 2 * per_worker codes starts no child.  Process i
+    w = max(1, min(threads, chunks, CPUs)) processes share the chunks, the
+    calling one included; CPUs counts those `os.sched_getaffinity` lets this
+    process run on, or `os.cpu_count()` where that is missing.  Process i
     runs chunks i, i + w, i + 2w, ... with one job of its own, made when
     it starts and dropped when the call returns.  The w - 1 children come
     from `multiprocessing.get_context()` as daemons and each sends its
@@ -273,7 +271,7 @@ def run_chunks(make_job, ctx: FiniteField, g: int, tau: int, codes, size: int,
     chunks = [codes[lo: lo + size] for lo in range(0, len(codes), size)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = max(1, min(threads, len(chunks), cpus, len(codes) // per_worker))
+    workers = max(1, min(threads, len(chunks), cpus))
     children = []  # (process, read end of its pipe)
     try:
         for i in range(1, workers):
@@ -611,13 +609,14 @@ def bruteforce_table(
     The code range is cut into chunks of whole runs, the most that fit in
     CHUNK_CODES or one run where a run is longer, and the per-chunk
     tallies are summed, so the result is identical whether chunks run in
-    one process or are shared among any number of them: at most one per
-    KERNEL_CODES_PER_WORKER codes, and at most `threads` (`run_chunks`).
+    one process or are shared among any number of them: at most `threads`,
+    and at most one per KERNEL_CODES_PER_WORKER codes, so a call of fewer
+    than 2 * KERNEL_CODES_PER_WORKER codes starts no child (`run_chunks`).
     """
     total, Q = check_budget(ctx.q, g, budget), ctx.q**g
     size = Q * max(1, CHUNK_CODES // Q)
-    entries = merge_tallies(g, run_chunks(_tally_job, ctx, g, tau, range(total), size, threads,
-                                          KERNEL_CODES_PER_WORKER))
+    threads = min(threads, total // KERNEL_CODES_PER_WORKER)
+    entries = merge_tallies(g, run_chunks(_tally_job, ctx, g, tau, range(total), size, threads))
     table = CountTable(ctx.q, g, entries)
     if table.total != total:
         raise ArithmeticError(f"chunks tallied {table.total} of the {total} maps")

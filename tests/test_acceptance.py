@@ -218,7 +218,7 @@ def test_criterion_7_verify_output_is_thread_independent():
     def run(threads):
         proc = subprocess.run(
             [sys.executable, "-m", "semicount", "verify",
-             "--field", "2^1", "--g", "4", "--threads", str(threads)],
+             "--field", "5^1", "--g", "3", "--threads", str(threads)],
             capture_output=True, check=True)
         return proc.stdout
 
@@ -228,4 +228,5 @@ def test_criterion_7_verify_output_is_thread_independent():
     payload = json.loads(single)
     assert all(cell["match"] for cell in payload["cells"])
     print("criterion 7: PASS - verify output byte-identical across "
-          "--threads 1 and --threads 8 (65,536 maps, 16 work chunks)")
+          "--threads 1 and --threads 8 (1,953,125 maps, 489 work chunks, "
+          "shared at 8 threads by up to 3 processes)")

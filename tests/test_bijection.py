@@ -433,10 +433,8 @@ def test_chunks_reuse_the_callers_field(monkeypatch):
 
 
 def test_roundtrip_check_worker_split_is_invisible(monkeypatch):
-    import semicount.bijection as bijection
     import semicount.counting as counting
     monkeypatch.setattr(counting, "CHUNK_CODES", 16)
-    monkeypatch.setattr(bijection, "ROUNDTRIP_CODES_PER_WORKER", 1)
     started = helpers.started_children(monkeypatch)
     single, ok1 = roundtrip_check(GF3, 2, 0, threads=1)
     assert started == []

@@ -105,8 +105,8 @@ def test_verify_output_independent_of_threads(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("field, g, tau, children", [
-    ("3^2", 2, 1, 0),  # 6,561 codes, below 2 * ROUNDTRIP_CODES_PER_WORKER
-    ("11^1", 2, 0, 1),  # 14,641 codes
+    ("3^1", 2, 0, 0),  # 81 codes, one chunk
+    ("3^2", 2, 1, 1),  # 6,561 codes, two chunks
 ])
 def test_roundtrip_output_independent_of_threads(capsys, monkeypatch, field, g, tau, children):
     started = helpers.started_children(monkeypatch)

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-import semicount.bijection as bijection
 import semicount.cli as cli
 import semicount.counting as counting
 from semicount.counting import (
@@ -385,10 +384,10 @@ def test_run_chunks_caps_workers(monkeypatch):
         n = len(jobs)  # children make jobs 1..w-1 as they start, the caller job w
         return lambda chunk: (n, chunk)
 
-    def run(codes, threads, per_worker=1):
+    def run(codes, threads):
         children.clear()
         jobs.clear()
-        out = counting.run_chunks(make_job, GF3, 2, 0, codes, 2, threads, per_worker)
+        out = counting.run_chunks(make_job, GF3, 2, 0, codes, 2, threads)
         assert jobs == [(GF3, 2, 0)] * (len(children) + 1)  # one job per process
         return [n for n, _ in out], [chunk for _, chunk in out]
 
@@ -415,32 +414,17 @@ def test_run_chunks_caps_workers(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run(range(14), 4)[0] == [3, 1, 2, 3, 1, 2, 3]  # else os.cpu_count() caps
-    # nor than one per per_worker codes: 2 * per_worker - 1 codes run in the
-    # caller, 2 * per_worker in two processes, and many codes in as many as
+    # bruteforce_table passes at most one thread per KERNEL_CODES_PER_WORKER
+    # codes: 9^4 maps make two chunks of whole runs, which run in the caller
+    # below twice the constant and in two processes from there, their tallies
+    # pickled through the pipe; many codes run in as many processes as
     # threads, chunks and CPUs allow
-    assert run(range(11), 4, 6)[0] == [1] * 6
-    assert children == []
-    assert run(range(12), 4, 6)[0] == [2, 1, 2, 1, 2, 1]
-    assert run(range(14), 4, 3)[0] == [3, 1, 2, 3, 1, 2, 3]
-    assert run(range(14), 2, 3)[0] == [2, 1, 2, 1, 2, 1, 2]
-    assert run(range(14), 4, 100)[0] == [1] * 7
-    # the callers pass their own module constants
-    passed = []
-    real = counting.run_chunks
-    monkeypatch.setattr(counting, "run_chunks",
-                        lambda *args: passed.append(args[-1]) or real(*args))
-    bruteforce_table(GF2, 2, 0)
-    roundtrip_check(GF2, 2, 0)
-    roundtrip_check(GF2, 2, 0, budget=15)  # sampled
-    assert passed == [counting.KERNEL_CODES_PER_WORKER] + [bijection.ROUNDTRIP_CODES_PER_WORKER] * 2
-    assert (counting.KERNEL_CODES_PER_WORKER, bijection.ROUNDTRIP_CODES_PER_WORKER) == (1 << 19, 1 << 12)
-    monkeypatch.setattr(counting, "run_chunks", real)
-    # 9^4 maps make two chunks of whole runs, their tallies pickled through the pipe
-    # once the cap lets 6,561 codes pay for two processes
-    for per_worker, started in [(3281, 0), (3280, 1)]:
+    assert counting.KERNEL_CODES_PER_WORKER == 1 << 19
+    for per_worker, ctx, g, tau, started in [(3281, GF9, 2, 1, 0), (3280, GF9, 2, 1, 1),
+                                             (1, GF2, 4, 0, 2)]:  # 16 chunks, 3 CPUs
         monkeypatch.setattr(counting, "KERNEL_CODES_PER_WORKER", per_worker)
         children.clear()
-        assert bruteforce_table(GF9, 2, 1, threads=1000).entries == formula_table(2, 9).entries
+        assert bruteforce_table(ctx, g, tau, threads=1000).entries == formula_table(g, ctx.q).entries
         assert len(children) == started
 
 
@@ -536,7 +520,7 @@ def test_pools_match_serial_under_start_method(method):
     script = f"""
 import multiprocessing, os
 multiprocessing.set_start_method({method!r})
-from semicount import bijection, counting
+from semicount import counting
 from semicount.bijection import roundtrip_check
 from semicount.counting import bruteforce_table
 from semicount.gf import make_field
@@ -545,7 +529,7 @@ started = []
 get_context = multiprocessing.get_context
 multiprocessing.get_context = lambda: started.append(1) or get_context()
 ctx = make_field(3, 1)
-counting.KERNEL_CODES_PER_WORKER = bijection.ROUNDTRIP_CODES_PER_WORKER = 1
+counting.KERNEL_CODES_PER_WORKER = 1
 assert bruteforce_table(ctx, 3, 0, threads=2) == bruteforce_table(ctx, 3, 0)
 counting.CHUNK_CODES = 64  # a sweep's 81 codes make two chunks
 assert roundtrip_check(ctx, 2, 0, threads=2) == roundtrip_check(ctx, 2, 0)
@@ -624,7 +608,7 @@ if __name__ == "__main__":
     multiprocessing.set_start_method({method!r})
     os.sched_getaffinity = lambda pid: {{0, 1}}  # two CPUs, so one child starts
     try:
-        counting.run_chunks(make_job, None, 0, 0, range(4), 2, 2, 1)
+        counting.run_chunks(make_job, None, 0, 0, range(4), 2, 2)
     except Exception as exc:
         print(type(exc).__name__, exc)
         if exc.__cause__:  # the traceback in the child
